@@ -42,8 +42,15 @@ from .gleason import extremal_min_weight, extremal_weight_enumerator
 from .harmonic import ZonalPoint, zonal_eval
 
 
-def _default_threads() -> int:
-    return max(1, int(os.environ.get("TYPEII_THREADS", "1")))
+def _thread_count(text: str) -> int:
+    """--threads and TYPEII_THREADS: a positive integer, accepted and ignored
+    (every sweep runs in one process)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+_THREADS_HELP = "ignored (every sweep runs in one process); kept for compatibility"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-code", help="end-to-end checks on a constructed code")
     p.add_argument("--code", required=True,
                    help=f"catalog name ({', '.join(sorted(CATALOG))}) or matrix file")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("determinant", help="extended determinant for a length")
@@ -79,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--half", action="store_true",
                    help="also check zonal residuals in degree t+2")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=_thread_count, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("zonal", help="evaluate a zonal harmonic polynomial")
@@ -92,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("paper", help="run every length analysis and catalog check")
     p.add_argument("--deep", action="store_true",
-                   help="include the 2^24 qr48 sweeps")
-    p.add_argument("--threads", type=int, default=_default_threads())
+                   help="include the qr48 check (2^24 codewords, under a second)")
+    p.add_argument("--threads", type=_thread_count, help=_THREADS_HELP)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json", action="store_true")
 
@@ -138,7 +145,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_code(args) -> int:
     code = resolve(args.code)
-    report = verify_on_code(code, threads=args.threads)
+    report = verify_on_code(code)
     if args.json:
         _emit_json(_report("verify-code", {"code": args.code}, report.to_dict()))
     else:
@@ -198,8 +205,10 @@ def _cmd_enumerator(args) -> int:
 
 
 def _cmd_design_check(args) -> int:
+    if not 1 <= args.t <= args.w:
+        raise ValueError(f"--t must lie in 1..w, got t = {args.t} with w = {args.w}")
     code = resolve(args.code)
-    shell = code.shell(args.w, threads=args.threads)
+    shell = code.shell(args.w)
     counts = {t: predesign_count(shell, t) for t in range(1, args.t + 1)}
     verdict = all(c is not None for c in counts.values())
     residuals = []
@@ -276,7 +285,7 @@ def _cmd_paper(args) -> int:
         catalog_names.append("qr48")
     for name in catalog_names:
         t0 = time.perf_counter()
-        report = verify_on_code(resolve(name), threads=args.threads)
+        report = verify_on_code(resolve(name))
         expect_generated = name != "d16plus"
         ok = (report.all_checks_pass
               and report.generated_by_minimal == expect_generated)
@@ -340,6 +349,10 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _thread_count(os.environ.get("TYPEII_THREADS", "1"))
+    except argparse.ArgumentTypeError as err:
+        parser.error(f"TYPEII_THREADS: {err}")
     try:
         return _DISPATCH[args.command](args)
     except CodeFileError as err:

@@ -338,41 +338,25 @@ def observed_lambda(shell, cbar: Word) -> dict[int, int]:
     return counts
 
 
-def _sample_codewords(code: Code, per_weight: int = 3) -> list[Word]:
-    """Deterministic spread of nonzero codewords, a few per weight class."""
-    from .gf2 import _gray_sweep
-
-    buckets: dict[int, list[int]] = {}
-    for bits in _gray_sweep(code.rref_rows, 0, 1 << code.k):
-        if bits == 0:
-            continue
-        bucket = buckets.setdefault(bits.bit_count(), [])
-        if len(bucket) < per_weight:
-            bucket.append(bits)
-    return [Word(code.n, b) for key in sorted(buckets) for b in buckets[key]]
-
-
-def verify_on_code(code: Code, threads: int = 1) -> CodeReport:
+def verify_on_code(code: Code) -> CodeReport:
     """End-to-end configuration check on a constructed code: extremality,
     span of the minimal shell, coset minimal weights, and exact consistency
     of observed lambda vectors with every kept zonal equation."""
     n = code.n
     _check_supported(n)
     d_min = extremal_min_weight(n)
-    dist = code.weight_distribution(threads=threads)
+    # one pass: the distribution, the minimal shell and 3 samples per weight
+    dist, shell, samples = code.sweep(d_min, per_weight=3)
     min_weight = next(w for w in range(1, n + 1) if dist[w])
     extremal = min_weight == d_min
-    shell = code.shell(d_min, threads=threads)
     enum = extremal_weight_enumerator(n)
     matches_enumerator = tuple(dist) == enum.coefficients
     span = Code(n, (w.bits for w in shell)) if shell else Code(n, [0])
     generated = span == code
-    ext_rows, _ = _coset_representatives(code, span)
-    minima = list(_coset_minima(ext_rows, span))
-    coset_weights = tuple(sorted(m for _, m in minima))
+    leaders = code.coset_leaders(span)
+    coset_weights = tuple(sorted(coset.w for coset in leaders.values()))
 
     degrees = kept_degree_set(n)
-    samples = _sample_codewords(code)
     rows_ok = True
     for cbar in samples:
         s = cbar.weight()
@@ -393,12 +377,12 @@ def verify_on_code(code: Code, threads: int = 1) -> CodeReport:
     # minimal-weight coset representatives meet every minimal word in at
     # most d/2 positions (otherwise adding the word would shorten them)
     bound_ok = True
-    for rep_bits, min_w in minima:
-        if min_w == 0:
+    for coset in leaders.values():
+        if coset.w == 0:
             continue
-        for cword in _coset_words_of_weight(rep_bits, span, min_w):
+        for cword in coset:
             for word in shell:
-                if (word.bits & cword).bit_count() > d_min // 2:
+                if (word.bits & cword.bits).bit_count() > d_min // 2:
                     bound_ok = False
     return CodeReport(
         n=n,
@@ -415,39 +399,3 @@ def verify_on_code(code: Code, threads: int = 1) -> CodeReport:
         sampled_weights=tuple(w.weight() for w in samples),
     )
 
-
-def _coset_representatives(code: Code, sub: Code) -> tuple[list[int], Code]:
-    ext: list[int] = []
-    pivots: list[int] = []
-    for row in code.rref_rows:
-        r = sub.reduce(row)
-        for p, e in zip(pivots, ext):
-            if r >> p & 1:
-                r ^= e
-        if r:
-            ext.append(r)
-            pivots.append((r & -r).bit_length() - 1)
-    return ext, sub
-
-
-def _coset_minima(ext_rows: list[int], sub: Code):
-    from .gf2 import _gray_sweep
-
-    for label in range(1 << len(ext_rows)):
-        rep = 0
-        for i, row in enumerate(ext_rows):
-            if label >> i & 1:
-                rep ^= row
-        min_w = min(
-            (rep ^ b).bit_count() for b in _gray_sweep(sub.rref_rows, 0, 1 << sub.k)
-        )
-        yield rep, min_w
-
-
-def _coset_words_of_weight(rep_bits: int, sub: Code, target: int):
-    from .gf2 import _gray_sweep
-
-    for b in _gray_sweep(sub.rref_rows, 0, 1 << sub.k):
-        word = rep_bits ^ b
-        if word.bit_count() == target:
-            yield word

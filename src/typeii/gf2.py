@@ -4,18 +4,25 @@ Words are fixed-length bit vectors packed into Python ints (coordinate j of a
 word is bit j of the int; text renderings read coordinates left to right).
 Codes carry their generators plus an eagerly computed reduced row-echelon
 form, which is the canonical representation used for equality, containment,
-and duals.  Exhaustive codeword sweeps walk the message space in Gray-code
-order so each step is a single generator XOR.
+and duals.
+
+Exhaustive sweeps are bit-sliced (Biham, "A Fast New DES Implementation in
+Software", FSE 1997): one 2^16-bit int per coordinate holds that coordinate of
+2^16 codewords, and a ripple-carry counter over the n ints weighs them all at
+once.  A coset sweep is the same pass with an offset.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 MAX_LENGTH = 128
 ENUM_CAP = 26  # refuse exhaustive sweeps beyond 2^26 codewords
+LOW_BITS = 16  # message bits sliced into the 2^16 bit positions of one plane
+LOWEST = -1    # Code.sweep target: the words of the lowest weight present
 
 
 class EnumerationCapError(RuntimeError):
@@ -89,18 +96,6 @@ class Word:
         return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
 
 
-def add(u: Word, v: Word) -> Word:
-    return u ^ v
-
-
-def intersect(u: Word, v: Word) -> Word:
-    return u & v
-
-
-def weight(v: Word) -> int:
-    return v.weight()
-
-
 @dataclass(frozen=True)
 class DesignSet:
     """A finite subset of the Hamming sphere B_w, the raw material of a design."""
@@ -147,29 +142,80 @@ def _rref(rows: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(work[i] for i in order), tuple(pivots[i] for i in order)
 
 
-def _gray_sweep(rows: Sequence[int], lo: int, hi: int) -> Iterator[int]:
-    """Codewords for message indices lo..hi-1, one generator XOR per step."""
+def _gray_sweep(rows: Sequence[int]) -> Iterator[int]:
+    """span(rows) in Gray-walk order: step i yields _combine(rows, gray(i))."""
     acc = 0
-    g = lo ^ (lo >> 1)
-    for i, row in enumerate(rows):
-        if g >> i & 1:
-            acc ^= row
     yield acc
-    for m in range(lo + 1, hi):
+    for m in range(1, 1 << len(rows)):
         acc ^= rows[(m & -m).bit_length() - 1]
         yield acc
 
 
-def _sweep_worker(args) -> tuple[list[int], list[int]]:
-    rows, n, lo, hi, target = args
-    dist = [0] * (n + 1)
-    hits: list[int] = []
-    for bits in _gray_sweep(rows, lo, hi):
-        w = bits.bit_count()
-        dist[w] += 1
-        if w == target:
-            hits.append(bits)
-    return dist, hits
+def _combine(rows: Sequence[int], g: int) -> int:
+    """XOR of the rows selected by the set bits of g."""
+    acc = 0
+    for i in range(g.bit_length()):
+        if g >> i & 1:
+            acc ^= rows[i]
+    return acc
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending."""
+    return (m.start() for m in re.finditer("1", format(mask, "b")[::-1]))
+
+
+def _weight_classes(rows: Sequence[int], n: int,
+                    offset: int = 0) -> Iterator[tuple[int, dict[int, int]]]:
+    """Bit-sliced Gray walk over offset + span(rows), 2^m words per block.
+
+    Bit t of the plane of coordinate j is coordinate j of the word at block
+    position t, base ^ _combine(rows, gray(t)), m = min(k, LOW_BITS): the
+    position order is the order of _gray_sweep.  Blocks walk the high message
+    bits in Gray order; a ripple-carry counter adds the planes (complemented
+    where base has a 1), and splitting on its bits gives the mask of each
+    weight.  Yields (base, {weight: mask}) per block."""
+    m = min(len(rows), LOW_BITS)
+    full = (1 << (1 << m)) - 1
+    # bit t of lows[r] is bit r of t; of lows[r] ^ lows[r + 1], bit r of gray(t)
+    lows = [full // ((1 << (2 << r)) - 1) * (((1 << (1 << r)) - 1) << (1 << r))
+            for r in range(m)] + [0]
+    planes = [0] * n
+    for r in range(m):
+        for j in range(n):
+            if rows[r] >> j & 1:
+                planes[j] ^= lows[r] ^ lows[r + 1]
+    sliced = [(j, p) for j, p in enumerate(planes) if p]
+    fixed = sum(1 << j for j, p in enumerate(planes) if not p)
+    high = rows[m:]
+    base = offset
+    for block in range(1 << len(high)):
+        if block:
+            # gray(block * 2^m + t) = gray(block) * 2^m + (gray(t) ^ (block
+            # & 1) * 2^(m-1)): odd blocks also carry low row m - 1
+            base ^= high[(block & -block).bit_length() - 1] ^ rows[m - 1]
+        count: list[int] = []
+        for j, x in sliced:
+            if base >> j & 1:
+                x ^= full
+            for i, c in enumerate(count):
+                count[i] = c ^ x
+                x &= c
+                if not x:
+                    break
+            else:
+                count.append(x)
+        classes = {(base & fixed).bit_count(): full}
+        for i, c in enumerate(count):
+            split = {}
+            for w, mask in classes.items():
+                hi = mask & c
+                if hi:
+                    split[w + (1 << i)] = hi
+                if hi != mask:
+                    split[w] = mask ^ hi
+            classes = split
+        yield base, classes
 
 
 class Code:
@@ -262,86 +308,76 @@ class Code:
 
     def words(self, cap: int = ENUM_CAP) -> Iterator[Word]:
         self._check_cap(cap)
-        for bits in _gray_sweep(self.rref_rows, 0, 1 << self.k):
+        for bits in _gray_sweep(self.rref_rows):
             yield Word(self.n, bits)
 
-    def _sweep(self, target: int = -1, threads: int = 1,
-               cap: int = ENUM_CAP) -> tuple[list[int], list[int]]:
-        """One pass over all codewords: weight distribution plus the words of
-        weight `target` (if target >= 0).  Message space may be sharded across
-        processes; collected words are sorted afterwards."""
+    def sweep(self, target: int | None = None, per_weight: int = 0, offset: int = 0,
+              cap: int = ENUM_CAP) -> tuple[list[int], DesignSet | None, tuple[Word, ...]]:
+        """One bit-sliced pass over offset + this code (a coset unless offset
+        is a codeword).  Returns the weight distribution, the words of weight
+        `target` (None: no words; LOWEST: the lowest weight present) and the
+        first `per_weight` nonzero words of each weight in the order of words()."""
         self._check_cap(cap)
-        total = 1 << self.k
-        rows = self.rref_rows
-        if threads <= 1 or total < (1 << 16):
-            dist, hits = _sweep_worker((rows, self.n, 0, total, target))
-        else:
-            bounds = [total * t // threads for t in range(threads + 1)]
-            chunks = [(rows, self.n, bounds[t], bounds[t + 1], target)
-                      for t in range(threads)]
-            dist = [0] * (self.n + 1)
-            hits = []
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for d, h in pool.map(_sweep_worker, chunks):
-                    for w, c in enumerate(d):
-                        dist[w] += c
-                    hits.extend(h)
-        hits.sort()
-        return dist, hits
+        if offset < 0 or offset >> self.n:
+            raise ValueError("offset bits beyond the code length")
+        rows, n = self.rref_rows, self.n
+        dist, hits, picks = [0] * (n + 1), [], {}
+        lowest = target == LOWEST
+        for base, classes in _weight_classes(rows, n, offset):
+            def decode(mask: int, limit: int | None = None) -> list[int]:
+                return [base ^ _combine(rows, t ^ t >> 1)
+                        for t in islice(_set_bits(mask), limit)]
 
-    def weight_distribution(self, threads: int = 1, cap: int = ENUM_CAP) -> list[int]:
-        return self._sweep(threads=threads, cap=cap)[0]
+            for w, mask in classes.items():
+                dist[w] += mask.bit_count()
+                if w and len(picks.setdefault(w, [])) < per_weight:
+                    picks[w] += decode(mask, per_weight - len(picks[w]))
+            if lowest and (target < 0 or min(classes) < target):
+                target, hits = min(classes), []
+            if target in classes:
+                hits += decode(classes[target])
+        shell = None if target is None else DesignSet(
+            n, target, tuple(Word(n, b) for b in sorted(hits)))
+        return dist, shell, tuple(Word(n, b) for w in sorted(picks) for b in picks[w])
 
-    def min_weight(self, threads: int = 1, cap: int = ENUM_CAP) -> int:
-        dist = self.weight_distribution(threads=threads, cap=cap)
+    def weight_distribution(self, cap: int = ENUM_CAP) -> list[int]:
+        return self.sweep(cap=cap)[0]
+
+    def min_weight(self, cap: int = ENUM_CAP) -> int:
+        dist = self.weight_distribution(cap=cap)
         return next(w for w in range(1, self.n + 1) if dist[w])
 
-    def shell(self, w: int, threads: int = 1, cap: int = ENUM_CAP) -> DesignSet:
+    def shell(self, w: int, cap: int = ENUM_CAP) -> DesignSet:
         """All codewords of weight exactly w."""
         if not 0 <= w <= self.n:
             raise ValueError(f"shell weight {w} outside 0..{self.n}")
-        _, hits = self._sweep(target=w, threads=threads, cap=cap)
-        return DesignSet(self.n, w, tuple(Word(self.n, b) for b in hits))
+        return self.sweep(w, cap=cap)[1]
 
-    def span_of_shell(self, w: int, threads: int = 1, cap: int = ENUM_CAP) -> "Code":
-        return Code(self.n, (word.bits for word in self.shell(w, threads=threads, cap=cap)))
+    def span_of_shell(self, w: int, cap: int = ENUM_CAP) -> "Code":
+        return Code(self.n, (word.bits for word in self.shell(w, cap=cap)))
 
     # -- cosets -----------------------------------------------------------------
 
-    def coset_min_weight(self, sub: "Code", cap: int = ENUM_CAP) -> dict[int, int]:
-        """Minimal weight of each coset of `sub` in this code, keyed by the
-        coset label (bit i of the label selects the i-th extension basis row)."""
+    def coset_leaders(self, sub: "Code", cap: int = ENUM_CAP) -> dict[int, DesignSet]:
+        """The minimal-weight words of each coset of `sub` in this code, keyed
+        by the coset label (bit i of the label selects the i-th extension
+        basis row).  Label 0 is `sub` itself, led by the zero word alone."""
         if not sub.is_subcode_of(self):
             raise ValueError("coset quotient requires sub to be a subcode")
-        ext: list[int] = []
-        ext_pivots: list[int] = []
-        for row in self.rref_rows:
-            r = sub.reduce(row)
-            for p, e in zip(ext_pivots, ext):
-                if r >> p & 1:
-                    r ^= e
-            if r:
-                ext.append(r)
-                ext_pivots.append((r & -r).bit_length() - 1)
+        # XORs of residues mod sub stay residues: their RREF spans the quotient
+        ext = _rref([sub.reduce(row) for row in self.rref_rows], self.n)[0]
         q = len(ext)
         if q > 20:
             raise EnumerationCapError(f"quotient dimension {q} exceeds 20")
         sub._check_cap(cap)
-        out: dict[int, int] = {}
-        for label in range(1 << q):
-            rep = 0
-            for i in range(q):
-                if label >> i & 1:
-                    rep ^= ext[i]
-            out[label] = min(
-                (rep ^ bits).bit_count()
-                for bits in _gray_sweep(sub.rref_rows, 0, 1 << sub.k)
-            )
+        out = {0: DesignSet(self.n, 0, (Word(self.n),))}
+        for label in range(1, 1 << q):
+            out[label] = sub.sweep(LOWEST, offset=_combine(ext, label), cap=cap)[1]
         return out
 
     # -- structural flags ----------------------------------------------------------
 
-    def properties(self, threads: int = 1, cap: int = ENUM_CAP) -> "CodeProperties":
+    def properties(self, cap: int = ENUM_CAP) -> "CodeProperties":
         rows = self.rref_rows
         even = all(r.bit_count() % 2 == 0 for r in rows)
         pair_even = all(
@@ -357,7 +393,7 @@ class Code:
             is_doubly_even=doubly_even,
             is_self_orthogonal=self_orthogonal,
             is_self_dual=self_dual,
-            min_weight=self.min_weight(threads=threads, cap=cap) if self.k else 0,
+            min_weight=self.min_weight(cap=cap) if self.k else 0,
         )
 
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .gf2 import MAX_LENGTH
+
 
 def _check_length(n: int):
-    if n <= 0 or n % 8:
-        raise ValueError(f"Type II lengths are positive multiples of 8, got {n}")
+    if n <= 0 or n % 8 or n > MAX_LENGTH:
+        raise ValueError(f"Type II lengths are multiples of 8 in 8..{MAX_LENGTH}, got {n}")
 
 
 def extremal_min_weight(n: int) -> int:

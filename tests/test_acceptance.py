@@ -1,8 +1,7 @@
 """Acceptance suite: one check per shipped claim, every tolerance exact.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one verdict line per
-criterion.  Criteria touching the 2^24 qr48 sweeps are collected separately
-and enabled with TYPEII_DEEP=1.
+criterion.  The qr48 criteria sweep 2^24 codewords, about 0.2 s each.
 """
 
 import random
@@ -87,14 +86,13 @@ def test_criterion_04_catalog_configuration_verdicts():
     d16 = build("d16plus")
     span = d16.span_of_shell(4)
     ok = ok and span.k == d16.k - 1
-    ok = ok and sorted(d16.coset_min_weight(span).values()) == [0, 8]
+    ok = ok and sorted(s.w for s in d16.coset_leaders(span).values()) == [0, 8]
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
     verdict(4, ok, f"catalog span verdicts (e8, e8e8, golay24, rm32 generated; "
                    f"d16plus codimension 1, coset weight 8) in {elapsed:.2f}s")
 
 
-@pytest.mark.deep
 def test_criterion_04_deep_qr48_span():
     t0 = time.perf_counter()
     code = build("qr48")
@@ -156,7 +154,6 @@ def test_criterion_08_enumerator_oracle():
                    "n=8,16,24,32 (all coefficients)")
 
 
-@pytest.mark.deep
 def test_criterion_08_deep_qr48_shell_count():
     dist = build("qr48").weight_distribution()
     ok = dist[12] == extremal_weight_enumerator(48)[12] == 17296

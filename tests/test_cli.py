@@ -3,7 +3,7 @@ import json
 import pytest
 
 from typeii.catalog import data_file_text
-from typeii.cli import main
+from typeii.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -121,3 +121,45 @@ def test_paper_driver(capsys):
     assert "all checks passed" in out
     assert out.count("PASS") == 15
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_threads_env_rejected_before_any_work(capsys, monkeypatch, value):
+    monkeypatch.setenv("TYPEII_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "8"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_threads_flag_rejected(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["verify-code", "--code", "e8", "--threads", value])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_threads_accepted_and_ignored(capsys, monkeypatch):
+    args = build_parser().parse_args(["paper", "--threads", "64"])
+    assert args.threads == 64
+    monkeypatch.setenv("TYPEII_THREADS", "3")
+    code, out, _ = run(capsys, "verify-code", "--code", "e8", "--threads", "2")
+    assert code == 0 and "generated_by_minimal = True" in out
+
+
+@pytest.mark.parametrize("t", [0, 5, 40])
+def test_design_check_t_bound(capsys, t):
+    code, out, err = run(capsys, "design-check", "--code", "e8", "--w", "4",
+                         "--t", str(t))
+    assert code == 2 and out == ""
+    assert f"t = {t}" in err and "w = 4" in err
+
+
+@pytest.mark.parametrize("n", [136, 8000])
+def test_enumerator_length_bound(capsys, n):
+    code, out, err = run(capsys, "enumerator", "--n", str(n))
+    assert code == 2 and out == ""
+    assert "128" in err
+    code, out, _ = run(capsys, "enumerator", "--n", "128")
+    assert code == 0 and "A_24 = " in out

@@ -194,7 +194,6 @@ def test_intersection_bound_on_golay():
                 assert (c.bits ^ cbar.bits).bit_count() < cbar.weight()
 
 
-@pytest.mark.deep
 def test_verify_on_qr48():
     r = verify_on_code(build("qr48"))
     assert r.generated_by_minimal and r.all_checks_pass

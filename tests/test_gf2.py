@@ -1,13 +1,17 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typeii.gf2 import (
+    LOWEST,
     Code,
     CodeFileError,
     DesignSet,
     EnumerationCapError,
     Word,
+    _gray_sweep,
     format_generator_text,
     parse_generator_text,
 )
@@ -108,6 +112,8 @@ def test_shell_cap_enforced():
     c = e8()
     with pytest.raises(EnumerationCapError):
         c.shell(4, cap=3)
+    with pytest.raises(ValueError):
+        c.sweep(offset=1 << 8)
 
 
 def test_span_of_shell_e8():
@@ -137,20 +143,79 @@ def test_self_dual_implies_half_dimension():
 
 def test_coset_min_weight_trivial_quotient():
     c = e8()
-    assert c.coset_min_weight(c) == {0: 0}
+    assert {label: s.w for label, s in c.coset_leaders(c).items()} == {0: 0}
 
 
 def test_coset_requires_subcode():
     c = e8()
     other = Code(8, ["10000000"])
     with pytest.raises(ValueError):
-        c.coset_min_weight(other)
+        c.coset_leaders(other)
 
 
-def test_sharded_sweep_matches_serial():
-    c = e8()
-    assert c.weight_distribution(threads=2) == c.weight_distribution()
-    assert c.shell(4, threads=2).words == c.shell(4).words
+def _gray_walk_oracle(code: Code, offset: int, target: int, per_weight: int = 3):
+    """Distribution, sorted words of weight `target` (of the lowest weight
+    when target is LOWEST) and the first nonzero words of each weight, read
+    one word at a time off the Gray walk over offset + code."""
+    lowest = target == LOWEST
+    dist = [0] * (code.n + 1)
+    hits: list[int] = []
+    picks: dict[int, list[int]] = {}
+    for bits in _gray_sweep(code.rref_rows):
+        word = bits ^ offset
+        w = word.bit_count()
+        dist[w] += 1
+        if lowest and (target < 0 or w < target):
+            target, hits = w, []
+        if w == target:
+            hits.append(word)
+        if word and len(picks.setdefault(w, [])) < per_weight:
+            picks[w].append(word)
+    samples = [b for w in sorted(picks) for b in picks[w]]
+    return dist, target, sorted(hits), samples
+
+
+# k above 16 crosses the 2^16-word blocks of the bit-sliced engine; k below
+# 16 sweeps a single short block
+@pytest.mark.parametrize("k", range(21))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_bitsliced_sweep_matches_gray_walk(k, data):
+    n = data.draw(st.integers(max(k, 1), 40))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    code = Code(n, [rng.getrandbits(n) for _ in range(k)])
+    target = data.draw(st.integers(0, n))
+    dist, _, hits, samples = _gray_walk_oracle(code, 0, target)
+    got_dist, shell, got_samples = code.sweep(target, per_weight=3)
+    assert got_dist == dist
+    assert [w.bits for w in shell] == hits and shell.w == target
+    assert [w.bits for w in got_samples] == samples
+
+    offset = data.draw(st.integers(1, (1 << n) - 1))
+    dist, lowest, leaders, _ = _gray_walk_oracle(code, offset, LOWEST)
+    got_dist, shell, _ = code.sweep(LOWEST, offset=offset)
+    assert got_dist == dist
+    assert shell.w == lowest and [w.bits for w in shell] == leaders
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.data())
+def test_coset_leaders_match_residue_classes(n, data):
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    code = Code(n, rows)
+    sub = Code(n, rows[:data.draw(st.integers(0, len(rows)))])
+    expected: dict[int, tuple[int, list[int]]] = {}
+    for word in code.words():
+        key = sub.reduce(word.bits)
+        best = expected.get(key)
+        if best is None or word.weight() < best[0]:
+            expected[key] = (word.weight(), [word.bits])
+        elif word.weight() == best[0]:
+            best[1].append(word.bits)
+    leaders = code.coset_leaders(sub)
+    got = {sub.reduce(c.words[0].bits): (c.w, [w.bits for w in c])
+           for c in leaders.values()}
+    assert got == {key: (w, sorted(b)) for key, (w, b) in expected.items()}
 
 
 # ---------------------------------------------------------------- design sets
