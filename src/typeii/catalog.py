@@ -110,7 +110,6 @@ class CatalogEntry:
     min_weight: int
     shell_count: int  # number of minimal-weight codewords
     self_dual: bool
-    deep: bool = False  # largest catalog code: its sweeps walk 2^24 codewords
 
 
 CATALOG: dict[str, CatalogEntry] = {
@@ -121,7 +120,7 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry("d16plus", 16, 8, _build_d16plus, 4, 28, True),
         CatalogEntry("golay24", 24, 12, _build_golay24, 8, 759, True),
         CatalogEntry("rm32", 32, 16, _build_rm32, 8, 620, True),
-        CatalogEntry("qr48", 48, 24, _build_qr48, 12, 17296, True, deep=True),
+        CatalogEntry("qr48", 48, 24, _build_qr48, 12, 17296, True),
     )
 }
 

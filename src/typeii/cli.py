@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -24,33 +23,21 @@ from .configuration import (
     SUPPORTED_LENGTHS,
     analyze,
     extended_determinant,
-    factor_numerator,
-    kept_degree_set,
     reference_ratio,
     verify_on_code,
 )
 from .designs import (
     SAMPLE_SEED,
     default_cbar_sample,
+    intersection_profile,
     is_t_design,
     predesign_count,
     zonal_design_residual,
 )
-from .exact import RationalFunction, factored_str, format_poly
-from .gf2 import CodeFileError, EnumerationCapError
-from .gleason import extremal_min_weight, extremal_weight_enumerator
-from .harmonic import ZonalPoint, zonal_eval
-
-
-def _thread_count(text: str) -> int:
-    """--threads and TYPEII_THREADS: a positive integer, accepted and ignored
-    (every sweep runs in one process)."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-_THREADS_HELP = "ignored (every sweep runs in one process); kept for compatibility"
+from .exact import RationalFunction, factor_numerator, factored_str, format_poly
+from .gf2 import MAX_LENGTH, CodeFileError, EnumerationCapError
+from .gleason import extremal_weight_enumerator
+from .harmonic import ZonalPoint, zonal_eval, zonal_sum
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-code", help="end-to-end checks on a constructed code")
     p.add_argument("--code", required=True,
                    help=f"catalog name ({', '.join(sorted(CATALOG))}) or matrix file")
-    p.add_argument("--threads", type=_thread_count, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("determinant", help="extended determinant for a length")
@@ -86,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--half", action="store_true",
                    help="also check zonal residuals in degree t+2")
-    p.add_argument("--threads", type=_thread_count, help=_THREADS_HELP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("zonal", help="evaluate a zonal harmonic polynomial")
@@ -100,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper", help="run every length analysis and catalog check")
     p.add_argument("--deep", action="store_true",
                    help="include the qr48 check (2^24 codewords, under a second)")
-    p.add_argument("--threads", type=_thread_count, help=_THREADS_HELP)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json", action="store_true")
 
@@ -131,7 +115,7 @@ def _cmd_verify(args) -> int:
         _emit_json(_report("verify", {"n": args.n}, payload))
     else:
         print(f"n = {args.n}  scenario = {verdict.scenario}")
-        print(f"determinant = {factored_str(verdict.determinant.num)} / "
+        print(f"determinant = {verdict.factors} / "
               f"{factored_str(verdict.determinant.den)}")
         print(f"integer roots = {sorted(verdict.integer_roots)}  "
               f"relevant = {sorted(verdict.relevant_roots)}")
@@ -170,7 +154,7 @@ def _cmd_determinant(args) -> int:
             "content": str(factors.content),
             "linear_factors": [list(f) for f in factors.linear],
             "residual": factors.residual.to_json(),
-            "factored": f"{factored_str(det.num)} / {factored_str(det.den)}",
+            "factored": f"{factors} / {factored_str(det.den)}",
         }))
     elif args.format == "latex":
         print(f"\\frac{{{format_poly(det.num.primitive())}}}"
@@ -178,12 +162,7 @@ def _cmd_determinant(args) -> int:
               f"\\cdot {factors.content}")
     else:
         print(f"content:  {factors.content}")
-        lin = " * ".join(
-            (f"(s-{r})" if r > 0 else f"(s+{-r})" if r < 0 else "s")
-            + (f"^{m}" if m > 1 else "")
-            for r, m in factors.linear
-        )
-        print(f"linear:   {lin or '1'}")
+        print(f"linear:   {factors.linear_str(' * ') or '1'}")
         print(f"residual: {format_poly(factors.residual)}")
         print(f"denominator: {factored_str(det.den)}")
     return 0
@@ -251,6 +230,12 @@ def _cmd_design_check(args) -> int:
 
 
 def _cmd_zonal(args) -> int:
+    # the symbolic build grows quickly with n and d, and Harm_d of F_2^n is
+    # zero above d = n/2 (Delsarte), so both are bounded before any work
+    if not 1 <= args.n <= MAX_LENGTH:
+        raise ValueError(f"--n must lie in 1..{MAX_LENGTH}, got {args.n}")
+    if not 0 <= args.d <= args.n // 2:
+        raise ValueError(f"--d must lie in 0..n/2 = {args.n // 2}, got {args.d}")
     try:
         pt = ZonalPoint(args.n, args.s, args.w, args.a)
         value = zonal_eval(pt, args.d)
@@ -305,16 +290,18 @@ def _cmd_paper(args) -> int:
            time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    sample = default_cbar_sample(24, 7, extra=16)
+    # one intersection profile per reference word serves every degree
+    profiles = [(cbar.weight(), intersection_profile(octads, cbar))
+                for cbar in default_cbar_sample(24, 7, extra=16)]
     degrees_ok = all(
-        zonal_design_residual(octads, d, cbar) == 0
+        zonal_sum(24, s, 8, profile, d) == 0
         for d in (1, 2, 3, 4, 5, 7)
-        for cbar in sample
-        if cbar.weight() >= d
+        for s, profile in profiles
+        if s >= d
     )
     degree6_breaks = any(
-        cbar.weight() >= 6 and zonal_design_residual(octads, 6, cbar) != 0
-        for cbar in sample
+        s >= 6 and zonal_sum(24, s, 8, profile, 6) != 0
+        for s, profile in profiles
     )
     record("golay octads 5.5-design residuals", degrees_ok and degree6_breaks,
            f"degrees 1-5,7 vanish: {degrees_ok}; degree 6 nonzero: {degree6_breaks}",
@@ -349,10 +336,6 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _thread_count(os.environ.get("TYPEII_THREADS", "1"))
-    except argparse.ArgumentTypeError as err:
-        parser.error(f"TYPEII_THREADS: {err}")
     try:
         return _DISPATCH[args.command](args)
     except CodeFileError as err:

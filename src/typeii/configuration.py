@@ -26,12 +26,19 @@ decide the configuration question per scenario:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import Polynomial, RationalFunction, S, det_ratfun, integer_roots
-from .gf2 import Code, Word
+from .designs import intersection_profile
+from .exact import (
+    NumeratorFactors,
+    Polynomial,
+    RationalFunction,
+    S,
+    det_ratfun,
+    factor_numerator,
+)
+from .gf2 import Code
 from .gleason import extremal_min_weight, extremal_weight_enumerator, sigma
-from .harmonic import ZonalPoint, zonal_eval
+from .harmonic import ZonalPoint, zonal_eval, zonal_sum
 
 QUOTIENT_OF_CODE = "quotient_of_code"
 DUAL_OF_SPAN = "dual_of_span"
@@ -119,29 +126,6 @@ def extended_determinant(n: int) -> RationalFunction:
 
 
 @dataclass(frozen=True)
-class NumeratorFactors:
-    content: Fraction                        # rational scale, sign included
-    linear: tuple[tuple[int, int], ...]      # (integer root, multiplicity)
-    residual: Polynomial                     # integer-root-free cofactor
-
-
-def factor_numerator(p: Polynomial) -> NumeratorFactors:
-    if p.is_zero:
-        raise ValueError("zero numerator cannot be factored")
-    prim = p.primitive()
-    content = p.content() if p.leading() > 0 else -p.content()
-    linear: list[tuple[int, int]] = []
-    for r in sorted(integer_roots(prim)):
-        mult = 0
-        lin = S - r
-        while lin.divides(prim):
-            prim = prim.exact_div(lin)
-            mult += 1
-        linear.append((r, mult))
-    return NumeratorFactors(content, tuple(linear), prim)
-
-
-@dataclass(frozen=True)
 class Verdict:
     n: int
     scenario: str
@@ -186,7 +170,7 @@ def analyze(n: int) -> Verdict:
     if det.is_zero:
         raise ArithmeticError(f"extended determinant for n={n} vanished identically")
     factors = factor_numerator(det.num)
-    roots = frozenset(integer_roots(det.num.primitive()))
+    roots = frozenset(r for r, _ in factors.linear)
     d_min = extremal_min_weight(n)
     scenario = scenario_for(n)
     if scenario == QUOTIENT_OF_CODE:
@@ -329,15 +313,6 @@ class CodeReport:
         }
 
 
-def observed_lambda(shell, cbar: Word) -> dict[int, int]:
-    """Intersection-weight counts of the minimal shell against cbar."""
-    counts: dict[int, int] = {}
-    for word in shell:
-        a = (word.bits & cbar.bits).bit_count()
-        counts[a] = counts.get(a, 0) + 1
-    return counts
-
-
 def verify_on_code(code: Code) -> CodeReport:
     """End-to-end configuration check on a constructed code: extremality,
     span of the minimal shell, coset minimal weights, and exact consistency
@@ -360,18 +335,13 @@ def verify_on_code(code: Code) -> CodeReport:
     rows_ok = True
     for cbar in samples:
         s = cbar.weight()
-        profile = observed_lambda(shell, cbar)
+        profile = intersection_profile(shell, cbar)
         if any(a % 2 for a in profile):
             rows_ok = False
         if sum(profile.values()) != len(shell):
             rows_ok = False
         for d in degrees:
-            if s < d:
-                continue
-            total = Fraction(0)
-            for a, count in profile.items():
-                total += count * zonal_eval(ZonalPoint(n, s, d_min, a), d)
-            if total != 0:
+            if s >= d and zonal_sum(n, s, d_min, profile, d) != 0:
                 rows_ok = False
 
     # minimal-weight coset representatives meet every minimal word in at

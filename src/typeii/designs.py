@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 
 from .gf2 import DesignSet, Word
-from .harmonic import ZonalPoint, zonal_eval
+from .harmonic import zonal_sum
 
 PREDESIGN_BOUND = 10**7
 SAMPLE_SEED = 0x5EED
@@ -28,6 +28,7 @@ __all__ = [
     "DesignSet",
     "default_cbar_sample",
     "doublecount_check",
+    "intersection_profile",
     "is_t_design",
     "is_t_half_design",
     "predesign_count",
@@ -99,11 +100,7 @@ def zonal_design_residual(dset: DesignSet, deg: int, cbar: Word) -> Fraction:
     grouped by intersection weight; zero when dset is a deg-design."""
     if cbar.n != dset.n:
         raise ValueError("reference word of wrong length")
-    s = cbar.weight()
-    total = Fraction(0)
-    for a, count in sorted(intersection_profile(dset, cbar).items()):
-        total += count * zonal_eval(ZonalPoint(dset.n, s, dset.w, a), deg)
-    return total
+    return zonal_sum(dset.n, cbar.weight(), dset.w, intersection_profile(dset, cbar), deg)
 
 
 def default_cbar_sample(n: int, deg: int, extra: int = 64,

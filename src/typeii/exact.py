@@ -1,23 +1,20 @@
 """Exact arithmetic substrate: rationals, polynomials in the weight variable s,
-rational functions, symbolic binomials, and determinants over Q(s).
+rational functions, symbolic binomials, determinants over Q(s), integer roots
+and the linear-factor split of a polynomial.
 
-Everything here is exact.  Scalars are `fractions.Fraction` (re-exported as
-`BigRational`); polynomials keep Fraction coefficients and are immutable, as
-are rational functions.  Rational functions are normalized so that the
-denominator is monic and coprime to the numerator, which gives every value a
-canonical form.
+Everything here is exact.  Scalars are `fractions.Fraction`, which keeps
+numerator and denominator gcd-reduced with a positive denominator;
+polynomials keep Fraction coefficients and are immutable, as are rational
+functions.  Rational functions are normalized so that the denominator is
+monic and coprime to the numerator, which gives every value a canonical form.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 from typing import Iterable, Sequence, Union
-
-# Arbitrary-precision rational with gcd-reduced numerator/denominator and
-# denominator >= 1.  The stdlib type already maintains exactly the invariants
-# we need, so it is used directly.
-BigRational = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -453,30 +450,6 @@ def det_ratfun(m: Sequence[Sequence]) -> RationalFunction:
     return RationalFunction(sign * rows[n - 1][n - 1], cleared)
 
 
-def det_cofactor(m: Sequence[Sequence]) -> RationalFunction:
-    """Determinant by cofactor expansion along the first row (reference oracle)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    entries = [[_coerce_ratfun(e) for e in row] for row in m]
-
-    def rec(rows: list[list[RationalFunction]]) -> RationalFunction:
-        if not rows:
-            return RF_ONE
-        if len(rows) == 1:
-            return rows[0][0]
-        total = RF_ZERO
-        for j, e in enumerate(rows[0]):
-            if e.is_zero:
-                continue
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            term = e * rec(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return rec(entries)
-
-
 def _divisors(m: int) -> list[int]:
     """All positive divisors of |m| (m != 0) via trial-division factorization."""
     m = abs(m)
@@ -524,7 +497,7 @@ def integer_roots(p: Polynomial) -> set[int]:
     return roots
 
 
-def format_poly(p: Polynomial, var: str = "s") -> str:
+def format_poly(p: Polynomial) -> str:
     """Human-readable form, highest degree first: '3*s^2 - 10*s + 1'."""
     if p.is_zero:
         return "0"
@@ -538,7 +511,7 @@ def format_poly(p: Polynomial, var: str = "s") -> str:
         if i == 0:
             body = str(mag)
         else:
-            var_part = var if i == 1 else f"{var}^{i}"
+            var_part = "s" if i == 1 else f"s^{i}"
             body = var_part if mag == 1 else f"{mag}*{var_part}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
@@ -547,29 +520,57 @@ def format_poly(p: Polynomial, var: str = "s") -> str:
     return "".join(parts)
 
 
-def factored_str(p: Polynomial, var: str = "s") -> str:
-    """Factored display: integer content, linear factors from integer roots,
-    and the remaining polynomial, e.g. '(s-16)*(3*s^3-112*s^2+1368*s-5120)'."""
+@dataclass(frozen=True)
+class NumeratorFactors:
+    """p = content * prod (s - r)^m * residual over the integer roots r of p."""
+
+    content: Fraction                        # rational scale, sign included
+    linear: tuple[tuple[int, int], ...]      # (integer root, multiplicity)
+    residual: Polynomial                     # integer-root-free cofactor
+
+    def linear_str(self, sep: str = "*") -> str:
+        """The linear factors, e.g. 's*(s-1)^2*(s+3)'; '' when there are none."""
+        return sep.join(
+            ("s" if r == 0 else f"(s-{r})" if r > 0 else f"(s+{-r})")
+            + (f"^{m}" if m > 1 else "")
+            for r, m in self.linear
+        )
+
+    def __str__(self) -> str:
+        """Factored display, e.g. '(s-16)*(3*s^3-112*s^2+1368*s-5120)'."""
+        factors = [self.linear_str()] if self.linear else []
+        content = self.content
+        if self.residual.degree > 0:
+            factors.append(f"({format_poly(self.residual).replace(' ', '')})")
+        else:
+            content = content * self.residual.coefficient(0)
+        head: list[str] = []
+        if content == -1 and factors:
+            head.append("-")
+        elif content != 1 or not factors:
+            head.append(f"{content}*" if factors else str(content))
+        return "".join(head) + "*".join(factors)
+
+
+def factor_numerator(p: Polynomial) -> NumeratorFactors:
+    """Split off the rational content (sign included) and every linear factor
+    s - r with an integer root r; the residual is primitive with a positive
+    leading term."""
     if p.is_zero:
-        return "0"
+        raise ValueError("zero numerator cannot be factored")
     prim = p.primitive()
     content = p.content() if p.leading() > 0 else -p.content()
-    factors: list[str] = []
+    linear: list[tuple[int, int]] = []
     for r in sorted(integer_roots(prim)):
-        lin = S - r
         mult = 0
+        lin = S - r
         while lin.divides(prim):
             prim = prim.exact_div(lin)
             mult += 1
-        base = var if r == 0 else (f"({var}-{r})" if r > 0 else f"({var}+{-r})")
-        factors.append(base if mult == 1 else f"{base}^{mult}")
-    if prim.degree > 0:
-        factors.append(f"({format_poly(prim, var).replace(' ', '')})")
-    else:
-        content = content * prim.coefficient(0)
-    head: list[str] = []
-    if content == -1 and factors:
-        head.append("-")
-    elif content != 1 or not factors:
-        head.append(f"{content}*" if factors else str(content))
-    return "".join(head) + "*".join(factors)
+        linear.append((r, mult))
+    return NumeratorFactors(content, tuple(linear), prim)
+
+
+def factored_str(p: Polynomial) -> str:
+    """Factored display of p (see NumeratorFactors); '0' for the zero polynomial."""
+    return "0" if p.is_zero else str(factor_numerator(p))

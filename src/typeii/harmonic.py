@@ -15,8 +15,9 @@ With the alternating sign Z_1 is proportional to n*a - s*w and every
 degree >= 1 sphere sum is exactly zero, which is the property the design
 arguments rely on and the correctness gate enforced by the test suite.
 
-Evaluation is numeric (s a given integer, exact Fraction result) or symbolic
-(s formal, exact RationalFunction in s).
+Z_d is built once per (n, w, a, d) as an exact RationalFunction of the
+formal weight s; for an integer s that function is evaluated at s, giving an
+exact Fraction (memoised per point).
 """
 
 from __future__ import annotations
@@ -72,9 +73,8 @@ def q_dk(pt: ZonalPoint, d: int, k: int) -> Fraction | RationalFunction:
     second factor degree d-k in (w-a, (n-s)-(w-a)), both alternating."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    if pt.symbolic:
-        return RationalFunction(_q_dk_symbolic(pt.n, pt.w, pt.a, d, k))
-    return _q_dk_numeric(pt.n, pt.s, pt.w, pt.a, d, k)
+    block = _q_dk_symbolic(pt.n, pt.w, pt.a, d, k)
+    return RationalFunction(block) if pt.symbolic else block(pt.s)
 
 
 def zonal_eval(pt: ZonalPoint, d: int) -> Fraction | RationalFunction:
@@ -88,29 +88,20 @@ def zonal_eval(pt: ZonalPoint, d: int) -> Fraction | RationalFunction:
         raise ZeroDivisionError(
             f"zonal coefficient divides by s-l for l < {d}; s = {pt.s} is too small"
         )
-    return _zonal_numeric(pt.n, pt.s, pt.w, pt.a, d)
-
-
-def _q_dk_numeric(n: int, s: int, w: int, a: int, d: int, k: int) -> Fraction:
-    first = sum(
-        (-1) ** i * gbinom(a, i) * gbinom(s - a, k - i) for i in range(k + 1)
-    )
-    second = sum(
-        (-1) ** i * gbinom(w - a, i) * gbinom((n - s) - (w - a), d - k - i)
-        for i in range(d - k + 1)
-    )
-    return Fraction(first * second)
+    return _zonal_at(pt.n, pt.s, pt.w, pt.a, d)
 
 
 @lru_cache(maxsize=None)
-def _zonal_numeric(n: int, s: int, w: int, a: int, d: int) -> Fraction:
+def _zonal_at(n: int, s: int, w: int, a: int, d: int) -> Fraction:
+    return _zonal_symbolic(n, w, a, d)(s)
+
+
+def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fraction:
+    """Sum of count * Z_d(n, s, w, a) over an intersection profile {a: count}
+    of weight-w words against a weight-s reference word."""
     total = Fraction(0)
-    coef = Fraction(1)
-    for k in range(d + 1):
-        if k > 0:
-            # extend the product by the l = k-1 term and flip the sign
-            coef = -coef * Fraction((n - s) - (d - k), s - (k - 1))
-        total += coef * _q_dk_numeric(n, s, w, a, d, k)
+    for a, count in counts.items():
+        total += count * zonal_eval(ZonalPoint(n, s, w, a), d)
     return total
 
 
@@ -176,12 +167,9 @@ def intersection_count(n: int, s: int, w: int, a: int) -> int:
 
 def sphere_sum(n: int, s: int, w: int, d: int) -> Fraction:
     """Sum of Z_d over the whole sphere B_w relative to a weight-s word."""
-    total = Fraction(0)
-    for a in range(max(0, w - (n - s)), min(s, w) + 1):
-        count = intersection_count(n, s, w, a)
-        if count:
-            total += count * zonal_eval(ZonalPoint(n, s, w, a), d)
-    return total
+    counts = {a: intersection_count(n, s, w, a)
+              for a in range(max(0, w - (n - s)), min(s, w) + 1)}
+    return zonal_sum(n, s, w, counts, d)
 
 
 @lru_cache(maxsize=None)

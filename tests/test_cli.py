@@ -3,7 +3,7 @@ import json
 import pytest
 
 from typeii.catalog import data_file_text
-from typeii.cli import build_parser, main
+from typeii.cli import main
 
 
 def run(capsys, *argv):
@@ -123,29 +123,13 @@ def test_paper_driver(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_threads_env_rejected_before_any_work(capsys, monkeypatch, value):
-    monkeypatch.setenv("TYPEII_THREADS", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--n", "8"])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "2"])
 def test_threads_flag_rejected(capsys, value):
+    # --threads is gone: every value is an unknown-argument usage error
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["verify-code", "--code", "e8", "--threads", value])
+        main(["paper", "--threads", value])
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_threads_accepted_and_ignored(capsys, monkeypatch):
-    args = build_parser().parse_args(["paper", "--threads", "64"])
-    assert args.threads == 64
-    monkeypatch.setenv("TYPEII_THREADS", "3")
-    code, out, _ = run(capsys, "verify-code", "--code", "e8", "--threads", "2")
-    assert code == 0 and "generated_by_minimal = True" in out
+    assert "error: unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("t", [0, 5, 40])
@@ -163,3 +147,28 @@ def test_enumerator_length_bound(capsys, n):
     assert "128" in err
     code, out, _ = run(capsys, "enumerator", "--n", "128")
     assert code == 0 and "A_24 = " in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "0", "--w", "0", "--a", "0", "--d", "0"),
+    ("--n", "136", "--s", "8", "--w", "4", "--a", "2", "--d", "1"),
+    ("--n", "20000", "--w", "10000", "--a", "5000", "--d", "100"),
+])
+def test_zonal_length_bound(capsys, argv):
+    code, out, err = run(capsys, "zonal", *argv)
+    assert code == 2 and out == ""
+    assert "error: --n must lie in 1..128" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "16", "--s", "8", "--w", "4", "--a", "2", "--d", "9"),
+    ("--n", "128", "--w", "64", "--a", "32", "--d", "65"),
+    ("--n", "8", "--w", "4", "--a", "2", "--d", "-1"),
+])
+def test_zonal_degree_bound(capsys, argv):
+    code, out, err = run(capsys, "zonal", *argv)
+    assert code == 2 and out == ""
+    assert "error: --d must lie in 0..n/2" in err
+    code, out, _ = run(capsys, "zonal", "--n", "16", "--s", "8", "--w", "4",
+                       "--a", "2", "--d", "8")
+    assert code == 0 and out.strip()

@@ -14,13 +14,12 @@ from typeii.configuration import (
     analyze,
     build_system,
     extended_determinant,
-    factor_numerator,
     kept_degree_set,
-    observed_lambda,
     reference_ratio,
     verify_on_code,
 )
-from typeii.exact import Polynomial, S, integer_roots
+from typeii.designs import intersection_profile
+from typeii.exact import Polynomial, S, factor_numerator, integer_roots
 from typeii.gf2 import Word
 from typeii.gleason import extremal_min_weight
 from typeii.harmonic import ZonalPoint, zonal_eval
@@ -150,7 +149,7 @@ def test_e8_lambda_sum_is_enumerator_coefficient():
     code = build("e8")
     shell = code.shell(4)
     for cbar in list(code.words())[1:6]:
-        profile = observed_lambda(shell, cbar)
+        profile = intersection_profile(shell, cbar)
         assert sum(profile.values()) == 14
         assert all(a % 2 == 0 for a in profile)
 
@@ -162,7 +161,7 @@ def test_d16plus_coset_rep_solves_n16_system():
         w for w in code.words() if w.weight() == 8 and not span.contains(w)
     )
     shell = code.shell(4)
-    profile = observed_lambda(shell, rep)
+    profile = intersection_profile(shell, rep)
     assert set(profile) <= {0, 2}          # intersection bound at d/2 = 2
     assert sum(profile.values()) == 28     # sum equation
     for d in kept_degree_set(16):

@@ -10,9 +10,10 @@ from typeii.exact import (
     ZERO,
     Polynomial,
     RationalFunction,
+    RF_ONE,
+    RF_ZERO,
     affine,
     binom_poly,
-    det_cofactor,
     det_ratfun,
     factored_str,
     format_poly,
@@ -151,6 +152,19 @@ def small_ratfun_matrices(draw):
         den = [ONE, S, S - 1][den_kind]
         return RationalFunction(num, den)
     return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+def det_cofactor(rows: list[list[RationalFunction]]) -> RationalFunction:
+    """Determinant by cofactor expansion along the first row (reference oracle)."""
+    if not rows:
+        return RF_ONE
+    total = RF_ZERO
+    for j, e in enumerate(rows[0]):
+        if e.is_zero:
+            continue
+        term = e * det_cofactor([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
 
 
 @settings(max_examples=60, deadline=None)

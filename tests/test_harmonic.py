@@ -16,6 +16,26 @@ from typeii.harmonic import (
 from typeii.harmonic import _zonal_symbolic
 
 
+def zonal_direct(n: int, s: int, w: int, a: int, d: int) -> Fraction:
+    """Z_d by the defining formula at an integer s >= d (reference oracle)."""
+    def q(k: int) -> Fraction:
+        first = sum((-1) ** i * gbinom(a, i) * gbinom(s - a, k - i)
+                    for i in range(k + 1))
+        second = sum((-1) ** i * gbinom(w - a, i)
+                     * gbinom((n - s) - (w - a), d - k - i)
+                     for i in range(d - k + 1))
+        return first * second
+
+    total = Fraction(0)
+    coef = Fraction(1)
+    for k in range(d + 1):
+        if k > 0:
+            # extend the product by the l = k-1 term and flip the sign
+            coef = -coef * Fraction((n - s) - (d - k), s - (k - 1))
+        total += coef * q(k)
+    return total
+
+
 def test_gbinom_extends_comb():
     from math import comb
     assert gbinom(7, 3) == comb(7, 3)
@@ -99,8 +119,9 @@ def test_symbolic_matches_numeric(data):
     s = data.draw(st.integers(d, n - 1))
     w = data.draw(st.integers(0, n))
     a = data.draw(st.integers(max(0, w - (n - s)), min(s, w)))
-    sym = _zonal_symbolic(n, w, a, d)
-    assert sym(s) == zonal_eval(ZonalPoint(n, s, w, a), d)
+    expected = zonal_direct(n, s, w, a, d)
+    assert _zonal_symbolic(n, w, a, d)(s) == expected
+    assert zonal_eval(ZonalPoint(n, s, w, a), d) == expected
 
 
 def test_symbolic_mode_via_zonal_point():
