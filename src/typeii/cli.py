@@ -294,13 +294,13 @@ def _cmd_paper(args) -> int:
     profiles = [(cbar.weight(), intersection_profile(octads, cbar))
                 for cbar in default_cbar_sample(24, 7, extra=16)]
     degrees_ok = all(
-        zonal_sum(24, s, 8, profile, d) == 0
+        zonal_sum(octads.n, s, octads.w, profile, d) == 0
         for d in (1, 2, 3, 4, 5, 7)
         for s, profile in profiles
         if s >= d
     )
     degree6_breaks = any(
-        s >= 6 and zonal_sum(24, s, 8, profile, 6) != 0
+        s >= 6 and zonal_sum(octads.n, s, octads.w, profile, 6) != 0
         for s, profile in profiles
     )
     record("golay octads 5.5-design residuals", degrees_ok and degree6_breaks,

@@ -100,7 +100,8 @@ def zonal_design_residual(dset: DesignSet, deg: int, cbar: Word) -> Fraction:
     grouped by intersection weight; zero when dset is a deg-design."""
     if cbar.n != dset.n:
         raise ValueError("reference word of wrong length")
-    return zonal_sum(dset.n, cbar.weight(), dset.w, intersection_profile(dset, cbar), deg)
+    profile = intersection_profile(dset, cbar)
+    return zonal_sum(dset.n, cbar.weight(), dset.w, profile, deg)
 
 
 def default_cbar_sample(n: int, deg: int, extra: int = 64,
