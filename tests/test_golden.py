@@ -25,6 +25,8 @@ for _name in ("e8", "e8e8", "d16plus", "golay24", "rm32"):
     CASES[f"verify-code-{_name}.json"] = ["verify-code", "--code", _name, "--json"]
 CASES["design-check-golay24-half.json"] = [
     "design-check", "--code", "golay24", "--w", "8", "--t", "5", "--half", "--json"]
+for _n in range(8, 129, 8):
+    CASES[f"enumerator-{_n}.json"] = ["enumerator", "--n", str(_n), "--json"]
 CASES["paper.json"] = ["paper", "--json"]
 CASES["zonal-numeric.txt"] = ["zonal", "--n", "24", "--s", "12", "--w", "8",
                               "--a", "3", "--d", "5"]
