@@ -3,7 +3,7 @@
 Submodules:
   exact          rationals, polynomials in s, rational functions, determinants
   gf2            words, codes, duals, shells, cosets over GF(2)
-  harmonic       discrete zonal harmonic polynomials (one exact form in s)
+  harmonic       discrete zonal harmonics: one numerator over s(s-1)...(s-d+1)
   designs        t-design / t-half-design certification on Hamming spheres
   gleason        extremality bounds and extremal weight enumerators
   catalog        constructions of the concrete codes used for verification

@@ -217,6 +217,10 @@ class ReferenceResult:
             out = out * (S - root) ** power
         return out
 
+    def published(self) -> RationalFunction:
+        """The full published determinant: constant * factor / denominator."""
+        return RationalFunction(self.factor * self.constant, self.denominator())
+
 
 def _poly(*coeffs_desc: int) -> Polynomial:
     return Polynomial(list(reversed(coeffs_desc)))
@@ -264,9 +268,7 @@ REFERENCE: dict[int, ReferenceResult] = {
 def reference_ratio(n: int) -> RationalFunction:
     """Computed determinant divided by the full reference value; a constant
     +-1 means the conventions match the published computation exactly."""
-    ref = REFERENCE[n]
-    published = RationalFunction(ref.factor * ref.constant, ref.denominator())
-    return extended_determinant(n) / published
+    return extended_determinant(n) / REFERENCE[n].published()
 
 
 # ------------------------------------------------------------ concrete codes

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -99,12 +99,8 @@ class Polynomial:
         if self.is_zero or other.is_zero:
             return ZERO
         # convolve over integers (one gcd per output coefficient, not per term)
-        da = 1
-        for c in self.coeffs:
-            da = _int_lcm(da, c.denominator)
-        db = 1
-        for c in other.coeffs:
-            db = _int_lcm(db, c.denominator)
+        da = lcm(*(c.denominator for c in self.coeffs))
+        db = lcm(*(c.denominator for c in other.coeffs))
         xs = [c.numerator * (da // c.denominator) for c in self.coeffs]
         ys = [c.numerator * (db // c.denominator) for c in other.coeffs]
         out = [0] * (len(xs) + len(ys) - 1)
@@ -183,12 +179,8 @@ class Polynomial:
         """Rational c > 0 with self = c * primitive(self); 0 for the zero polynomial."""
         if self.is_zero:
             return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = _int_gcd(num_gcd, c.numerator)
-            den_lcm = _int_lcm(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(gcd(*(c.numerator for c in self.coeffs)),
+                        lcm(*(c.denominator for c in self.coeffs)))
 
     def primitive(self) -> "Polynomial":
         """Integer-coefficient part with coprime coefficients and positive leading term."""
@@ -241,19 +233,6 @@ def _coerce_poly(x) -> "Polynomial":
     if isinstance(x, (int, Fraction)):
         return Polynomial([x])
     return NotImplemented
-
-
-def _int_gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _int_lcm(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return abs(a * b) // _int_gcd(a, b)
 
 
 def affine(alpha: int, beta: int) -> Polynomial:
@@ -486,10 +465,7 @@ def integer_roots(p: Polynomial) -> set[int]:
         roots.add(0)
         coeffs = coeffs[k:]
     q = Polynomial(coeffs).primitive()
-    c0 = int(q.coefficient(0))
-    if c0 == 0:  # cannot happen after stripping; scan as a bounded safety net
-        return roots | {r for r in range(-200, 201) if q(r) == 0}
-    for d in _divisors(c0):
+    for d in _divisors(int(q.coefficient(0))):
         if q(d) == 0:
             roots.add(d)
         if q(-d) == 0:

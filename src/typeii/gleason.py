@@ -8,13 +8,14 @@ bound, computed exactly in the invariant-ring basis
     g8  = x^8 + 14 x^4 y^4 + y^8
     g24 = x^4 y^4 (x^4 - y^4)^4
 
-by solving the linear system that kills the low-weight coefficients.
+by solving the linear system that kills the low-weight coefficients.  Since
+g8^i g24^j starts at y^(4j) with coefficient 1, that system is unit
+lower-triangular and forward substitution solves it in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .gf2 import MAX_LENGTH
 
@@ -87,42 +88,19 @@ def _basis_profiles(n: int) -> list[dict[int, int]]:
     return profiles
 
 
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    m = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular kill-system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[col])]
-    return [aug[r][m] for r in range(m)]
-
-
 def extremal_weight_enumerator(n: int) -> WeightEnumerator:
     """The unique Type II weight enumerator of length n with A_w = 0 for
     0 < w < extremal_min_weight(n)."""
     _check_length(n)
     profiles = _basis_profiles(n)
-    m = len(profiles)
-    # constraints: A_0 = 1 and A_4, A_8, ..., A_{4(m-1)} = 0
-    matrix = [
-        [Fraction(prof.get(4 * row, 0)) for prof in profiles] for row in range(m)
-    ]
-    rhs = [Fraction(1)] + [Fraction(0)] * (m - 1)
-    coeffs = _solve_exact(matrix, rhs)
-    out = [Fraction(0)] * (n + 1)
+    # coefficients c_j of g8^i g24^j with A_0 = 1 and A_4, ..., A_{4(m-1)} = 0;
+    # row r involves only the profiles j <= r, and profile r has A_{4r} = 1
+    coeffs: list[int] = []
+    for row in range(len(profiles)):
+        known = sum(c * prof.get(4 * row, 0) for c, prof in zip(coeffs, profiles))
+        coeffs.append((1 if row == 0 else 0) - known)
+    out = [0] * (n + 1)
     for c, prof in zip(coeffs, profiles):
         for w, v in prof.items():
             out[w] += c * v
-    ints = []
-    for w, v in enumerate(out):
-        if v.denominator != 1:
-            raise ArithmeticError(f"non-integer extremal coefficient A_{w} = {v}")
-        ints.append(int(v))
-    return WeightEnumerator(n, tuple(ints))
+    return WeightEnumerator(n, tuple(out))

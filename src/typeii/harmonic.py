@@ -15,9 +15,12 @@ With the alternating sign Z_1 is proportional to n*a - s*w and every
 degree >= 1 sphere sum is exactly zero, which is the property the design
 arguments rely on and the correctness gate enforced by the test suite.
 
-Z_d is built once per (n, w, a, d) as an exact RationalFunction of the
-formal weight s; for an integer s that function is evaluated at s, giving an
-exact Fraction (memoised per point).
+Each factor is a Krawtchouk sum K_k(x; N) = sum_i (-1)^i C(x, i) C(N-x, k-i)
+(Delsarte 1973) with N = s or N = n - s.  Z_d is kept in one form, the
+polynomial P_d = Z_d * s(s-1)...(s-d+1), built once per (n, w, a, d).  For an
+integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact Fraction
+memoised per point; a normalized RationalFunction is built only where Z_d
+leaves the module as a function of s.
 """
 
 from __future__ import annotations
@@ -25,20 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, perm
 
-from .exact import ONE, S, Polynomial, RationalFunction, affine, binom_poly
-
-
-def gbinom(top: int, k: int) -> Fraction:
-    """Generalized binomial C(top, k) = top(top-1)...(top-k+1)/k! for any
-    integer top (negative tops included), k >= 0."""
-    if k < 0:
-        raise ValueError("binomial order must be nonnegative")
-    num = 1
-    for t in range(k):
-        num *= top - t
-    return Fraction(num, factorial(k))
+from .exact import ONE, S, ZERO, Polynomial, RationalFunction, affine, binom_poly
 
 
 @dataclass(frozen=True)
@@ -93,7 +85,7 @@ def zonal_eval(pt: ZonalPoint, d: int) -> Fraction | RationalFunction:
 
 @lru_cache(maxsize=None)
 def _zonal_at(n: int, s: int, w: int, a: int, d: int) -> Fraction:
-    return _zonal_symbolic(n, w, a, d)(s)
+    return _zonal_numerator(n, w, a, d)(s) / perm(s, d)  # perm(s, d) = _falling(d)(s)
 
 
 def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fraction:
@@ -106,32 +98,20 @@ def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fractio
 
 
 @lru_cache(maxsize=None)
-def _first_factor(a: int, k: int) -> Polynomial:
-    """sum_i (-1)^i C(a, i) C(s - a, k - i), degree k in s."""
-    out = Polynomial([0])
-    for i in range(k + 1):
-        c = (-1) ** i * gbinom(a, i)
-        if c:
-            out = out + binom_poly(S - a, k - i) * c
-    return out
-
-
-@lru_cache(maxsize=None)
-def _second_factor(m: int, b: int, j: int) -> Polynomial:
-    """sum_i (-1)^i C(b, i) C((m - s), j - i), degree j in s (m = n - w + a, b = w - a)."""
-    out = Polynomial([0])
-    top = affine(-1, m)
-    for i in range(j + 1):
-        c = (-1) ** i * gbinom(b, i)
-        if c:
-            out = out + binom_poly(top, j - i) * c
+def _krawtchouk(x: int, alpha: int, beta: int, k: int) -> Polynomial:
+    """sum_i (-1)^i C(x, i) C(N - x, k - i) with N = alpha*s + beta, degree k in s."""
+    top = affine(alpha, beta - x)
+    out = ZERO
+    for i in range(min(x, k) + 1):
+        out = out + binom_poly(top, k - i) * ((-1) ** i * comb(x, i))
     return out
 
 
 def _q_dk_symbolic(n: int, w: int, a: int, d: int, k: int) -> Polynomial:
-    return _first_factor(a, k) * _second_factor(n - w + a, w - a, d - k)
+    return _krawtchouk(a, 1, 0, k) * _krawtchouk(w - a, -1, n, d - k)
 
 
+@lru_cache(maxsize=None)
 def _falling(d: int) -> Polynomial:
     """s(s-1)...(s-d+1), the common denominator of the degree-d coefficients."""
     out = ONE
@@ -141,20 +121,23 @@ def _falling(d: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _zonal_symbolic(n: int, w: int, a: int, d: int) -> RationalFunction:
-    # accumulate numerators over the common denominator s(s-1)...(s-d+1);
-    # a single normalization at the end avoids per-term gcd churn
-    den = _falling(d)
-    tail = den  # (s-k)...(s-d+1), the part of den not consumed by coefficient k
+def _zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
+    """P_d = Z_d * s(s-1)...(s-d+1): over that common denominator the
+    coefficient of Q_{d,k} is prod_{l<k} ((n-s)-(d-l-1)) * (s-k)...(s-d+1)."""
+    tail = _falling(d)  # (s-k)...(s-d+1), the part not consumed by coefficient k
     num = ONE
-    total = Polynomial([0])
+    total = ZERO
     for k in range(d + 1):
         if k > 0:
             num = num * affine(-1, n - d + k)  # (n - s) - (d - (k-1) - 1)
             tail = tail.exact_div(S - (k - 1))
         term = num * tail * _q_dk_symbolic(n, w, a, d, k)
         total = total + term if k % 2 == 0 else total - term
-    return RationalFunction(total, den)
+    return total
+
+
+def _zonal_symbolic(n: int, w: int, a: int, d: int) -> RationalFunction:
+    return RationalFunction(_zonal_numerator(n, w, a, d), _falling(d))
 
 
 def intersection_count(n: int, s: int, w: int, a: int) -> int:
@@ -180,9 +163,7 @@ def _sphere_count_poly(n: int, w: int, a: int) -> Polynomial:
 
 def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
     """The sphere sum as a rational function of s; identically zero for d >= 1."""
-    den = _falling(d)
-    total = Polynomial([0])
+    total = ZERO
     for a in range(w + 1):
-        z = _zonal_symbolic(n, w, a, d)
-        total = total + _sphere_count_poly(n, w, a) * (z.num * den.exact_div(z.den))
-    return RationalFunction(total, den)
+        total = total + _sphere_count_poly(n, w, a) * _zonal_numerator(n, w, a, d)
+    return RationalFunction(total, _falling(d))

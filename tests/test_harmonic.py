@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from typeii.harmonic import (
     ZonalPoint,
-    gbinom,
     intersection_count,
     q_dk,
     sphere_sum,
@@ -17,12 +17,13 @@ from typeii.harmonic import _zonal_symbolic
 
 
 def zonal_direct(n: int, s: int, w: int, a: int, d: int) -> Fraction:
-    """Z_d by the defining formula at an integer s >= d (reference oracle)."""
-    def q(k: int) -> Fraction:
-        first = sum((-1) ** i * gbinom(a, i) * gbinom(s - a, k - i)
+    """Z_d by the defining formula at an integer s >= d (reference oracle);
+    every binomial top is nonnegative for a realizable intersection a."""
+    def q(k: int) -> int:
+        first = sum((-1) ** i * comb(a, i) * comb(s - a, k - i)
                     for i in range(k + 1))
-        second = sum((-1) ** i * gbinom(w - a, i)
-                     * gbinom((n - s) - (w - a), d - k - i)
+        second = sum((-1) ** i * comb(w - a, i)
+                     * comb((n - s) - (w - a), d - k - i)
                      for i in range(d - k + 1))
         return first * second
 
@@ -34,14 +35,6 @@ def zonal_direct(n: int, s: int, w: int, a: int, d: int) -> Fraction:
             coef = -coef * Fraction((n - s) - (d - k), s - (k - 1))
         total += coef * q(k)
     return total
-
-
-def test_gbinom_extends_comb():
-    from math import comb
-    assert gbinom(7, 3) == comb(7, 3)
-    assert gbinom(2, 5) == 0
-    assert gbinom(-1, 2) == 1   # (-1)(-2)/2
-    assert gbinom(-3, 1) == -3
 
 
 def test_zonal_point_validation():
@@ -102,7 +95,6 @@ def test_sphere_sum_example_from_low_degree():
 
 
 def test_sphere_sum_degree_zero_counts_sphere():
-    from math import comb
     assert sphere_sum(8, 3, 4, 0) == comb(8, 4)
 
 
