@@ -2,11 +2,12 @@
 
 Subcommands: verify, verify-code, determinant, enumerator, design-check,
 zonal, paper.  Exit codes: 0 when every claim checked out, 1 when a check
-was refuted or failed, 2 on usage errors (bad flags, malformed files).
+was refuted or failed, 2 on usage errors (bad flags, malformed or unreadable
+files).
 
-JSON reports are key-sorted and contain no wall-clock data by default, so
-repeated runs with the same inputs are byte-identical; pass --timings to add
-elapsed seconds to the human-readable output.
+JSON reports are key-sorted and contain no wall-clock data, so repeated runs
+with the same inputs are byte-identical; `paper --timings` adds elapsed
+seconds to the human-readable output of `paper`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .designs import (
     zonal_design_residual,
 )
 from .exact import factor_numerator, factored_str, format_poly
-from .gf2 import MAX_LENGTH, CodeFileError, EnumerationCapError
+from .gf2 import MAX_LENGTH, EnumerationCapError
 from .gleason import extremal_weight_enumerator
 from .harmonic import ZonalPoint, zonal_eval, zonal_sum
 
@@ -334,13 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except CodeFileError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (EnumerationCapError, ValueError) as err:
+    except (OSError, EnumerationCapError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -324,7 +324,8 @@ def verify_on_code(code: Code) -> CodeReport:
     d_min = extremal_min_weight(n)
     # one pass: the distribution, the minimal shell and 3 samples per weight
     dist, shell, samples = code.sweep(d_min, per_weight=3)
-    min_weight = next(w for w in range(1, n + 1) if dist[w])
+    # 0 for the zero code (k = 0), which has no nonzero word and is not extremal
+    min_weight = next((w for w in range(1, n + 1) if dist[w]), 0)
     extremal = min_weight == d_min
     enum = extremal_weight_enumerator(n)
     matches_enumerator = tuple(dist) == enum.coefficients

@@ -3,9 +3,13 @@ rational functions, symbolic binomials, determinants over Q(s), integer roots
 and the linear-factor split of a polynomial.
 
 Everything here is exact.  Scalars are `fractions.Fraction`, which keeps
-numerator and denominator gcd-reduced with a positive denominator;
-polynomials keep Fraction coefficients and are immutable, as are rational
-functions.  Rational functions are normalized so that the denominator is
+numerator and denominator gcd-reduced with a positive denominator.  A
+polynomial is stored in content/primitive form (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, ch. 6): integer numerators over one positive
+integer denominator, reduced so that their gcd is 1.  Ring operations are then
+integer arithmetic plus one gcd per result, and `Fraction` coefficients are
+built only when they are read.  Polynomials and rational functions are
+immutable.  Rational functions are normalized so that the denominator is
 monic and coprime to the numerator, which gives every value a canonical form.
 """
 
@@ -19,28 +23,50 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+def _reduce(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical pair for num/den (den > 0): trailing zeros stripped,
+    gcd(den, *num) = 1, and den = 1 for the zero polynomial."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return tuple(num), den
+
+
+def _make(num: Sequence[int], den: int) -> "Polynomial":
+    """A Polynomial from a pair that is already canonical."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "_num", num)
+    object.__setattr__(p, "_den", den)
+    return p
 
 
 class Polynomial:
-    """Univariate polynomial in s with Fraction coefficients.
+    """Univariate polynomial in s with rational coefficients.
 
-    coeffs[i] is the coefficient of s^i; trailing zeros are stripped, so the
-    zero polynomial has an empty coefficient tuple and degree -1.
+    Stored as integer numerators `_num` over one positive integer
+    denominator `_den`: the coefficient of s^i is `_num[i] / _den`.  Trailing
+    zeros are stripped and gcd(_den, *_num) = 1, so every polynomial has one
+    stored form and the zero polynomial is `((), 1)` with degree -1.  `coeffs`
+    is the derived tuple of Fraction coefficients, coeffs[i] that of s^i.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+        den = lcm(*(c.denominator for c in cs))
+        num, den = _reduce([c.numerator * (den // c.denominator) for c in cs], den)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -48,20 +74,25 @@ class Polynomial:
     # -- basic queries ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -69,15 +100,22 @@ class Polynomial:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.coefficient(i) + other.coefficient(i) for i in range(n)
-        )
+        a, b, den = self._num, other._num, self._den
+        if den != other._den:
+            den = lcm(den, other._den)
+            a = [x * (den // self._den) for x in a]
+            b = [x * (den // other._den) for x in b]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return _make(*_reduce(out, den))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return _make(tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce_poly(other)
@@ -93,23 +131,19 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
+            p, q = other.numerator, other.denominator
+            return _make(*_reduce([x * p for x in self._num], self._den * q))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._num, other._num
+        if not a or not b:
             return ZERO
-        # convolve over integers (one gcd per output coefficient, not per term)
-        da = lcm(*(c.denominator for c in self.coeffs))
-        db = lcm(*(c.denominator for c in other.coeffs))
-        xs = [c.numerator * (da // c.denominator) for c in self.coeffs]
-        ys = [c.numerator * (db // c.denominator) for c in other.coeffs]
-        out = [0] * (len(xs) + len(ys) - 1)
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    out[i + j] += a * b
-        scale = da * db
-        return Polynomial(Fraction(v, scale) for v in out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _make(*_reduce(out, self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -131,21 +165,34 @@ class Polynomial:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        divisor = other._num
+        m = len(divisor) - 1
+        dq = len(self._num) - 1 - m
         if dq < 0:
             return ZERO, self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
+        # pseudo-division in Z[s]: scale = f with f*num = quo*divisor + rem,
+        # grown only at the steps where the leading coefficient does not divide
+        lead = divisor[-1]
+        rem = list(self._num)
+        quo = [0] * (dq + 1)
+        scale = 1
         for i in range(dq, -1, -1):
-            top = rem[i + other.degree]
-            if top == 0:
+            top = rem[i + m]
+            if not top:
                 continue
-            q = top / lead
+            q, r = divmod(top, lead)
+            if r:
+                k = abs(lead) // gcd(top, lead)
+                rem = [x * k for x in rem]
+                quo = [x * k for x in quo]
+                scale *= k
+                q = top * k // lead
             quo[i] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] -= q * b
-        return Polynomial(quo), Polynomial(rem)
+            for j, y in enumerate(divisor, i):
+                rem[j] -= q * y
+        den = scale * self._den
+        return (_make(*_reduce([x * other._den for x in quo], den)),
+                _make(*_reduce(rem[:m], den)))
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -160,36 +207,49 @@ class Polynomial:
         return q
 
     def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at x = p/q: sum c_i p^i q^(deg-i) over _den * q^deg."""
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        p, q = x.numerator, x.denominator
+        acc = 0
+        if q == 1:
+            for c in reversed(self._num):
+                acc = acc * p + c
+            return Fraction(acc, self._den)
+        if self.is_zero:
+            return Fraction(0)
+        qpow = 1
+        for c in reversed(self._num):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self._den * q ** self.degree)
 
     # -- normal forms -------------------------------------------------------
 
     def monic(self) -> "Polynomial":
         if self.is_zero:
             return self
-        lead = self.leading()
-        if lead == 1:
+        lead = self._num[-1]
+        if lead == self._den:
             return self
-        return Polynomial(c / lead for c in self.coeffs)
+        if lead < 0:
+            return _make(*_reduce([-x for x in self._num], -lead))
+        return _make(*_reduce(list(self._num), lead))
 
     def content(self) -> Fraction:
         """Rational c > 0 with self = c * primitive(self); 0 for the zero polynomial."""
         if self.is_zero:
             return Fraction(0)
-        return Fraction(gcd(*(c.numerator for c in self.coeffs)),
-                        lcm(*(c.denominator for c in self.coeffs)))
+        return Fraction(gcd(*self._num), self._den)
 
     def primitive(self) -> "Polynomial":
         """Integer-coefficient part with coprime coefficients and positive leading term."""
         if self.is_zero:
             return self
-        c = self.content()
-        if self.leading() < 0:
-            c = -c
-        return Polynomial(x / c for x in self.coeffs)
+        g = gcd(*self._num)
+        if self._num[-1] < 0:
+            g = -g
+        return _make(tuple(x // g for x in self._num), 1)
 
     def divides(self, other: "Polynomial") -> bool:
         if self.is_zero:
@@ -199,14 +259,13 @@ class Polynomial:
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        if not isinstance(other, Polynomial):
+        other = _coerce_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -231,7 +290,7 @@ def _coerce_poly(x) -> "Polynomial":
     if isinstance(x, Polynomial):
         return x
     if isinstance(x, (int, Fraction)):
-        return Polynomial([x])
+        return _make(*_reduce([x.numerator], x.denominator))
     return NotImplemented
 
 
@@ -362,7 +421,7 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.den!r})"
@@ -457,15 +516,13 @@ def integer_roots(p: Polynomial) -> set[int]:
     if p.is_zero:
         raise ValueError("integer_roots of the zero polynomial")
     roots: set[int] = set()
-    coeffs = list(p.coeffs)
     k = 0
-    while coeffs[k] == 0:
+    while p._num[k] == 0:
         k += 1
     if k > 0:
         roots.add(0)
-        coeffs = coeffs[k:]
-    q = Polynomial(coeffs).primitive()
-    for d in _divisors(int(q.coefficient(0))):
+    q = _make(p._num[k:], 1).primitive()
+    for d in _divisors(q._num[0]):
         if q(d) == 0:
             roots.add(d)
         if q(-d) == 0:

@@ -84,6 +84,25 @@ def test_verify_code_missing_file(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [("verify-code",),
+                                  ("design-check", "--w", "4", "--t", "1")])
+def test_directory_as_code_is_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--code", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_code_zero_dimensional(capsys, tmp_path):
+    # a valid file: 0 <= k <= n; the zero code has no minimal weight
+    path = tmp_path / "k0.txt"
+    path.write_text("8 0\n", encoding="ascii")
+    code, out, _ = run(capsys, "verify-code", "--code", str(path), "--json")
+    assert code == 1
+    res = json.loads(out)["results"]
+    assert (res["k"], res["min_weight"], res["shell_size"]) == (0, 0, 0)
+    assert res["extremal"] is False and res["all_checks_pass"] is False
+
+
 def test_malformed_matrix_file_reports_line(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("8 4\n11110000\n00001111\n0101\n10101010\n", encoding="ascii")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,6 @@ def test_rational_normalization_idempotent(a, b):
     x = Fraction(a, b)
     y = Fraction(x.numerator, x.denominator)
     assert (y.numerator, y.denominator) == (x.numerator, x.denominator)
-    from math import gcd
     assert gcd(abs(x.numerator), x.denominator) == 1
     assert x.denominator >= 1
 
@@ -83,6 +83,168 @@ def test_format_and_factored():
     assert factored_str(Polynomial([0, -2, 2])) == "2*s*(s-1)"
     rt = Polynomial.from_json(p.to_json())
     assert rt == p
+
+
+# ------------------------------- reference: one Fraction per coefficient
+#
+# The arithmetic Polynomial used before it stored integer numerators over one
+# denominator, kept here on plain tuples of Fractions (coefficient of s^i at
+# index i, trailing zeros stripped) as the oracle for the stored form.
+
+def ref(cs) -> tuple[Fraction, ...]:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+               for i in range(n))
+
+
+def ref_neg(a):
+    return ref(-c for c in a)
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_divmod(a, b):
+    rem = list(a)
+    dq = len(a) - len(b)
+    if dq < 0:
+        return (), ref(a)
+    quo = [Fraction(0)] * (dq + 1)
+    for i in range(dq, -1, -1):
+        q = rem[i + len(b) - 1] / b[-1]
+        quo[i] = q
+        for j, y in enumerate(b):
+            rem[i + j] -= q * y
+    return ref(quo), ref(rem)
+
+
+def ref_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_content(a):
+    if not a:
+        return Fraction(0)
+    return Fraction(gcd(*(c.numerator for c in a)), lcm(*(c.denominator for c in a)))
+
+
+def ref_primitive(a):
+    if not a:
+        return a
+    c = ref_content(a) if a[-1] > 0 else -ref_content(a)
+    return ref(x / c for x in a)
+
+
+def ref_monic(a):
+    return ref(x / a[-1] for x in a) if a else a
+
+
+def ref_gcd(a, b):
+    while b:
+        a, b = b, ref_monic(ref_divmod(a, b)[1])
+    return ref_monic(a)
+
+
+def assert_stored_form(p: Polynomial, expected) -> None:
+    """p holds the coefficients `expected` in its one canonical stored form."""
+    assert p.coeffs == expected
+    assert all(type(c) is int for c in p._num) and type(p._den) is int
+    assert p._den > 0 and (not p._num or p._num[-1] != 0)
+    assert gcd(p._den, *p._num) == 1
+
+
+small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+coefficient_lists = st.lists(st.one_of(small_fractions, st.integers(-9, 9)), max_size=6)
+
+
+@settings(deadline=None)
+@given(coefficient_lists, coefficient_lists, st.integers(-6, 6), small_fractions)
+def test_ring_operations_match_reference(xs, ys, k, c):
+    a, b = ref(xs), ref(ys)
+    p, q = Polynomial(xs), Polynomial(ys)
+    assert_stored_form(p, a)
+    assert_stored_form(p + q, ref_add(a, b))
+    assert_stored_form(p - q, ref_add(a, ref_neg(b)))
+    assert_stored_form(-p, ref_neg(a))
+    assert_stored_form(p * q, ref_mul(a, b))
+    for scalar in (k, c):
+        assert_stored_form(p * scalar, ref_mul(a, ref([scalar])))
+        assert_stored_form(scalar * p, ref_mul(a, ref([scalar])))
+        assert_stored_form(p + scalar, ref_add(a, ref([scalar])))
+        assert_stored_form(scalar - p, ref_add(ref([scalar]), ref_neg(a)))
+    assert p.to_json() == [str(x) for x in a]
+
+
+@settings(deadline=None)
+@given(coefficient_lists, coefficient_lists.filter(lambda ys: any(ys)))
+def test_division_matches_reference(xs, ys):
+    a, b = ref(xs), ref(ys)
+    p, q = Polynomial(xs), Polynomial(ys)
+    for divisor, db in ((q, b), (q.monic(), ref_monic(b))):
+        quo, rem = divmod(p, divisor)
+        ref_quo, ref_rem = ref_divmod(a, db)
+        assert_stored_form(quo, ref_quo)
+        assert_stored_form(rem, ref_rem)
+        assert_stored_form(p // divisor, ref_quo)
+        assert_stored_form(p % divisor, ref_rem)
+        assert_stored_form((p * divisor).exact_div(divisor), a)
+    if ref_divmod(a, b)[1]:
+        with pytest.raises(ArithmeticError):
+            p.exact_div(q)
+
+
+@settings(deadline=None)
+@given(coefficient_lists, st.integers(-20, 20), small_fractions)
+def test_evaluation_matches_reference(xs, k, x):
+    p, a = Polynomial(xs), ref(xs)
+    for point in (k, x):
+        value = p(point)
+        assert type(value) is Fraction and value == ref_eval(a, point)
+
+
+@settings(deadline=None)
+@given(coefficient_lists, coefficient_lists, coefficient_lists)
+def test_normal_forms_match_reference(xs, ys, zs):
+    p, a = Polynomial(xs), ref(xs)
+    assert p.content() == ref_content(a)
+    assert_stored_form(p.primitive(), ref_primitive(a))
+    assert_stored_form(p.monic(), ref_monic(a))
+    # a common factor makes the gcd nontrivial more often than chance would
+    common = Polynomial(zs)
+    lhs, rhs = p * common, Polynomial(ys) * common
+    expected = ref_gcd(ref_mul(a, ref(zs)), ref_mul(ref(ys), ref(zs)))
+    assert_stored_form(poly_gcd(lhs, rhs), expected)
+
+
+def test_equal_polynomials_hash_equal():
+    halves = [Polynomial([Fraction(2, 4)]), ONE * Fraction(1, 2),
+              (2 * S + 1 - 2 * S) * Fraction(1, 2), Polynomial([Fraction(1, 2), 0])]
+    zeros = [ZERO, Polynomial([0, Fraction(0, 3)]), S - S, ZERO * Fraction(3, 5)]
+    for forms in (halves, zeros):
+        assert all(p == forms[0] for p in forms)
+        assert len({hash(p) for p in forms}) == 1 and len(set(forms)) == 1
+    assert halves[0] == Fraction(1, 2) and zeros[0] == 0
+    with pytest.raises(TypeError):
+        Polynomial([1, 0.5])
+    with pytest.raises(AttributeError):
+        S._num = (1,)
 
 
 # -------------------------------------------------------- symbolic binomials
