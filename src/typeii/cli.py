@@ -26,13 +26,7 @@ from .configuration import (
     extended_determinant,
     verify_on_code,
 )
-from .designs import (
-    SAMPLE_SEED,
-    default_cbar_sample,
-    intersection_profile,
-    predesign_count,
-    zonal_design_residual,
-)
+from .designs import SAMPLE_SEED, default_cbar_sample, predesign_count, sample_profiles
 from .exact import factor_numerator, factored_str, format_poly
 from .gf2 import MAX_LENGTH, EnumerationCapError
 from .gleason import extremal_weight_enumerator
@@ -187,20 +181,22 @@ def _cmd_design_check(args) -> int:
         raise ValueError(f"--t must lie in 1..w, got t = {args.t} with w = {args.w}")
     code = resolve(args.code)
     shell = code.shell(args.w)
+    if not shell:
+        # every tally of an empty set is the constant 0, a vacuous design
+        print(f"empty shell: {args.code} has no words of weight {args.w}",
+              file=sys.stderr)
+        return 1
     counts = {t: predesign_count(shell, t) for t in range(1, args.t + 1)}
     verdict = all(c is not None for c in counts.values())
     residuals = []
     half_verdict = None
     if args.half and verdict:
         deg = args.t + 2
-        half_verdict = True
-        for cbar in default_cbar_sample(code.n, deg):
-            if cbar.weight() < deg:
-                continue
-            value = zonal_design_residual(shell, deg, cbar)
-            residuals.append({"cbar_weight": cbar.weight(), "residual": str(value)})
-            if value != 0:
-                half_verdict = False
+        values = [(s, zonal_sum(code.n, s, shell.w, profile, deg))
+                  for s, profile in sample_profiles(shell, deg)]
+        residuals = [{"cbar_weight": s, "residual": str(value)}
+                     for s, value in values]
+        half_verdict = all(value == 0 for _, value in values)
     payload = {
         "code": args.code,
         "w": args.w,
@@ -288,8 +284,7 @@ def _cmd_paper(args) -> int:
 
     t0 = time.perf_counter()
     # one intersection profile per reference word serves every degree
-    profiles = [(cbar.weight(), intersection_profile(octads, cbar))
-                for cbar in default_cbar_sample(24, 7, extra=16)]
+    profiles = sample_profiles(octads, 1, default_cbar_sample(24, 7, extra=16))
     degrees_ok = all(
         zonal_sum(octads.n, s, octads.w, profile, d) == 0
         for d in (1, 2, 3, 4, 5, 7)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -23,6 +24,7 @@ MAX_LENGTH = 128
 ENUM_CAP = 26  # refuse exhaustive sweeps beyond 2^26 codewords
 LOW_BITS = 16  # message bits sliced into the 2^16 bit positions of one plane
 LOWEST = -1    # Code.sweep target: the words of the lowest weight present
+TRANSPOSE_BLOCK = 1024  # words per block when DesignSet.columns transposes
 
 
 class EnumerationCapError(RuntimeError):
@@ -121,6 +123,22 @@ class DesignSet:
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
 
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Column bitmaps, the transpose of the words: bit i of columns[j] is
+        coordinate j of words[i]."""
+        n, fmt = self.n, f"0{self.n}b"
+        cols = [0] * n
+        # per block of words, the words last to first, each most significant
+        # bit first, so every n-th character from n-1-j reads column j of the
+        # block; blocks bound the text held at once
+        for lo in range(0, len(self.words), TRANSPOSE_BLOCK):
+            block = self.words[lo:lo + TRANSPOSE_BLOCK]
+            text = "".join([format(w.bits, fmt) for w in reversed(block)])
+            for j in range(n):
+                cols[j] |= int(text[n - 1 - j::n], 2) << lo
+        return tuple(cols)
+
 
 def _rref(rows: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced row-echelon form over GF(2): (rows sorted by pivot, pivot columns)."""
@@ -165,6 +183,38 @@ def _set_bits(mask: int) -> Iterator[int]:
     return (m.start() for m in re.finditer("1", format(mask, "b")[::-1]))
 
 
+def ripple_count(columns: Iterable[int]) -> list[int]:
+    """Bit-sliced population count: bit t of plane i is bit i of the number
+    of `columns` with bit t set.  A ripple-carry adder adds one column at a
+    time; the carry stops as soon as it is empty."""
+    count: list[int] = []
+    for x in columns:
+        for i, c in enumerate(count):
+            count[i] = c ^ x
+            x &= c
+            if not x:
+                break
+        else:
+            count.append(x)
+    return count
+
+
+def split_by_count(planes: Sequence[int], full: int, base: int = 0) -> dict[int, int]:
+    """{base + count: mask of the positions in `full` holding that count},
+    where `planes` are the bit planes of ripple_count; empty masks are left out."""
+    classes = {base: full} if full else {}
+    for i, c in enumerate(planes):
+        split = {}
+        for w, mask in classes.items():
+            hi = mask & c
+            if hi:
+                split[w + (1 << i)] = hi
+            if hi != mask:
+                split[w] = mask ^ hi
+        classes = split
+    return classes
+
+
 def _weight_classes(rows: Sequence[int], n: int,
                     offset: int = 0) -> Iterator[tuple[int, dict[int, int]]]:
     """Bit-sliced Gray walk over offset + span(rows), 2^m words per block.
@@ -194,28 +244,8 @@ def _weight_classes(rows: Sequence[int], n: int,
             # gray(block * 2^m + t) = gray(block) * 2^m + (gray(t) ^ (block
             # & 1) * 2^(m-1)): odd blocks also carry low row m - 1
             base ^= high[(block & -block).bit_length() - 1] ^ rows[m - 1]
-        count: list[int] = []
-        for j, x in sliced:
-            if base >> j & 1:
-                x ^= full
-            for i, c in enumerate(count):
-                count[i] = c ^ x
-                x &= c
-                if not x:
-                    break
-            else:
-                count.append(x)
-        classes = {(base & fixed).bit_count(): full}
-        for i, c in enumerate(count):
-            split = {}
-            for w, mask in classes.items():
-                hi = mask & c
-                if hi:
-                    split[w + (1 << i)] = hi
-                if hi != mask:
-                    split[w] = mask ^ hi
-            classes = split
-        yield base, classes
+        count = ripple_count(x ^ full if base >> j & 1 else x for j, x in sliced)
+        yield base, split_by_count(count, full, (base & fixed).bit_count())
 
 
 class Code:

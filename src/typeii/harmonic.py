@@ -18,9 +18,11 @@ arguments rely on and the correctness gate enforced by the test suite.
 Each factor is a Krawtchouk sum K_k(x; N) = sum_i (-1)^i C(x, i) C(N-x, k-i)
 (Delsarte 1973) with N = s or N = n - s.  Z_d is kept in one form, the
 polynomial P_d = Z_d * s(s-1)...(s-d+1), built once per (n, w, a, d).  For an
-integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact Fraction
-memoised per point; a normalized RationalFunction is built only where Z_d
-leaves the module as a function of s.
+integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact Fraction; a
+normalized RationalFunction is built only where Z_d leaves the module as a
+function of s.  Sums over intersection profiles read one cached integer row
+per (n, s, w, d), the values at every feasible a times their least common
+denominator, so a sum is one integer dot product and one Fraction.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import comb, lcm, perm
 
 from .exact import ONE, S, ZERO, Polynomial, RationalFunction, affine, binom_poly
 
@@ -72,29 +74,60 @@ def q_dk(pt: ZonalPoint, d: int, k: int) -> Fraction | RationalFunction:
 def zonal_eval(pt: ZonalPoint, d: int) -> Fraction | RationalFunction:
     """Z_d at pt; exact Fraction for integer s (requires s >= d when d >= 1),
     exact RationalFunction in s for the formal case."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
+    _check_degree(pt.s, d)
     if pt.symbolic:
         return _zonal_symbolic(pt.n, pt.w, pt.a, d)
-    if d > 0 and pt.s < d:
-        raise ZeroDivisionError(
-            f"zonal coefficient divides by s-l for l < {d}; s = {pt.s} is too small"
-        )
     return _zonal_at(pt.n, pt.s, pt.w, pt.a, d)
 
 
-@lru_cache(maxsize=None)
+def _check_degree(s: int | None, d: int) -> None:
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if s is not None and s < d:
+        raise ZeroDivisionError(
+            f"zonal coefficient divides by s-l for l < {d}; s = {s} is too small"
+        )
+
+
 def _zonal_at(n: int, s: int, w: int, a: int, d: int) -> Fraction:
     return _zonal_numerator(n, w, a, d)(s) / perm(s, d)  # perm(s, d) = _falling(d)(s)
 
 
+@lru_cache(maxsize=None)
+def _zonal_row(n: int, s: int, w: int, d: int) -> tuple[tuple[int, ...], int]:
+    """(row, D): row[i] = Z_d(n, s, w, a) * D at a = max(0, w-(n-s)) + i,
+    for every intersection weight a a weight-w word can have with a weight-s
+    word, and D the least common denominator of those values."""
+    if not 0 < n:
+        raise ValueError("length must be positive")
+    if not (0 <= s <= n and 0 <= w <= n):
+        raise ValueError(f"need 0 <= s, w <= n = {n}, got s = {s}, w = {w}")
+    _check_degree(s, d)
+    values = [_zonal_at(n, s, w, a, d)
+              for a in range(max(0, w - (n - s)), min(s, w) + 1)]
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fraction:
     """Sum of count * Z_d(n, s, w, a) over an intersection profile {a: count}
-    of weight-w words against a weight-s reference word."""
-    total = Fraction(0)
+    of weight-w words against a weight-s reference word: one integer dot
+    product with the cached row of _zonal_row.  An empty profile sums to 0.
+
+    Raises ValueError for an a outside max(0, w-(n-s))..min(s, w), which no
+    weight-w word meets a weight-s word in, and ZeroDivisionError for s < d
+    when d >= 1, as zonal_eval does."""
+    if not counts:
+        return Fraction(0)
+    row, den = _zonal_row(n, s, w, d)
+    lo = max(0, w - (n - s))
+    total = 0
     for a, count in counts.items():
-        total += count * zonal_eval(ZonalPoint(n, s, w, a), d)
-    return total
+        if not lo <= a < lo + len(row):
+            raise ValueError(f"no weight-{w} word meets a weight-{s} word "
+                             f"in {a} of n = {n} positions")
+        total += count * row[a - lo]
+    return Fraction(total, den)
 
 
 @lru_cache(maxsize=None)

@@ -103,6 +103,17 @@ def test_verify_code_zero_dimensional(capsys, tmp_path):
     assert res["extremal"] is False and res["all_checks_pass"] is False
 
 
+@pytest.mark.parametrize("flags", [(), ("--half", "--json")])
+def test_design_check_empty_shell_fails(capsys, tmp_path, flags):
+    # the zero code has no word of weight 4: a vacuous design is refused
+    path = tmp_path / "k0.txt"
+    path.write_text("8 0\n", encoding="ascii")
+    code, out, err = run(capsys, "design-check", "--code", str(path), "--w", "4",
+                         "--t", "1", *flags)
+    assert code == 1 and out == ""
+    assert "empty shell" in err
+
+
 def test_malformed_matrix_file_reports_line(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("8 4\n11110000\n00001111\n0101\n10101010\n", encoding="ascii")

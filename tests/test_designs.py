@@ -1,21 +1,27 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typeii.catalog import build
 from typeii.designs import (
     DesignSet,
     default_cbar_sample,
     doublecount_check,
+    intersection_profile,
     is_t_design,
     is_t_half_design,
     predesign_count,
+    sample_profiles,
     sphere,
     zonal_design_residual,
 )
 from typeii.gf2 import Word
+from typeii.harmonic import ZonalPoint, zonal_eval, zonal_sum
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +180,176 @@ def test_default_sample_is_deterministic():
     assert sum(1 for w in a if w.weight() == 1) == 24
     assert sum(1 for w in a if w.weight() == 7 and max(w.support()) < 12) \
         == comb(12, 7)
+
+
+# ------------------------------------------------------------ reference oracles
+# The per-word and per-Fraction loops the bit-sliced engine replaced, kept as
+# references for differential tests.
+
+def predesign_count_reference(dset: DesignSet, t: int) -> int | None:
+    """Tally of every t-subset of every support in a dense table indexed by
+    the combinatorial number system rank."""
+    n = dset.n
+    if t == 0:
+        return len(dset)
+    table = [[comb(c, i) for i in range(1, t + 1)] for c in range(n)]
+    counts = [0] * comb(n, t)
+    for word in dset.words:
+        for combo in combinations(word.support(), t):
+            counts[sum(table[c][i] for i, c in enumerate(combo))] += 1
+    first = counts[0]
+    return first if all(c == first for c in counts) else None
+
+
+def intersection_profile_reference(dset: DesignSet, cbar: Word) -> dict[int, int]:
+    """One AND and one bit_count per design word."""
+    counts: dict[int, int] = {}
+    for word in dset.words:
+        a = (word.bits & cbar.bits).bit_count()
+        counts[a] = counts.get(a, 0) + 1
+    return counts
+
+
+def zonal_sum_reference(n: int, s: int, w: int, counts: dict[int, int],
+                        d: int) -> Fraction:
+    """One zonal_eval and one Fraction multiply-add per profile entry."""
+    total = Fraction(0)
+    for a, count in counts.items():
+        total += count * zonal_eval(ZonalPoint(n, s, w, a), d)
+    return total
+
+
+def _closure(n: int, words: set[int], perms: list[list[int]]) -> set[int]:
+    """The union of the orbits of words under the group generated by perms."""
+    out, todo = set(words), list(words)
+    while todo:
+        bits = todo.pop()
+        for p in perms:
+            image = sum(1 << p[j] for j in range(n) if bits >> j & 1)
+            if image not in out:
+                out.add(image)
+                todo.append(image)
+    return out
+
+
+# primitive root g of each prime q <= 11: x -> x + 1 and x -> g x generate
+# AGL(1, q), 2-transitive on q points; with x -> -1/x they generate
+# PGL(2, q), 3-transitive on the q + 1 points of the projective line
+PRIMITIVE_ROOT = {3: 2, 5: 2, 7: 3, 11: 2}
+
+
+def _group(kind: str, n: int) -> list[list[int]]:
+    if kind == "cyclic":
+        return [[(j + 1) % n for j in range(n)]]
+    q = n if kind == "affine" else n - 1  # point q is infinity
+    g = PRIMITIVE_ROOT[q]
+    gens = [[(j + 1) % q for j in range(q)], [g * j % q for j in range(q)]]
+    if kind == "affine":
+        return gens
+    inverse = {j: pow(j, -1, q) for j in range(1, q)}
+    return [gen + [q] for gen in gens] + [
+        [q] + [(-inverse[j]) % q for j in range(1, q)] + [0]]
+
+
+@st.composite
+def design_sets(draw) -> DesignSet:
+    """Small subsets of B_w, the empty set included.  A union of orbits
+    under a transitive, 2-transitive or 3-transitive group (cyclic shift,
+    AGL(1, q), PGL(2, q)) is a 1-, 2- or 3-design, and the complement in B_w
+    of a t-design is a t-design too, so constant tallies are common."""
+    kind = draw(st.sampled_from(["none", "cyclic", "affine", "projective"]))
+    if kind == "affine":
+        n = draw(st.sampled_from(sorted(PRIMITIVE_ROOT)))
+    elif kind == "projective":
+        n = draw(st.sampled_from([q + 1 for q in PRIMITIVE_ROOT]))
+    else:
+        n = draw(st.integers(1, 12))
+    w = draw(st.integers(0, n))
+    ball = [sum(1 << j for j in c) for c in combinations(range(n), w)]
+    words = set(draw(st.lists(st.sampled_from(ball), max_size=4)))
+    if kind != "none":
+        words = _closure(n, words, _group(kind, n))
+    if draw(st.booleans()):
+        words = set(ball) - words
+    return DesignSet(n, w, tuple(Word(n, b) for b in sorted(words)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(design_sets())
+def test_tally_matches_reference(dset):
+    n, w = dset.n, dset.w
+    for j, col in enumerate(dset.columns):
+        assert col == sum(1 << i for i, word in enumerate(dset.words)
+                          if word.bits >> j & 1)
+    counts = {t: predesign_count(dset, t) for t in range(n + 1)}
+    assert counts == {t: predesign_count_reference(dset, t) for t in range(n + 1)}
+    # the definition: a t'-predesign for every positive t' <= t
+    for t in range(n + 2):
+        assert is_t_design(dset, t) == all(
+            counts[tp] is not None for tp in range(1, min(t, n) + 1))
+    # N_s = N_t C(n-s, t-s) / C(w-s, t-s) for every s <= t <= w
+    for t in range(w + 1):
+        if counts[t] is not None:
+            for s_ in range(t + 1):
+                assert counts[s_] * comb(w - s_, t - s_) \
+                    == counts[t] * comb(n - s_, t - s_)
+
+
+@settings(max_examples=150, deadline=None)
+@given(design_sets(), st.data())
+def test_profiles_and_zonal_sums_match_reference(dset, data):
+    n, w = dset.n, dset.w
+    cbar = Word(n, data.draw(st.integers(0, (1 << n) - 1)))
+    s = cbar.weight()
+    profile = intersection_profile(dset, cbar)
+    assert profile == intersection_profile_reference(dset, cbar)
+    assert list(profile) == sorted(profile)
+    for d in range(min(s, 5) + 1):
+        assert zonal_sum(n, s, w, profile, d) \
+            == zonal_sum_reference(n, s, w, profile, d)
+        assert zonal_design_residual(dset, d, cbar) \
+            == zonal_sum_reference(n, s, w, profile, d)
+
+
+def test_sample_profiles_skip_light_words_in_order(octads):
+    sample = default_cbar_sample(24, 7, extra=8)
+    heavy = [cbar for cbar in sample if cbar.weight() >= 7]
+    assert len(heavy) < len(sample)
+    assert sample_profiles(octads, 7, sample) == [
+        (cbar.weight(), intersection_profile_reference(octads, cbar))
+        for cbar in heavy]
+
+
+def test_profile_rejects_word_of_wrong_length(octads):
+    with pytest.raises(ValueError):
+        intersection_profile(octads, Word(23, 1))
+
+
+# ------------------------------------------------------------ permutations
+
+def test_golay_verdicts_invariant_under_coordinate_permutation():
+    # the engine walks and adds columns in coordinate order, so a permuted
+    # code must give the same tallies, verdicts and profiles
+    golay = build("golay24")
+    rng = random.Random(24)
+    perm = list(range(24))
+    rng.shuffle(perm)
+
+    def permute(word: Word) -> Word:
+        return Word.from_support(24, [perm[j] for j in word.support()])
+
+    moved = type(golay)(24, [permute(g) for g in golay.generators])
+    sample = default_cbar_sample(24, 7, extra=8)
+    moved_sample = [permute(cbar) for cbar in sample]
+    for w in (8, 12):
+        shell, moved_shell = golay.shell(w), moved.shell(w)
+        assert sorted(moved_shell.words) == sorted(permute(x) for x in shell)
+        assert [predesign_count(moved_shell, t) for t in range(1, 7)] \
+            == [predesign_count(shell, t) for t in range(1, 7)]
+        for t in (4, 5):
+            assert is_t_half_design(moved_shell, t, moved_sample) \
+                == is_t_half_design(shell, t, sample)
+        profiles = [p for _, p in sample_profiles(shell, 1, sample)]
+        moved_profiles = [p for _, p in sample_profiles(moved_shell, 1, moved_sample)]
+        assert sorted(map(sorted, map(dict.items, moved_profiles))) \
+            == sorted(map(sorted, map(dict.items, profiles)))

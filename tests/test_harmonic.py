@@ -12,6 +12,7 @@ from typeii.harmonic import (
     sphere_sum,
     sphere_sum_symbolic,
     zonal_eval,
+    zonal_sum,
 )
 from typeii.harmonic import _zonal_symbolic
 
@@ -74,6 +75,16 @@ def test_zonal_degree_one_closed_form():
 def test_zonal_requires_s_at_least_d():
     with pytest.raises(ZeroDivisionError):
         zonal_eval(ZonalPoint(8, 2, 4, 1), 3)
+
+
+def test_zonal_sum_contract():
+    # a weight-4 word meets a weight-6 word of length 8 in 2..4 positions
+    assert zonal_sum(8, 2, 4, {}, 3) == 0
+    with pytest.raises(ZeroDivisionError):
+        zonal_sum(8, 2, 4, {1: 1}, 3)
+    for a in (-1, 0, 1, 5):
+        with pytest.raises(ValueError):
+            zonal_sum(8, 6, 4, {a: 1}, 2)
 
 
 def test_sphere_sum_vanishes_small_grid():
