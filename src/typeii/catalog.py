@@ -164,7 +164,9 @@ def data_file_text(name: str) -> str:
 
 
 def resolve(name_or_path: str) -> Code:
-    """A catalog name, a shipped data file name, or a path to a matrix file."""
+    """A catalog name or a path to a matrix file.  Any other string is a path:
+    a shipped data file name such as 'e8.txt' resolves against the current
+    directory, not data/; the shipped codes are reached by catalog name."""
     if name_or_path in CATALOG:
         return build(name_or_path)
     return load_code(name_or_path)

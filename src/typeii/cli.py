@@ -253,7 +253,7 @@ def _cmd_paper(args) -> int:
         ref = REFERENCE[n]
         divisible = ref.factor.divides(verdict.determinant.num.primitive())
         ok = divisible and verdict.conclusion == ref.conclusion
-        exact = verdict.determinant / ref.published() == 1
+        exact = verdict.determinant == ref.published()
         detail = (f"{verdict.conclusion}, roots {sorted(verdict.relevant_roots)}, "
                   f"reference factor divides: {divisible}, exact constants: {exact}")
         record(f"determinant n={n}", ok, detail, time.perf_counter() - t0)

@@ -30,15 +30,17 @@ from dataclasses import dataclass
 from .designs import intersection_profile
 from .exact import (
     NumeratorFactors,
+    ONE,
     Polynomial,
     RationalFunction,
     S,
+    ZERO,
     det_ratfun,
     factor_numerator,
 )
 from .gf2 import Code
 from .gleason import extremal_min_weight, extremal_weight_enumerator, sigma
-from .harmonic import ZonalPoint, zonal_eval, zonal_sum
+from .harmonic import falling, zonal_numerator, zonal_sum
 
 QUOTIENT_OF_CODE = "quotient_of_code"
 DUAL_OF_SPAN = "dual_of_span"
@@ -76,10 +78,14 @@ def kept_degree_set(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ConfigRow:
+    """One equation of the lambda-system: (coefficients . lambda = rhs) with
+    every entry a numerator over the row's one denominator."""
+
     tag: str                                  # "sum" or "zonal"
     degree: int | None                        # zonal degree, None for the sum row
-    coefficients: tuple[RationalFunction, ...]
-    rhs: RationalFunction
+    coefficients: tuple[Polynomial, ...]
+    rhs: Polynomial
+    denominator: Polynomial
 
 
 @dataclass(frozen=True)
@@ -94,35 +100,32 @@ class ConfigSystem:
     def min_weight(self) -> int:
         return extremal_min_weight(self.n)
 
-    def extended_matrix(self) -> list[list[RationalFunction]]:
-        return [list(row.coefficients) + [row.rhs] for row in self.rows]
-
 
 def build_system(n: int) -> ConfigSystem:
     """The sum row plus one symbolic zonal row per kept degree, in the
-    unknowns lambda_{2j'} for 0 <= j' <= d(n)/4."""
+    unknowns lambda_{2j'} for 0 <= j' <= d(n)/4.  The sum row has every
+    coefficient 1 and right-hand side A_d, over 1; the degree-d zonal row has
+    the coefficients P_d(n, d(n), a, d) at the kept weights a and right-hand
+    side 0, over s(s-1)...(s-d+1)."""
     _check_supported(n)
     d_min = extremal_min_weight(n)
     weights = list(range(0, d_min // 2 + 1, 2))
     variables = tuple(f"lambda_{j}" for j in weights)
     a_d = extremal_weight_enumerator(n)[d_min]
-    one = RationalFunction(1)
-    rows = [
-        ConfigRow("sum", None, tuple(one for _ in weights), RationalFunction(a_d))
-    ]
+    rows = [ConfigRow("sum", None, (ONE,) * len(weights), Polynomial([a_d]), ONE)]
     degrees = kept_degree_set(n)
     for d in degrees:
-        coeffs = tuple(
-            zonal_eval(ZonalPoint(n, None, d_min, a), d) for a in weights
-        )
-        rows.append(ConfigRow("zonal", d, coeffs, RationalFunction(0)))
+        coeffs = tuple(zonal_numerator(n, d_min, a, d) for a in weights)
+        rows.append(ConfigRow("zonal", d, coeffs, ZERO, falling(d)))
     return ConfigSystem(n, scenario_for(n), variables, tuple(rows), tuple(degrees))
 
 
 def extended_determinant(n: int) -> RationalFunction:
     """Determinant of the square extended matrix (coefficients plus the
     right-hand-side column); must vanish at any s admitting a solution."""
-    return det_ratfun(build_system(n).extended_matrix())
+    rows = build_system(n).rows
+    return det_ratfun([row.coefficients + (row.rhs,) for row in rows],
+                      [row.denominator for row in rows])
 
 
 @dataclass(frozen=True)
@@ -268,7 +271,8 @@ REFERENCE: dict[int, ReferenceResult] = {
 def reference_ratio(n: int) -> RationalFunction:
     """Computed determinant divided by the full reference value; a constant
     +-1 means the conventions match the published computation exactly."""
-    return extended_determinant(n) / REFERENCE[n].published()
+    det, ref = extended_determinant(n), REFERENCE[n].published()
+    return RationalFunction(det.num * ref.den, det.den * ref.num)
 
 
 # ------------------------------------------------------------ concrete codes

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: rationals, polynomials in the weight variable s,
-rational functions, symbolic binomials, determinants over Q(s), integer roots
-and the linear-factor split of a polynomial.
+rational functions, symbolic binomials, determinants, integer roots and the
+linear-factor split of a polynomial.
 
 Everything here is exact.  Scalars are `fractions.Fraction`, which keeps
 numerator and denominator gcd-reduced with a positive denominator.  A
@@ -9,8 +9,13 @@ polynomial is stored in content/primitive form (von zur Gathen & Gerhard,
 integer denominator, reduced so that their gcd is 1.  Ring operations are then
 integer arithmetic plus one gcd per result, and `Fraction` coefficients are
 built only when they are read.  Polynomials and rational functions are
-immutable.  Rational functions are normalized so that the denominator is
-monic and coprime to the numerator, which gives every value a canonical form.
+immutable.  A rational function is a value type with no arithmetic: it is
+normalized so that the denominator is monic and coprime to the numerator,
+which gives every value a canonical form, and it is built only at the edge,
+once a result in Q(s) is complete.  A determinant of a matrix whose rows
+share one denominator each is fraction-free Bareiss elimination on the
+polynomial numerators followed by one division by the product of the row
+denominators.
 """
 
 from __future__ import annotations
@@ -276,10 +281,6 @@ class Polynomial:
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_json(data: Sequence[str]) -> "Polynomial":
-        return Polynomial(Fraction(c) for c in data)
-
 
 ZERO = Polynomial()
 ONE = Polynomial([1])
@@ -306,12 +307,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         if not b.is_zero:
             b = b.monic()
     return a.monic() if not a.is_zero else a
-
-
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero or b.is_zero:
-        return ZERO
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
 
 
 def binom_poly(x: Polynomial, k: int) -> Polynomial:
@@ -361,53 +356,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def __add__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __call__(self, x: Scalar) -> Fraction:
         d = self.den(x)
         if d == 0:
@@ -415,8 +363,7 @@ class RationalFunction:
         return self.num(x) / d
 
     def __eq__(self, other) -> bool:
-        other = _coerce_ratfun(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -432,60 +379,35 @@ class RationalFunction:
         return f"({format_poly(self.num)})/({format_poly(self.den)})"
 
 
-RF_ZERO = RationalFunction(ZERO)
-RF_ONE = RationalFunction(ONE)
+def det_ratfun(rows: Sequence[Sequence[Polynomial]],
+               dens: Sequence[Polynomial]) -> RationalFunction:
+    """Exact determinant of the square matrix whose row i is rows[i] / dens[i].
 
-
-def _coerce_ratfun(x) -> "RationalFunction":
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction, Polynomial)):
-        return RationalFunction(x)
-    return NotImplemented
-
-
-def det_ratfun(m: Sequence[Sequence]) -> RationalFunction:
-    """Exact determinant of a small square matrix over Q(s).
-
-    Entries may be RationalFunction, Polynomial, Fraction, or int.  Uses
-    fraction-free Bareiss elimination on a polynomial matrix obtained by
-    clearing each row's denominators (the cleared factor is tracked and
-    divided back out at the end).
+    Fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) runs on
+    the polynomial numerators, where every division is exact; the determinant
+    over Q(s) is then one RationalFunction over the product of the dens.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
+    n = len(rows)
+    if len(dens) != n or any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return RF_ONE
-
-    cleared = ONE
-    rows: list[list[Polynomial]] = []
-    for row in m:
-        entries = [_coerce_ratfun(e) for e in row]
-        if any(e is NotImplemented for e in entries):
-            raise TypeError("matrix entries must be rational functions or scalars")
-        common = ONE
-        for e in entries:
-            common = poly_lcm(common, e.den)
-        rows.append([e.num * common.exact_div(e.den) for e in entries])
-        cleared = cleared * common
-
+    den = ONE
+    for d in dens:
+        den = den * d
+    m = [list(row) for row in rows]
     sign = 1
     prev = ONE
     for k in range(n - 1):
-        if rows[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, n) if not rows[i][k].is_zero), None)
+        if m[k][k].is_zero:
+            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
             if pivot is None:
-                return RF_ZERO
-            rows[k], rows[pivot] = rows[pivot], rows[k]
+                return RationalFunction(ZERO, den)
+            m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                rows[i][j] = (rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]).exact_div(prev)
-            rows[i][k] = ZERO
-        prev = rows[k][k]
-
-    return RationalFunction(sign * rows[n - 1][n - 1], cleared)
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
+        prev = m[k][k]
+    return RationalFunction(sign * m[n - 1][n - 1] if n else ONE, den)
 
 
 def _divisors(m: int) -> list[int]:

@@ -17,12 +17,15 @@ arguments rely on and the correctness gate enforced by the test suite.
 
 Each factor is a Krawtchouk sum K_k(x; N) = sum_i (-1)^i C(x, i) C(N-x, k-i)
 (Delsarte 1973) with N = s or N = n - s.  Z_d is kept in one form, the
-polynomial P_d = Z_d * s(s-1)...(s-d+1), built once per (n, w, a, d).  For an
-integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact Fraction; a
-normalized RationalFunction is built only where Z_d leaves the module as a
-function of s.  Sums over intersection profiles read one cached integer row
-per (n, s, w, d), the values at every feasible a times their least common
-denominator, so a sum is one integer dot product and one Fraction.
+polynomial P_d = Z_d * s(s-1)...(s-d+1) (`zonal_numerator`, over the
+denominator `falling(d)`), built once per (n, w, a, d).  For an integer
+s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact Fraction.  The
+lambda-systems take P_d and falling(d) as they are, one numerator row over one
+denominator, and a RationalFunction is built only where a formal Z_d or
+sphere sum leaves the module.  Sums over intersection profiles read one
+cached integer row per (n, s, w, d), the values at every feasible a times
+their least common denominator, so a sum is one integer dot product and one
+Fraction.
 """
 
 from __future__ import annotations
@@ -62,21 +65,12 @@ class ZonalPoint:
         return self.s is None
 
 
-def q_dk(pt: ZonalPoint, d: int, k: int) -> Fraction | RationalFunction:
-    """The building block Q_{d,k} at pt: first factor degree k in (a, s-a),
-    second factor degree d-k in (w-a, (n-s)-(w-a)), both alternating."""
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    block = _q_dk_symbolic(pt.n, pt.w, pt.a, d, k)
-    return RationalFunction(block) if pt.symbolic else block(pt.s)
-
-
 def zonal_eval(pt: ZonalPoint, d: int) -> Fraction | RationalFunction:
     """Z_d at pt; exact Fraction for integer s (requires s >= d when d >= 1),
     exact RationalFunction in s for the formal case."""
     _check_degree(pt.s, d)
     if pt.symbolic:
-        return _zonal_symbolic(pt.n, pt.w, pt.a, d)
+        return RationalFunction(zonal_numerator(pt.n, pt.w, pt.a, d), falling(d))
     return _zonal_at(pt.n, pt.s, pt.w, pt.a, d)
 
 
@@ -90,7 +84,7 @@ def _check_degree(s: int | None, d: int) -> None:
 
 
 def _zonal_at(n: int, s: int, w: int, a: int, d: int) -> Fraction:
-    return _zonal_numerator(n, w, a, d)(s) / perm(s, d)  # perm(s, d) = _falling(d)(s)
+    return zonal_numerator(n, w, a, d)(s) / perm(s, d)  # perm(s, d) = falling(d)(s)
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +139,7 @@ def _q_dk_symbolic(n: int, w: int, a: int, d: int, k: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _falling(d: int) -> Polynomial:
+def falling(d: int) -> Polynomial:
     """s(s-1)...(s-d+1), the common denominator of the degree-d coefficients."""
     out = ONE
     for l in range(d):
@@ -154,10 +148,10 @@ def _falling(d: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
+def zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
     """P_d = Z_d * s(s-1)...(s-d+1): over that common denominator the
     coefficient of Q_{d,k} is prod_{l<k} ((n-s)-(d-l-1)) * (s-k)...(s-d+1)."""
-    tail = _falling(d)  # (s-k)...(s-d+1), the part not consumed by coefficient k
+    tail = falling(d)  # (s-k)...(s-d+1), the part not consumed by coefficient k
     num = ONE
     total = ZERO
     for k in range(d + 1):
@@ -167,10 +161,6 @@ def _zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
         term = num * tail * _q_dk_symbolic(n, w, a, d, k)
         total = total + term if k % 2 == 0 else total - term
     return total
-
-
-def _zonal_symbolic(n: int, w: int, a: int, d: int) -> RationalFunction:
-    return RationalFunction(_zonal_numerator(n, w, a, d), _falling(d))
 
 
 def intersection_count(n: int, s: int, w: int, a: int) -> int:
@@ -198,5 +188,5 @@ def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
     """The sphere sum as a rational function of s; identically zero for d >= 1."""
     total = ZERO
     for a in range(w + 1):
-        total = total + _sphere_count_poly(n, w, a) * _zonal_numerator(n, w, a, d)
-    return RationalFunction(total, _falling(d))
+        total = total + _sphere_count_poly(n, w, a) * zonal_numerator(n, w, a, d)
+    return RationalFunction(total, falling(d))

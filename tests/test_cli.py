@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from typeii.catalog import data_file_text
+from typeii.catalog import build, data_file_text
 from typeii.cli import main
 
 
@@ -202,3 +203,55 @@ def test_zonal_degree_bound(capsys, argv):
     code, out, _ = run(capsys, "zonal", "--n", "16", "--s", "8", "--w", "4",
                        "--a", "2", "--d", "8")
     assert code == 0 and out.strip()
+
+
+def _fuzz_matrix_text(rng) -> str:
+    """A generator-matrix file with n <= 48 and k <= 14: random rows or a
+    catalog code under a random coordinate permutation, then valid or broken
+    in its header, its characters or its row count.  Lengths 12 and 40 are
+    valid for the parser but unsupported by verify-code."""
+    if rng.random() < 0.3:
+        code = build(rng.choice(("e8", "e8e8", "d16plus", "golay24")))
+        n, k = code.n, code.k
+        perm = rng.sample(range(n), n)
+        rows = ["".join(str(word)[j] for j in perm) for word in code.basis()]
+    else:
+        n = rng.choice((8, 12, 16, 24, 32, 40, 48))
+        k = rng.randint(0, min(n, 14))
+        rows = ["".join(rng.choice("01") for _ in range(n)) for _ in range(k)]
+    header = f"{n} {k}"
+    fault = rng.choice(("none", "none", "header", "chars", "extra"))
+    if fault == "header":
+        header = rng.choice((f"{n}", f"{n} {k} 0", f"{n} k", f"0 {k}", f"{n} {n + 1}"))
+    elif fault == "chars":
+        row = list(rows.pop() if rows else "0" * n)
+        row[rng.randrange(n)] = rng.choice("2x.-")
+        rows.append("".join(row))
+    elif fault == "extra":
+        rows.append("1" * n)
+    return "\n".join([header, *rows]) + "\n"
+
+
+def test_exit_code_fuzz(capsys, tmp_path):
+    """README exit-code contract on random matrix files: 0, 1 or 2, no
+    exception out of main, and an 'error:' line on stderr exactly for 2."""
+    rng = random.Random(0x7E11)
+    path = tmp_path / "fuzz.txt"
+    codes = set()
+    for _ in range(40):
+        path.write_text(_fuzz_matrix_text(rng), encoding="ascii")
+        if rng.random() < 0.5:
+            argv = ["verify-code", "--code", str(path), "--json"]
+        else:
+            argv = ["design-check", "--code", str(path),
+                    "--w", str(rng.choice((4, 8, rng.randint(0, 12)))),
+                    "--t", str(rng.randint(0, 3))]
+            if rng.random() < 0.5:
+                argv.append("--half")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        has_error = any(line.startswith("error:") for line in err.splitlines())
+        assert has_error == (code == 2), (argv, code, err)
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -19,7 +19,7 @@ from typeii.configuration import (
     verify_on_code,
 )
 from typeii.designs import intersection_profile
-from typeii.exact import Polynomial, S, factor_numerator, integer_roots
+from typeii.exact import ONE, ZERO, Polynomial, S, factor_numerator, integer_roots
 from typeii.gf2 import Word
 from typeii.gleason import extremal_min_weight
 from typeii.harmonic import ZonalPoint, zonal_eval
@@ -58,7 +58,31 @@ def test_system_examples():
     assert build_system(48).scenario == QUOTIENT_OF_CODE
 
 
+@pytest.mark.parametrize("n", SUPPORTED_LENGTHS)
+def test_zonal_rows_match_zonal_eval(n):
+    """Each zonal row, numerators over its one denominator, is Z_d at the
+    kept intersection weights: the polynomial rows agree with the one
+    evaluator."""
+    sys_ = build_system(n)
+    d_min = extremal_min_weight(n)
+    weights = range(0, d_min // 2 + 1, 2)
+    assert sys_.rows[0].denominator == ONE
+    for row in sys_.rows[1:]:
+        d = row.degree
+        assert row.rhs == ZERO
+        # Z_d needs s >= d, and every kept weight a <= d(n)/2 needs s >= a
+        for s in (max(d, d_min // 2), d_min + 1):
+            for coeff, a in zip(row.coefficients, weights, strict=True):
+                expected = zonal_eval(ZonalPoint(n, s, d_min, a), d)
+                assert coeff(s) / row.denominator(s) == expected, (n, d, s, a)
+
+
 # ------------------------------------------------------------- determinants
+
+@pytest.mark.parametrize("n", SUPPORTED_LENGTHS)
+def test_determinant_equals_published(n):
+    assert extended_determinant(n) == REFERENCE[n].published()
+
 
 @pytest.mark.parametrize("n", SUPPORTED_LENGTHS)
 def test_determinant_numerator_divisible_by_reference_factor(n):

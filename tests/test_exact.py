@@ -11,8 +11,6 @@ from typeii.exact import (
     ZERO,
     Polynomial,
     RationalFunction,
-    RF_ONE,
-    RF_ZERO,
     affine,
     binom_poly,
     det_ratfun,
@@ -81,8 +79,7 @@ def test_format_and_factored():
     assert factored_str((S - 16) * Polynomial([-5120, 1368, -112, 3])) == \
         "(s-16)*(3*s^3-112*s^2+1368*s-5120)"
     assert factored_str(Polynomial([0, -2, 2])) == "2*s*(s-1)"
-    rt = Polynomial.from_json(p.to_json())
-    assert rt == p
+    assert Polynomial(Fraction(c) for c in p.to_json()) == p
 
 
 # ------------------------------- reference: one Fraction per coefficient
@@ -266,13 +263,11 @@ def test_binom_poly_matches_integer_binomial(m, k):
 # -------------------------------------------------------- rational functions
 
 def test_ratfun_normalization_and_arith():
-    one = RationalFunction(S, S - 1) * RationalFunction(S - 1, S)
-    assert one == RationalFunction(ONE)
-    two_over_s = RationalFunction(ONE, S) + RationalFunction(ONE, S)
-    assert two_over_s == RationalFunction(Polynomial([2]), S)
+    assert RationalFunction(S * (S - 1), (S - 1) * S) == RationalFunction(ONE)
     cancelled = RationalFunction(S * S - 1, S - 1)
     assert cancelled == RationalFunction(S + 1)
     assert cancelled.den == ONE
+    assert RationalFunction(ZERO, S) == RationalFunction(0)
 
 
 def test_ratfun_monic_denominator():
@@ -283,44 +278,18 @@ def test_ratfun_monic_denominator():
 
 def test_ratfun_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(ONE, S) / RationalFunction(ZERO)
+        RationalFunction(ONE, ZERO)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(ONE, S)(0)
 
 
 # -------------------------------------------------------------- determinants
 
-def test_det_trivial_cases():
-    ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert det_ratfun(ident) == RationalFunction(ONE)
-    repeated = [[S, 1, 2], [S, 1, 2], [1, S, 0]]
-    assert det_ratfun(repeated).is_zero
-    rank1 = [[RationalFunction(S), RationalFunction(ONE)],
-             [RationalFunction(ONE), RationalFunction(ONE, S)]]
-    assert det_ratfun(rank1).is_zero
-
-
-def test_det_rejects_non_square():
-    with pytest.raises(ValueError):
-        det_ratfun([[1, 2, 3], [4, 5, 6]])
-
-
-@st.composite
-def small_ratfun_matrices(draw):
-    n = draw(st.integers(1, 4))
-    def entry():
-        num = Polynomial(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3)))
-        den_kind = draw(st.integers(0, 2))
-        den = [ONE, S, S - 1][den_kind]
-        return RationalFunction(num, den)
-    return [[entry() for _ in range(n)] for _ in range(n)]
-
-
-def det_cofactor(rows: list[list[RationalFunction]]) -> RationalFunction:
+def det_cofactor(rows: list[list[Polynomial]]) -> Polynomial:
     """Determinant by cofactor expansion along the first row (reference oracle)."""
     if not rows:
-        return RF_ONE
-    total = RF_ZERO
+        return ONE
+    total = ZERO
     for j, e in enumerate(rows[0]):
         if e.is_zero:
             continue
@@ -329,18 +298,69 @@ def det_cofactor(rows: list[list[RationalFunction]]) -> RationalFunction:
     return total
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_ratfun_matrices())
-def test_det_bareiss_agrees_with_cofactor(m):
-    assert det_ratfun(m) == det_cofactor(m)
+def product(polys) -> Polynomial:
+    out = ONE
+    for p in polys:
+        out = out * p
+    return out
+
+
+def test_det_trivial_cases():
+    ident = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+    assert det_ratfun(ident, [ONE] * 3) == RationalFunction(ONE)
+    assert det_ratfun([], []) == RationalFunction(ONE)
+    one = Polynomial([1])
+    repeated = [[S, one, 2 * one], [S, one, 2 * one], [one, S, ZERO]]
+    assert det_ratfun(repeated, [ONE, S, S - 1]).is_zero
+    # rows (s, 1) and (1, 1/s): the second is the first over s
+    assert det_ratfun([[S, ONE], [S, ONE]], [ONE, S]).is_zero
+    # every entry under a zero pivot is zero: no swap can help
+    assert det_ratfun([[ZERO, S], [ZERO, ONE]], [ONE, ONE]).is_zero
+
+
+def test_det_rejects_non_square():
+    one = Polynomial([1])
+    with pytest.raises(ValueError):
+        det_ratfun([[one, one, one], [one, one, one]], [ONE, ONE])
+    with pytest.raises(ValueError):
+        det_ratfun([[one, ZERO], [ZERO, one]], [ONE])
+
+
+row_denominators = st.sampled_from([ONE, S, S - 1, S * (S - 1)])
+
+
+@st.composite
+def numerator_systems(draw):
+    """(rows, dens) with small integer entries, zeros common, and a zero in
+    the first pivot position half the time, so that Bareiss must swap rows."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.just(ZERO),
+        st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(Polynomial))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows[0][0] = ZERO
+    return rows, [draw(row_denominators) for _ in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(numerator_systems())
+def test_det_bareiss_agrees_with_cofactor(system):
+    rows, dens = system
+    expected = RationalFunction(det_cofactor(rows), product(dens))
+    assert det_ratfun(rows, dens) == expected
 
 
 def test_det_multilinear_in_a_row():
-    base = [[S, 1, 0], [2, S - 1, 1], [0, 3, S + 2]]
+    one = Polynomial([1])
+    base = [[S, one, ZERO], [2 * one, S - 1, one], [ZERO, 3 * one, S + 2]]
+    dens = [ONE, S, S - 1]
     scaled = [row[:] for row in base]
-    scaled[1] = [RationalFunction(Polynomial([e]) * 5 if isinstance(e, int) else e * 5)
-                 for e in base[1]]
-    assert det_ratfun(scaled) == det_ratfun(base) * RationalFunction(Polynomial([5]))
+    scaled[1] = [e * 5 for e in base[1]]
+    det = det_ratfun(base, dens)
+    assert det_ratfun(scaled, dens) == RationalFunction(det.num * 5, det.den)
+    # dividing the row by 5 through its denominator undoes the scaling
+    assert det_ratfun(scaled, [ONE, S * 5, S - 1]) == det
 
 
 # -------------------------------------------------------------- integer roots

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from typeii.harmonic import (
     ZonalPoint,
     intersection_count,
-    q_dk,
     sphere_sum,
     sphere_sum_symbolic,
     zonal_eval,
     zonal_sum,
 )
-from typeii.harmonic import _zonal_symbolic
+from typeii.harmonic import _q_dk_symbolic
 
 
 def zonal_direct(n: int, s: int, w: int, a: int, d: int) -> Fraction:
@@ -48,6 +47,9 @@ def test_zonal_point_validation():
 
 
 def test_q_dk_spec_values():
+    def q_dk(pt: ZonalPoint, d: int, k: int) -> Fraction:
+        return _q_dk_symbolic(pt.n, pt.w, pt.a, d, k)(pt.s)
+
     pt = ZonalPoint(10, 6, 5, 2)
     assert q_dk(pt, 0, 0) == 1
     # degree-1 inner sums expand by hand: k=1 gives (s-a) - a, k=0 second
@@ -123,7 +125,7 @@ def test_symbolic_matches_numeric(data):
     w = data.draw(st.integers(0, n))
     a = data.draw(st.integers(max(0, w - (n - s)), min(s, w)))
     expected = zonal_direct(n, s, w, a, d)
-    assert _zonal_symbolic(n, w, a, d)(s) == expected
+    assert zonal_eval(ZonalPoint(n, None, w, a), d)(s) == expected
     assert zonal_eval(ZonalPoint(n, s, w, a), d) == expected
 
 
