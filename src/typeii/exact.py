@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: rationals, polynomials in the weight variable s,
-rational functions, symbolic binomials, determinants, integer roots and the
-linear-factor split of a polynomial.
+rational functions, determinants, integer roots and the linear-factor split
+of a polynomial.
 
 Everything here is exact.  Scalars are `fractions.Fraction`, which keeps
 numerator and denominator gcd-reduced with a positive denominator.  A
@@ -8,7 +8,10 @@ polynomial is stored in content/primitive form (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 6): integer numerators over one positive
 integer denominator, reduced so that their gcd is 1.  Ring operations are then
 integer arithmetic plus one gcd per result, and `Fraction` coefficients are
-built only when they are read.  Polynomials and rational functions are
+built only when they are read.  The integer kernels, `_mul_into` (the one
+convolution of coefficient sequences), `_horner` and `_reduce`, are shared with
+`harmonic`, which builds its numerators on bare integer tuples and reduces
+once per result.  Polynomials and rational functions are
 immutable.  A rational function is a value type with no arithmetic: it is
 normalized so that the denominator is monic and coprime to the numerator,
 which gives every value a canonical form, and it is built only at the edge,
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -41,6 +44,24 @@ def _reduce(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
             num = [x // g for x in num]
             den //= g
     return tuple(num), den
+
+
+def _mul_into(out: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Add the product of the coefficient sequences a and b into out, which
+    has at least len(a) + len(b) - 1 entries; returns out."""
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _horner(num: Sequence[int], x: int) -> int:
+    """The value of the integer coefficient sequence num at the integer x."""
+    acc = 0
+    for c in reversed(num):
+        acc = acc * x + c
+    return acc
 
 
 def _make(num: Sequence[int], den: int) -> "Polynomial":
@@ -143,11 +164,7 @@ class Polynomial:
         a, b = self._num, other._num
         if not a or not b:
             return ZERO
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
+        out = _mul_into([0] * (len(a) + len(b) - 1), a, b)
         return _make(*_reduce(out, self._den * other._den))
 
     __rmul__ = __mul__
@@ -216,13 +233,11 @@ class Polynomial:
         if not isinstance(x, (int, Fraction)):
             raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
         p, q = x.numerator, x.denominator
-        acc = 0
         if q == 1:
-            for c in reversed(self._num):
-                acc = acc * p + c
-            return Fraction(acc, self._den)
+            return Fraction(_horner(self._num, p), self._den)
         if self.is_zero:
             return Fraction(0)
+        acc = 0
         qpow = 1
         for c in reversed(self._num):
             acc = acc * p + c * qpow
@@ -295,11 +310,6 @@ def _coerce_poly(x) -> "Polynomial":
     return NotImplemented
 
 
-def affine(alpha: int, beta: int) -> Polynomial:
-    """The affine expression alpha*s + beta."""
-    return Polynomial([beta, alpha])
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd in Q[s]; gcd(0, 0) = 0."""
     while not b.is_zero:
@@ -307,19 +317,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         if not b.is_zero:
             b = b.monic()
     return a.monic() if not a.is_zero else a
-
-
-def binom_poly(x: Polynomial, k: int) -> Polynomial:
-    """The symbolic binomial C(x, k) = x(x-1)...(x-k+1) / k! as a polynomial in s.
-
-    x is typically an affine expression in s; C(x, 0) = 1.
-    """
-    if k < 0:
-        raise ValueError("binomial order must be nonnegative")
-    prod = ONE
-    for t in range(k):
-        prod = prod * (x - t)
-    return prod * Fraction(1, factorial(k))
 
 
 class RationalFunction:

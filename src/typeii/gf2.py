@@ -405,36 +405,6 @@ class Code:
             out[label] = sub.sweep(LOWEST, offset=_combine(ext, label), cap=cap)[1]
         return out
 
-    # -- structural flags ----------------------------------------------------------
-
-    def properties(self, cap: int = ENUM_CAP) -> "CodeProperties":
-        rows = self.rref_rows
-        even = all(r.bit_count() % 2 == 0 for r in rows)
-        pair_even = all(
-            (rows[i] & rows[j]).bit_count() % 2 == 0
-            for i in range(len(rows))
-            for j in range(i, len(rows))
-        )
-        doubly_even = pair_even and all(r.bit_count() % 4 == 0 for r in rows)
-        self_orthogonal = pair_even and even
-        self_dual = self_orthogonal and 2 * self.k == self.n
-        return CodeProperties(
-            is_even=even,
-            is_doubly_even=doubly_even,
-            is_self_orthogonal=self_orthogonal,
-            is_self_dual=self_dual,
-            min_weight=self.min_weight(cap=cap) if self.k else 0,
-        )
-
-
-@dataclass(frozen=True)
-class CodeProperties:
-    is_even: bool
-    is_doubly_even: bool
-    is_self_orthogonal: bool
-    is_self_dual: bool
-    min_weight: int
-
 
 # -- generator-matrix files ------------------------------------------------------
 

@@ -18,13 +18,27 @@ arguments rely on and the correctness gate enforced by the test suite.
 Each factor is a Krawtchouk sum K_k(x; N) = sum_i (-1)^i C(x, i) C(N-x, k-i)
 (Delsarte 1973) with N = s or N = n - s.  Z_d is kept in one form, the
 polynomial P_d = Z_d * s(s-1)...(s-d+1) (`zonal_numerator`, over the
-denominator `falling(d)`), built once per (n, w, a, d).  For an integer
-s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact Fraction.  The
-lambda-systems take P_d and falling(d) as they are, one numerator row over one
-denominator, and a RationalFunction is built only where a formal Z_d or
-sphere sum leaves the module.  Sums over intersection profiles read one
-cached integer row per (n, s, w, d), the values at every feasible a times
-their least common denominator, so a sum is one integer dot product and one
+denominator `falling(d)`).  It is built on bare integer coefficient tuples
+from the identity
+
+    d! P_d = sum_k (-1)^k C(d, k) A_{n,d,k}(s) [k! K_k(a; s)] [(d-k)! K_{d-k}(w-a; n-s)]
+
+with A_{n,d,k} = prod_{l<k} (n-d+l+1-s) * (s-k)...(s-d+1).  A scaled factor
+j! K_j(x; N) = sum_i (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) has
+integer coefficients, so every term is an integer polynomial.  The integer
+tuples are cached by what they depend on, filled on first use: the falling
+products of affine terms by (alpha, beta, m), A by (n, d, k), k! K_k(a; s) by
+(a, k), j! K_j(x; n-s) by (n, x, j), the signed product
+(-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s) by (n, d, k, x) and the sum
+d! P_d by (n, w, a, d).  A build is then d+1 integer convolutions into one
+sum, and `zonal_numerator` reduces that sum by d! once, to the canonical
+Polynomial.  For an integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)),
+an exact Fraction.  The lambda-systems take P_d and falling(d) as they are,
+one numerator row over one denominator, and a RationalFunction is built only
+where a formal Z_d or sphere sum leaves the module.  Sums over intersection
+profiles read one cached integer row per (n, s, w, d), the integer numerators
+d! P_d evaluated by Horner at s for every feasible a, over the one
+denominator d! s(s-1)...(s-d+1), so a sum is one integer dot product and one
 Fraction.
 """
 
@@ -33,9 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, perm
+from math import comb, factorial, perm
 
-from .exact import ONE, S, ZERO, Polynomial, RationalFunction, affine, binom_poly
+from .exact import Polynomial, RationalFunction, _horner, _make, _mul_into, _reduce
 
 
 @dataclass(frozen=True)
@@ -84,23 +98,25 @@ def _check_degree(s: int | None, d: int) -> None:
 
 
 def _zonal_at(n: int, s: int, w: int, a: int, d: int) -> Fraction:
-    return zonal_numerator(n, w, a, d)(s) / perm(s, d)  # perm(s, d) = falling(d)(s)
+    # perm(s, d) = falling(d)(s)
+    return Fraction(_horner(_numerator_ints(n, w, a, d), s), factorial(d) * perm(s, d))
 
 
 @lru_cache(maxsize=None)
 def _zonal_row(n: int, s: int, w: int, d: int) -> tuple[tuple[int, ...], int]:
     """(row, D): row[i] = Z_d(n, s, w, a) * D at a = max(0, w-(n-s)) + i,
     for every intersection weight a a weight-w word can have with a weight-s
-    word, and D the least common denominator of those values."""
+    word, and D = d! * s(s-1)...(s-d+1), the denominator of the integer
+    numerators d! P_d (a common denominator of the row, not always the least
+    one).  row[i] is d! P_d(s) at that a, by Horner."""
     if not 0 < n:
         raise ValueError("length must be positive")
     if not (0 <= s <= n and 0 <= w <= n):
         raise ValueError(f"need 0 <= s, w <= n = {n}, got s = {s}, w = {w}")
     _check_degree(s, d)
-    values = [_zonal_at(n, s, w, a, d)
-              for a in range(max(0, w - (n - s)), min(s, w) + 1)]
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    row = tuple(_horner(_numerator_ints(n, w, a, d), s)
+                for a in range(max(0, w - (n - s)), min(s, w) + 1))
+    return row, factorial(d) * perm(s, d)
 
 
 def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fraction:
@@ -125,42 +141,64 @@ def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fractio
 
 
 @lru_cache(maxsize=None)
-def _krawtchouk(x: int, alpha: int, beta: int, k: int) -> Polynomial:
-    """sum_i (-1)^i C(x, i) C(N - x, k - i) with N = alpha*s + beta, degree k in s."""
-    top = affine(alpha, beta - x)
-    out = ZERO
-    for i in range(min(x, k) + 1):
-        out = out + binom_poly(top, k - i) * ((-1) ** i * comb(x, i))
-    return out
+def _falling_ints(alpha: int, beta: int, m: int) -> tuple[int, ...]:
+    """The integer coefficients of prod_{t<m} (alpha*s + beta - t)."""
+    if m == 0:
+        return (1,)
+    return tuple(_mul_into([0] * (m + 1), _falling_ints(alpha, beta, m - 1),
+                           (beta - m + 1, alpha)))
 
 
-def _q_dk_symbolic(n: int, w: int, a: int, d: int, k: int) -> Polynomial:
-    return _krawtchouk(a, 1, 0, k) * _krawtchouk(w - a, -1, n, d - k)
+@lru_cache(maxsize=None)
+def _krawtchouk_ints(x: int, alpha: int, beta: int, j: int) -> tuple[int, ...]:
+    """j! K_j(x; N) with N = alpha*s + beta: the integer polynomial
+    sum_i (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) of degree j."""
+    out = [0] * (j + 1)
+    for i in range(min(x, j) + 1):
+        _mul_into(out, ((-1) ** i * comb(x, i) * perm(j, i),),
+                  _falling_ints(alpha, beta - x, j - i))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _coefficient_ints(n: int, d: int, k: int) -> tuple[int, ...]:
+    """A_{n,d,k} = prod_{l<k} (n-d+l+1-s) * (s-k)...(s-d+1): the coefficient of
+    Q_{d,k} over the common denominator s(s-1)...(s-d+1), of degree d."""
+    return tuple(_mul_into([0] * (d + 1), _falling_ints(-1, n - d + k, k),
+                           _falling_ints(1, -k, d - k)))
+
+
+@lru_cache(maxsize=None)
+def _weighted_ints(n: int, d: int, k: int, x: int) -> tuple[int, ...]:
+    """(-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s), the part of term k of
+    d! P_d that does not depend on a once x = w - a is fixed."""
+    sign = (-1) ** k * comb(d, k)
+    product = _mul_into([0] * (2 * d - k + 1), _coefficient_ints(n, d, k),
+                        _krawtchouk_ints(x, -1, n, d - k))
+    return tuple(sign * c for c in product)
+
+
+@lru_cache(maxsize=None)
+def _numerator_ints(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
+    """The integer coefficients of d! P_d (degree at most 2d, trailing zeros
+    kept): d+1 convolutions into one sum."""
+    out = [0] * (2 * d + 1)
+    for k in range(d + 1):
+        _mul_into(out, _weighted_ints(n, d, k, w - a), _krawtchouk_ints(a, 1, 0, k))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def falling(d: int) -> Polynomial:
     """s(s-1)...(s-d+1), the common denominator of the degree-d coefficients."""
-    out = ONE
-    for l in range(d):
-        out = out * (S - l)
-    return out
+    return Polynomial(_falling_ints(1, 0, d))
 
 
-@lru_cache(maxsize=None)
 def zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
-    """P_d = Z_d * s(s-1)...(s-d+1): over that common denominator the
-    coefficient of Q_{d,k} is prod_{l<k} ((n-s)-(d-l-1)) * (s-k)...(s-d+1)."""
-    tail = falling(d)  # (s-k)...(s-d+1), the part not consumed by coefficient k
-    num = ONE
-    total = ZERO
-    for k in range(d + 1):
-        if k > 0:
-            num = num * affine(-1, n - d + k)  # (n - s) - (d - (k-1) - 1)
-            tail = tail.exact_div(S - (k - 1))
-        term = num * tail * _q_dk_symbolic(n, w, a, d, k)
-        total = total + term if k % 2 == 0 else total - term
-    return total
+    """P_d = Z_d * s(s-1)...(s-d+1): d! P_d reduced once by d!.  Over that
+    common denominator the coefficient of Q_{d,k} is
+    prod_{l<k} ((n-s)-(d-l-1)) * (s-k)...(s-d+1)."""
+    return _make(*_reduce(list(_numerator_ints(n, w, a, d)), factorial(d)))
 
 
 def intersection_count(n: int, s: int, w: int, a: int) -> int:
@@ -178,15 +216,17 @@ def sphere_sum(n: int, s: int, w: int, d: int) -> Fraction:
     return zonal_sum(n, s, w, counts, d)
 
 
-@lru_cache(maxsize=None)
-def _sphere_count_poly(n: int, w: int, a: int) -> Polynomial:
-    """C(s, a) C(n - s, w - a) with s formal: weight-w words at intersection a."""
-    return binom_poly(S, a) * binom_poly(affine(-1, n), w - a)
-
-
 def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
-    """The sphere sum as a rational function of s; identically zero for d >= 1."""
-    total = ZERO
+    """The sphere sum as a rational function of s; identically zero for d >= 1.
+
+    The weight-w words at intersection a number C(s, a) C(n-s, w-a), and
+    w! C(s, a) C(n-s, w-a) = C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) is
+    an integer polynomial, so the sum of its products with d! P_d is reduced
+    by w! d! once."""
+    total = [0] * (w + 2 * d + 1)
     for a in range(w + 1):
-        total = total + _sphere_count_poly(n, w, a) * zonal_numerator(n, w, a, d)
-    return RationalFunction(total, falling(d))
+        count = _mul_into([0] * (w + 1), _falling_ints(1, 0, a),
+                          _falling_ints(-1, n, w - a))
+        _mul_into(total, [comb(w, a) * c for c in count], _numerator_ints(n, w, a, d))
+    return RationalFunction(_make(*_reduce(total, factorial(w) * factorial(d))),
+                            falling(d))

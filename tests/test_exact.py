@@ -11,8 +11,6 @@ from typeii.exact import (
     ZERO,
     Polynomial,
     RationalFunction,
-    affine,
-    binom_poly,
     det_ratfun,
     factored_str,
     format_poly,
@@ -242,22 +240,6 @@ def test_equal_polynomials_hash_equal():
         Polynomial([1, 0.5])
     with pytest.raises(AttributeError):
         S._num = (1,)
-
-
-# -------------------------------------------------------- symbolic binomials
-
-def test_binom_poly_spec_values():
-    assert binom_poly(S, 2) == Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
-    assert binom_poly(S, 0) == ONE
-    assert binom_poly(affine(-1, 6), 1) == affine(-1, 6)
-
-
-@given(st.integers(0, 30), st.integers(0, 8))
-def test_binom_poly_matches_integer_binomial(m, k):
-    from math import comb
-    assert binom_poly(S, k)(m) == comb(m, k)
-    if m < k:
-        assert binom_poly(S, k)(m) == 0
 
 
 # -------------------------------------------------------- rational functions

@@ -121,23 +121,28 @@ def test_span_of_shell_e8():
     assert c.span_of_shell(4) == c
 
 
+def _weights(c: Code) -> list[int]:
+    return [w for w, count in enumerate(c.weight_distribution()) if count]
+
+
 def test_properties_e8():
-    p = e8().properties()
-    assert p.is_doubly_even and p.is_self_dual and p.min_weight == 4
-    assert p.is_even and p.is_self_orthogonal
+    c = e8()
+    assert all(w % 4 == 0 for w in _weights(c)) and c.dual() == c
+    assert c.min_weight() == 4
+    assert all(w % 2 == 0 for w in _weights(c)) and c.is_subcode_of(c.dual())
 
 
 def test_properties_length2_repetition():
     c = Code(2, ["11"])
-    p = c.properties()
-    assert p.is_even and p.is_self_dual and not p.is_doubly_even
-    assert p.min_weight == 2
+    assert all(w % 2 == 0 for w in _weights(c)) and c.dual() == c
+    assert not all(w % 4 == 0 for w in _weights(c))
+    assert c.min_weight() == 2
 
 
 def test_self_dual_implies_half_dimension():
     for rows, n in [(E8_ROWS, 8), (["11"], 2)]:
         c = Code(n, rows)
-        if c.properties().is_self_dual:
+        if c.dual() == c:
             assert 2 * c.k == n
 
 

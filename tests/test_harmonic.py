@@ -1,19 +1,99 @@
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typeii.exact import ONE, S, ZERO, Polynomial
 from typeii.harmonic import (
     ZonalPoint,
     intersection_count,
     sphere_sum,
     sphere_sum_symbolic,
     zonal_eval,
+    zonal_numerator,
     zonal_sum,
 )
-from typeii.harmonic import _q_dk_symbolic
+from typeii.harmonic import _zonal_row
+
+
+# ------------------------------------------- reference: Polynomial arithmetic
+# P_d built term by term in Q[s], one reduced Polynomial per product: the
+# construction the integer kernel of typeii.harmonic replaced.
+
+def affine(alpha: int, beta: int) -> Polynomial:
+    """The affine expression alpha*s + beta."""
+    return Polynomial([beta, alpha])
+
+
+def binom_poly(x: Polynomial, k: int) -> Polynomial:
+    """The symbolic binomial C(x, k) = x(x-1)...(x-k+1) / k! as a polynomial in s."""
+    if k < 0:
+        raise ValueError("binomial order must be nonnegative")
+    prod = ONE
+    for t in range(k):
+        prod = prod * (x - t)
+    return prod * Fraction(1, factorial(k))
+
+
+@lru_cache(maxsize=None)
+def krawtchouk_oracle(x: int, alpha: int, beta: int, k: int) -> Polynomial:
+    """sum_i (-1)^i C(x, i) C(N - x, k - i) with N = alpha*s + beta, degree k in s."""
+    top = affine(alpha, beta - x)
+    out = ZERO
+    for i in range(min(x, k) + 1):
+        out = out + binom_poly(top, k - i) * ((-1) ** i * comb(x, i))
+    return out
+
+
+def q_dk_oracle(n: int, w: int, a: int, d: int, k: int) -> Polynomial:
+    return krawtchouk_oracle(a, 1, 0, k) * krawtchouk_oracle(w - a, -1, n, d - k)
+
+
+def zonal_numerator_oracle(n: int, w: int, a: int, d: int) -> Polynomial:
+    """P_d = Z_d * s(s-1)...(s-d+1): over that common denominator the
+    coefficient of Q_{d,k} is prod_{l<k} ((n-s)-(d-l-1)) * (s-k)...(s-d+1)."""
+    tail = ONE  # (s-k)...(s-d+1), the part not consumed by coefficient k
+    for l in range(d):
+        tail = tail * (S - l)
+    num = ONE
+    total = ZERO
+    for k in range(d + 1):
+        if k > 0:
+            num = num * affine(-1, n - d + k)  # (n - s) - (d - (k-1) - 1)
+            tail = tail.exact_div(S - (k - 1))
+        term = num * tail * q_dk_oracle(n, w, a, d, k)
+        total = total + term if k % 2 == 0 else total - term
+    return total
+
+
+def test_binom_poly_spec_values():
+    assert binom_poly(S, 2) == Polynomial([0, Fraction(-1, 2), Fraction(1, 2)])
+    assert binom_poly(S, 0) == ONE
+    assert binom_poly(affine(-1, 6), 1) == affine(-1, 6)
+
+
+@given(st.integers(0, 30), st.integers(0, 8))
+def test_binom_poly_matches_integer_binomial(m, k):
+    assert binom_poly(S, k)(m) == comb(m, k)
+    if m < k:
+        assert binom_poly(S, k)(m) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_zonal_numerator_matches_polynomial_construction(data):
+    n = data.draw(st.integers(1, 48))
+    d = data.draw(st.integers(0, min(n // 2, 10)))
+    w = data.draw(st.integers(0, n))
+    a = data.draw(st.integers(0, w))
+    assert zonal_numerator(n, w, a, d) == zonal_numerator_oracle(n, w, a, d)
+
+
+def test_zonal_numerator_matches_polynomial_construction_large():
+    assert zonal_numerator(64, 30, 11, 32) == zonal_numerator_oracle(64, 30, 11, 32)
 
 
 def zonal_direct(n: int, s: int, w: int, a: int, d: int) -> Fraction:
@@ -48,7 +128,7 @@ def test_zonal_point_validation():
 
 def test_q_dk_spec_values():
     def q_dk(pt: ZonalPoint, d: int, k: int) -> Fraction:
-        return _q_dk_symbolic(pt.n, pt.w, pt.a, d, k)(pt.s)
+        return q_dk_oracle(pt.n, pt.w, pt.a, d, k)(pt.s)
 
     pt = ZonalPoint(10, 6, 5, 2)
     assert q_dk(pt, 0, 0) == 1
@@ -87,6 +167,19 @@ def test_zonal_sum_contract():
     for a in (-1, 0, 1, 5):
         with pytest.raises(ValueError):
             zonal_sum(8, 6, 4, {a: 1}, 2)
+
+
+def test_zonal_row_matches_direct_formula():
+    for n in (8, 16, 24):
+        for d in range(8):
+            for s in range(d, n + 1):
+                for w in range(n + 1):
+                    row, den = _zonal_row(n, s, w, d)
+                    lo = max(0, w - (n - s))
+                    assert len(row) == min(s, w) - lo + 1
+                    for i, value in enumerate(row):
+                        assert Fraction(value, den) == zonal_direct(n, s, w, lo + i, d), \
+                            (n, s, w, lo + i, d)
 
 
 def test_sphere_sum_vanishes_small_grid():
