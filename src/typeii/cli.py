@@ -30,7 +30,7 @@ from .designs import SAMPLE_SEED, default_cbar_sample, predesign_count, sample_p
 from .exact import factor_numerator, factored_str, format_poly
 from .gf2 import MAX_LENGTH, EnumerationCapError
 from .gleason import extremal_weight_enumerator
-from .harmonic import ZonalPoint, zonal_eval, zonal_sum
+from .harmonic import zonal_eval, zonal_sum
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,8 +232,7 @@ def _cmd_zonal(args) -> int:
     if not 0 <= args.d <= args.n // 2:
         raise ValueError(f"--d must lie in 0..n/2 = {args.n // 2}, got {args.d}")
     try:
-        pt = ZonalPoint(args.n, args.s, args.w, args.a)
-        value = zonal_eval(pt, args.d)
+        value = zonal_eval(args.n, args.s, args.w, args.a, args.d)
     except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

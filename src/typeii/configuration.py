@@ -25,7 +25,7 @@ decide the configuration question per scenario:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .designs import intersection_profile
 from .exact import (
@@ -302,21 +302,7 @@ class CodeReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "min_weight": self.min_weight,
-            "extremal": self.extremal,
-            "shell_size": self.shell_size,
-            "matches_enumerator": self.matches_enumerator,
-            "span_dimension": self.span_dimension,
-            "generated_by_minimal": self.generated_by_minimal,
-            "coset_min_weights": list(self.coset_min_weights),
-            "lambda_rows_consistent": self.lambda_rows_consistent,
-            "intersection_bound_holds": self.intersection_bound_holds,
-            "sampled_weights": list(self.sampled_weights),
-            "all_checks_pass": self.all_checks_pass,
-        }
+        return {**asdict(self), "all_checks_pass": self.all_checks_pass}
 
 
 def verify_on_code(code: Code) -> CodeReport:
@@ -333,7 +319,7 @@ def verify_on_code(code: Code) -> CodeReport:
     extremal = min_weight == d_min
     enum = extremal_weight_enumerator(n)
     matches_enumerator = tuple(dist) == enum.coefficients
-    span = Code(n, (w.bits for w in shell)) if shell else Code(n, [0])
+    span = Code(n, (w.bits for w in shell))
     generated = span == code
     leaders = code.coset_leaders(span)
     coset_weights = tuple(sorted(coset.w for coset in leaders.values()))

@@ -41,24 +41,13 @@ SAMPLE_SEED = 0x5EED
 __all__ = [
     "DesignSet",
     "default_cbar_sample",
-    "doublecount_check",
     "intersection_profile",
     "is_t_design",
     "is_t_half_design",
     "predesign_count",
     "sample_profiles",
-    "sphere",
     "zonal_design_residual",
 ]
-
-
-def sphere(n: int, w: int) -> DesignSet:
-    """The full Hamming sphere B_w (desk scale only)."""
-    if comb(n, w) > PREDESIGN_BOUND:
-        raise ValueError(f"sphere B_{w} in length {n} is too large to materialize")
-    return DesignSet(
-        n, w, tuple(Word.from_support(n, c) for c in combinations(range(n), w))
-    )
 
 
 def predesign_count(dset: DesignSet, t: int) -> int | None:
@@ -101,15 +90,6 @@ def is_t_design(dset: DesignSet, t: int) -> bool:
     return predesign_count(dset, min(t, dset.w)) is not None
 
 
-def doublecount_check(dset: DesignSet, t: int) -> bool:
-    """Pair-counting identity C(n,t) N_t = C(w,t) |D|; False when the counts
-    are not constant (no N_t exists)."""
-    n_t = predesign_count(dset, t)
-    if n_t is None:
-        return False
-    return comb(dset.n, t) * n_t == comb(dset.w, t) * len(dset)
-
-
 def intersection_profile(dset: DesignSet, cbar: Word) -> dict[int, int]:
     """How many design words meet cbar in each intersection weight, in
     ascending order of weight."""
@@ -141,18 +121,17 @@ def zonal_design_residual(dset: DesignSet, deg: int, cbar: Word) -> Fraction:
     return zonal_sum(dset.n, cbar.weight(), dset.w, profile, deg)
 
 
-def default_cbar_sample(n: int, deg: int, extra: int = 64,
-                        seed: int = SAMPLE_SEED) -> list[Word]:
+def default_cbar_sample(n: int, deg: int, extra: int = 64) -> list[Word]:
     """Deterministic reference-word sample: every weight-1 word, every
     weight-deg word supported on the first 12 coordinates, and `extra` words
-    from a fixed-seed pseudorandom stream."""
+    from the pseudorandom stream seeded with SAMPLE_SEED."""
     words = [Word.from_support(n, [j]) for j in range(n)]
     head = min(12, n)
     if deg <= head:
         words.extend(
             Word.from_support(n, c) for c in combinations(range(head), deg)
         )
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     seen = {w.bits for w in words}
     while extra > 0:
         bits = rng.getrandbits(n)

@@ -2,9 +2,9 @@
 
 Words are fixed-length bit vectors packed into Python ints (coordinate j of a
 word is bit j of the int; text renderings read coordinates left to right).
-Codes carry their generators plus an eagerly computed reduced row-echelon
-form, which is the canonical representation used for equality, containment,
-and duals.
+Codes carry an eagerly computed reduced row-echelon form of their
+generators, which is the canonical representation used for equality,
+containment, and duals.
 
 Exhaustive sweeps are bit-sliced (Biham, "A Fast New DES Implementation in
 Software", FSE 1997): one 2^16-bit int per coordinate holds that coordinate of
@@ -249,9 +249,9 @@ def _weight_classes(rows: Sequence[int], n: int,
 
 
 class Code:
-    """Binary linear code held as a generator matrix with cached RREF."""
+    """Binary linear code held as the RREF of its generator matrix."""
 
-    __slots__ = ("n", "generators", "rref_rows", "pivots", "k")
+    __slots__ = ("n", "rref_rows", "pivots", "k")
 
     def __init__(self, n: int, generators: Iterable[Word | int | str]):
         if not 0 < n <= MAX_LENGTH:
@@ -273,7 +273,6 @@ class Code:
                 rows.append(int(g))
         rref_rows, pivots = _rref(rows, n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "generators", tuple(Word(n, r) for r in rows))
         object.__setattr__(self, "rref_rows", rref_rows)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "k", len(rref_rows))
@@ -330,24 +329,24 @@ class Code:
 
     # -- exhaustive sweeps -----------------------------------------------------
 
-    def _check_cap(self, cap: int):
-        if self.k > cap:
+    def _check_cap(self):
+        if self.k > ENUM_CAP:
             raise EnumerationCapError(
-                f"2^{self.k} codewords exceed the enumeration cap 2^{cap}"
+                f"2^{self.k} codewords exceed the enumeration cap 2^{ENUM_CAP}"
             )
 
-    def words(self, cap: int = ENUM_CAP) -> Iterator[Word]:
-        self._check_cap(cap)
+    def words(self) -> Iterator[Word]:
+        self._check_cap()
         for bits in _gray_sweep(self.rref_rows):
             yield Word(self.n, bits)
 
-    def sweep(self, target: int | None = None, per_weight: int = 0, offset: int = 0,
-              cap: int = ENUM_CAP) -> tuple[list[int], DesignSet | None, tuple[Word, ...]]:
+    def sweep(self, target: int | None = None, per_weight: int = 0, offset: int = 0
+              ) -> tuple[list[int], DesignSet | None, tuple[Word, ...]]:
         """One bit-sliced pass over offset + this code (a coset unless offset
         is a codeword).  Returns the weight distribution, the words of weight
         `target` (None: no words; LOWEST: the lowest weight present) and the
         first `per_weight` nonzero words of each weight in the order of words()."""
-        self._check_cap(cap)
+        self._check_cap()
         if offset < 0 or offset >> self.n:
             raise ValueError("offset bits beyond the code length")
         rows, n = self.rref_rows, self.n
@@ -370,25 +369,18 @@ class Code:
             n, target, tuple(Word(n, b) for b in sorted(hits)))
         return dist, shell, tuple(Word(n, b) for w in sorted(picks) for b in picks[w])
 
-    def weight_distribution(self, cap: int = ENUM_CAP) -> list[int]:
-        return self.sweep(cap=cap)[0]
+    def weight_distribution(self) -> list[int]:
+        return self.sweep()[0]
 
-    def min_weight(self, cap: int = ENUM_CAP) -> int:
-        dist = self.weight_distribution(cap=cap)
-        return next(w for w in range(1, self.n + 1) if dist[w])
-
-    def shell(self, w: int, cap: int = ENUM_CAP) -> DesignSet:
+    def shell(self, w: int) -> DesignSet:
         """All codewords of weight exactly w."""
         if not 0 <= w <= self.n:
             raise ValueError(f"shell weight {w} outside 0..{self.n}")
-        return self.sweep(w, cap=cap)[1]
-
-    def span_of_shell(self, w: int, cap: int = ENUM_CAP) -> "Code":
-        return Code(self.n, (word.bits for word in self.shell(w, cap=cap)))
+        return self.sweep(w)[1]
 
     # -- cosets -----------------------------------------------------------------
 
-    def coset_leaders(self, sub: "Code", cap: int = ENUM_CAP) -> dict[int, DesignSet]:
+    def coset_leaders(self, sub: "Code") -> dict[int, DesignSet]:
         """The minimal-weight words of each coset of `sub` in this code, keyed
         by the coset label (bit i of the label selects the i-th extension
         basis row).  Label 0 is `sub` itself, led by the zero word alone."""
@@ -399,10 +391,10 @@ class Code:
         q = len(ext)
         if q > 20:
             raise EnumerationCapError(f"quotient dimension {q} exceeds 20")
-        sub._check_cap(cap)
+        sub._check_cap()
         out = {0: DesignSet(self.n, 0, (Word(self.n),))}
         for label in range(1, 1 << q):
-            out[label] = sub.sweep(LOWEST, offset=_combine(ext, label), cap=cap)[1]
+            out[label] = sub.sweep(LOWEST, offset=_combine(ext, label))[1]
         return out
 
 

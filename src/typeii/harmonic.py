@@ -39,12 +39,12 @@ where a formal Z_d or sphere sum leaves the module.  Sums over intersection
 profiles read one cached integer row per (n, s, w, d), the integer numerators
 d! P_d evaluated by Horner at s for every feasible a, over the one
 denominator d! s(s-1)...(s-d+1), so a sum is one integer dot product and one
-Fraction.
+Fraction.  The feasible intersection weights are stated once, in `_weights`;
+`zonal_eval`, `zonal_sum` and the sphere sums all take them from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
@@ -52,40 +52,36 @@ from math import comb, factorial, perm
 from .exact import Polynomial, RationalFunction, _horner, _make, _mul_into, _reduce
 
 
-@dataclass(frozen=True)
-class ZonalPoint:
-    """Evaluation data (n, s, w, a); s=None means the formal weight variable."""
-
-    n: int
-    s: int | None
-    w: int
-    a: int
-
-    def __post_init__(self):
-        if not 0 < self.n:
-            raise ValueError("length must be positive")
-        if not 0 <= self.w <= self.n:
-            raise ValueError(f"w = {self.w} outside 0..{self.n}")
-        if self.a < 0 or self.a > self.w:
-            raise ValueError(f"a = {self.a} outside 0..w = {self.w}")
-        if self.s is not None:
-            if not 0 <= self.s <= self.n:
-                raise ValueError(f"s = {self.s} outside 0..{self.n}")
-            if self.a > self.s:
-                raise ValueError(f"a = {self.a} exceeds s = {self.s}")
-
-    @property
-    def symbolic(self) -> bool:
-        return self.s is None
+def _weights(n: int, s: int | None, w: int) -> range:
+    """The intersection weights a weight-w word can have with a weight-s word
+    of length n, max(0, w-(n-s))..min(s, w); 0..w for the formal s."""
+    if not 0 < n:
+        raise ValueError("length must be positive")
+    if not (0 <= w <= n and (s is None or 0 <= s <= n)):
+        raise ValueError(f"need 0 <= s, w <= n = {n}, got s = {s}, w = {w}")
+    if s is None:
+        return range(w + 1)
+    return range(max(0, w - (n - s)), min(s, w) + 1)
 
 
-def zonal_eval(pt: ZonalPoint, d: int) -> Fraction | RationalFunction:
-    """Z_d at pt; exact Fraction for integer s (requires s >= d when d >= 1),
-    exact RationalFunction in s for the formal case."""
-    _check_degree(pt.s, d)
-    if pt.symbolic:
-        return RationalFunction(zonal_numerator(pt.n, pt.w, pt.a, d), falling(d))
-    return _zonal_at(pt.n, pt.s, pt.w, pt.a, d)
+def _no_such_weight(n: int, s: int | None, w: int, a: int) -> ValueError:
+    return ValueError(f"no weight-{w} word meets a weight-{'s' if s is None else s} "
+                      f"word in {a} of n = {n} positions")
+
+
+def zonal_eval(n: int, s: int | None, w: int, a: int, d: int
+               ) -> Fraction | RationalFunction:
+    """Z_d(n, s, w, a); exact Fraction for integer s (requires s >= d when
+    d >= 1), exact RationalFunction in s for the formal s=None.
+
+    Raises ValueError for an a outside _weights(n, s, w), as zonal_sum does."""
+    if a not in _weights(n, s, w):
+        raise _no_such_weight(n, s, w, a)
+    _check_degree(s, d)
+    if s is None:
+        return RationalFunction(zonal_numerator(n, w, a, d), falling(d))
+    # perm(s, d) = falling(d)(s)
+    return Fraction(_horner(_numerator_ints(n, w, a, d), s), factorial(d) * perm(s, d))
 
 
 def _check_degree(s: int | None, d: int) -> None:
@@ -97,26 +93,18 @@ def _check_degree(s: int | None, d: int) -> None:
         )
 
 
-def _zonal_at(n: int, s: int, w: int, a: int, d: int) -> Fraction:
-    # perm(s, d) = falling(d)(s)
-    return Fraction(_horner(_numerator_ints(n, w, a, d), s), factorial(d) * perm(s, d))
-
-
 @lru_cache(maxsize=None)
-def _zonal_row(n: int, s: int, w: int, d: int) -> tuple[tuple[int, ...], int]:
-    """(row, D): row[i] = Z_d(n, s, w, a) * D at a = max(0, w-(n-s)) + i,
-    for every intersection weight a a weight-w word can have with a weight-s
-    word, and D = d! * s(s-1)...(s-d+1), the denominator of the integer
-    numerators d! P_d (a common denominator of the row, not always the least
-    one).  row[i] is d! P_d(s) at that a, by Horner."""
-    if not 0 < n:
-        raise ValueError("length must be positive")
-    if not (0 <= s <= n and 0 <= w <= n):
-        raise ValueError(f"need 0 <= s, w <= n = {n}, got s = {s}, w = {w}")
+def _zonal_row(n: int, s: int, w: int, d: int
+               ) -> tuple[range, tuple[int, ...], int]:
+    """(weights, row, D): weights = _weights(n, s, w), row[i] =
+    Z_d(n, s, w, a) * D at a = weights[i], and D = d! * s(s-1)...(s-d+1),
+    the denominator of the integer numerators d! P_d (a common denominator of
+    the row, not always the least one).  row[i] is d! P_d(s) at that a, by
+    Horner."""
+    weights = _weights(n, s, w)
     _check_degree(s, d)
-    row = tuple(_horner(_numerator_ints(n, w, a, d), s)
-                for a in range(max(0, w - (n - s)), min(s, w) + 1))
-    return row, factorial(d) * perm(s, d)
+    row = tuple(_horner(_numerator_ints(n, w, a, d), s) for a in weights)
+    return weights, row, factorial(d) * perm(s, d)
 
 
 def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fraction:
@@ -124,18 +112,16 @@ def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fractio
     of weight-w words against a weight-s reference word: one integer dot
     product with the cached row of _zonal_row.  An empty profile sums to 0.
 
-    Raises ValueError for an a outside max(0, w-(n-s))..min(s, w), which no
-    weight-w word meets a weight-s word in, and ZeroDivisionError for s < d
-    when d >= 1, as zonal_eval does."""
+    Raises ValueError for an a outside _weights(n, s, w) and
+    ZeroDivisionError for s < d when d >= 1, as zonal_eval does."""
     if not counts:
         return Fraction(0)
-    row, den = _zonal_row(n, s, w, d)
-    lo = max(0, w - (n - s))
+    weights, row, den = _zonal_row(n, s, w, d)
+    lo = weights.start
     total = 0
     for a, count in counts.items():
-        if not lo <= a < lo + len(row):
-            raise ValueError(f"no weight-{w} word meets a weight-{s} word "
-                             f"in {a} of n = {n} positions")
+        if a not in weights:
+            raise _no_such_weight(n, s, w, a)
         total += count * row[a - lo]
     return Fraction(total, den)
 
@@ -201,18 +187,10 @@ def zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
     return _make(*_reduce(list(_numerator_ints(n, w, a, d)), factorial(d)))
 
 
-def intersection_count(n: int, s: int, w: int, a: int) -> int:
-    """Number of weight-w words with intersection weight a against a fixed
-    weight-s word: C(s, a) * C(n-s, w-a)."""
-    if a > s or w - a > n - s or a < 0 or w - a < 0:
-        return 0
-    return comb(s, a) * comb(n - s, w - a)
-
-
 def sphere_sum(n: int, s: int, w: int, d: int) -> Fraction:
-    """Sum of Z_d over the whole sphere B_w relative to a weight-s word."""
-    counts = {a: intersection_count(n, s, w, a)
-              for a in range(max(0, w - (n - s)), min(s, w) + 1)}
+    """Sum of Z_d over the whole sphere B_w relative to a weight-s word: at
+    intersection weight a it holds C(s, a) C(n-s, w-a) words."""
+    counts = {a: comb(s, a) * comb(n - s, w - a) for a in _weights(n, s, w)}
     return zonal_sum(n, s, w, counts, d)
 
 
@@ -224,7 +202,7 @@ def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
     an integer polynomial, so the sum of its products with d! P_d is reduced
     by w! d! once."""
     total = [0] * (w + 2 * d + 1)
-    for a in range(w + 1):
+    for a in _weights(n, None, w):
         count = _mul_into([0] * (w + 1), _falling_ints(1, 0, a),
                           _falling_ints(-1, n, w - a))
         _mul_into(total, [comb(w, a) * c for c in count], _numerator_ints(n, w, a, d))

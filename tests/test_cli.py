@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from typeii.catalog import build, data_file_text
+from typeii.catalog import build
 from typeii.cli import main
+from typeii.gf2 import format_generator_text
 
 
 def run(capsys, *argv):
@@ -66,6 +67,11 @@ def test_zonal_numeric_and_symbolic(capsys):
     code, _, err = run(capsys, "zonal", "--n", "8", "--s", "2", "--w", "4",
                        "--a", "1", "--d", "5")
     assert code == 2 and "error" in err
+    # no weight-5 word meets a weight-6 word of length 8 in 0 positions
+    code, out, err = run(capsys, "zonal", "--n", "8", "--s", "6", "--w", "5",
+                         "--a", "0", "--d", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_code_catalog_and_file(capsys, tmp_path):
@@ -74,7 +80,7 @@ def test_verify_code_catalog_and_file(capsys, tmp_path):
     assert "generated_by_minimal = False" in out
     assert "[0, 8]" in out
     path = tmp_path / "e8.txt"
-    path.write_text(data_file_text("e8"), encoding="ascii")
+    path.write_text(format_generator_text(build("e8")), encoding="ascii")
     code, out, _ = run(capsys, "verify-code", "--code", str(path))
     assert code == 0
     assert "generated_by_minimal = True" in out
@@ -91,6 +97,19 @@ def test_directory_as_code_is_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--code", str(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("verify-code",),
+                                  ("design-check", "--w", "8", "--t", "1")])
+def test_enumeration_cap_is_usage_error(capsys, tmp_path, argv):
+    # 27 independent rows of length 48: 2^27 codewords, one past ENUM_CAP
+    path = tmp_path / "k27.txt"
+    rows = ["".join("1" if j == i else "0" for j in range(48)) for i in range(27)]
+    path.write_text("\n".join(["48 27", *rows]) + "\n", encoding="ascii")
+    code, out, err = run(capsys, *argv, "--code", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert "exceed the enumeration cap 2^26" in err
 
 
 def test_verify_code_zero_dimensional(capsys, tmp_path):

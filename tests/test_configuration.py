@@ -20,9 +20,9 @@ from typeii.configuration import (
 )
 from typeii.designs import intersection_profile
 from typeii.exact import ONE, ZERO, Polynomial, S, factor_numerator, integer_roots
-from typeii.gf2 import Word
+from typeii.gf2 import Code, Word
 from typeii.gleason import extremal_min_weight
-from typeii.harmonic import ZonalPoint, zonal_eval
+from typeii.harmonic import zonal_eval
 
 
 # ------------------------------------------------------------ system building
@@ -73,8 +73,12 @@ def test_zonal_rows_match_zonal_eval(n):
         # Z_d needs s >= d, and every kept weight a <= d(n)/2 needs s >= a
         for s in (max(d, d_min // 2), d_min + 1):
             for coeff, a in zip(row.coefficients, weights, strict=True):
-                expected = zonal_eval(ZonalPoint(n, s, d_min, a), d)
+                expected = zonal_eval(n, None, d_min, a, d)(s)
                 assert coeff(s) / row.denominator(s) == expected, (n, d, s, a)
+                # the numeric Z_d exists where a weight-s word can meet a
+                # weight-d_min word in a positions
+                if d_min - a <= n - s:
+                    assert zonal_eval(n, s, d_min, a, d) == expected, (n, d, s, a)
 
 
 # ------------------------------------------------------------- determinants
@@ -180,7 +184,7 @@ def test_e8_lambda_sum_is_enumerator_coefficient():
 
 def test_d16plus_coset_rep_solves_n16_system():
     code = build("d16plus")
-    span = code.span_of_shell(4)
+    span = Code(16, (word.bits for word in code.shell(4)))
     rep = next(
         w for w in code.words() if w.weight() == 8 and not span.contains(w)
     )
@@ -190,7 +194,7 @@ def test_d16plus_coset_rep_solves_n16_system():
     assert sum(profile.values()) == 28     # sum equation
     for d in kept_degree_set(16):
         total = sum(
-            count * zonal_eval(ZonalPoint(16, 8, 4, a), d)
+            count * zonal_eval(16, 8, 4, a, d)
             for a, count in profile.items()
         )
         assert total == 0

@@ -11,17 +11,28 @@ from typeii.catalog import build
 from typeii.designs import (
     DesignSet,
     default_cbar_sample,
-    doublecount_check,
     intersection_profile,
     is_t_design,
     is_t_half_design,
     predesign_count,
     sample_profiles,
-    sphere,
     zonal_design_residual,
 )
 from typeii.gf2 import Word
-from typeii.harmonic import ZonalPoint, zonal_eval, zonal_sum
+from typeii.harmonic import zonal_eval, zonal_sum
+
+
+def sphere(n: int, w: int) -> DesignSet:
+    """The full Hamming sphere B_w."""
+    return DesignSet(
+        n, w, tuple(Word.from_support(n, c) for c in combinations(range(n), w)))
+
+
+def doublecount_check(dset: DesignSet, t: int) -> bool:
+    """Pair-counting identity C(n,t) N_t = C(w,t) |D|; False when the counts
+    are not constant (no N_t exists)."""
+    n_t = predesign_count(dset, t)
+    return n_t is not None and comb(dset.n, t) * n_t == comb(dset.w, t) * len(dset)
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +226,7 @@ def zonal_sum_reference(n: int, s: int, w: int, counts: dict[int, int],
     """One zonal_eval and one Fraction multiply-add per profile entry."""
     total = Fraction(0)
     for a, count in counts.items():
-        total += count * zonal_eval(ZonalPoint(n, s, w, a), d)
+        total += count * zonal_eval(n, s, w, a, d)
     return total
 
 
@@ -338,7 +349,7 @@ def test_golay_verdicts_invariant_under_coordinate_permutation():
     def permute(word: Word) -> Word:
         return Word.from_support(24, [perm[j] for j in word.support()])
 
-    moved = type(golay)(24, [permute(g) for g in golay.generators])
+    moved = type(golay)(24, [permute(g) for g in golay.basis()])
     sample = default_cbar_sample(24, 7, extra=8)
     moved_sample = [permute(cbar) for cbar in sample]
     for w in (8, 12):

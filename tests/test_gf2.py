@@ -23,6 +23,11 @@ def e8() -> Code:
     return Code(8, E8_ROWS)
 
 
+def min_weight(c: Code) -> int:
+    dist = c.weight_distribution()
+    return next(w for w in range(1, c.n + 1) if dist[w])
+
+
 # ------------------------------------------------------------------- words
 
 def test_word_weight_examples():
@@ -105,20 +110,23 @@ def test_shell_and_distribution():
     assert sum(dist) == 2**c.k
     assert len(c.shell(4)) == 14
     assert [w.bits for w in c.shell(0)] == [0]
-    assert c.min_weight() == 4
+    assert min_weight(c) == 4
 
 
 def test_shell_cap_enforced():
-    c = e8()
-    with pytest.raises(EnumerationCapError):
-        c.shell(4, cap=3)
+    # k = 27 > ENUM_CAP: every exhaustive routine refuses before any sweep
+    c = Code(27, [1 << i for i in range(27)])
+    for sweep in (lambda: c.shell(4), c.weight_distribution, c.sweep,
+                  lambda: next(c.words()), lambda: c.coset_leaders(c)):
+        with pytest.raises(EnumerationCapError, match="enumeration cap 2\\^26"):
+            sweep()
     with pytest.raises(ValueError):
-        c.sweep(offset=1 << 8)
+        e8().sweep(offset=1 << 8)
 
 
 def test_span_of_shell_e8():
     c = e8()
-    assert c.span_of_shell(4) == c
+    assert Code(8, (word.bits for word in c.shell(4))) == c
 
 
 def _weights(c: Code) -> list[int]:
@@ -128,7 +136,7 @@ def _weights(c: Code) -> list[int]:
 def test_properties_e8():
     c = e8()
     assert all(w % 4 == 0 for w in _weights(c)) and c.dual() == c
-    assert c.min_weight() == 4
+    assert min_weight(c) == 4
     assert all(w % 2 == 0 for w in _weights(c)) and c.is_subcode_of(c.dual())
 
 
@@ -136,7 +144,7 @@ def test_properties_length2_repetition():
     c = Code(2, ["11"])
     assert all(w % 2 == 0 for w in _weights(c)) and c.dual() == c
     assert not all(w % 4 == 0 for w in _weights(c))
-    assert c.min_weight() == 2
+    assert min_weight(c) == 2
 
 
 def test_self_dual_implies_half_dimension():

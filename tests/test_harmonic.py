@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from typeii.exact import ONE, S, ZERO, Polynomial
 from typeii.harmonic import (
-    ZonalPoint,
-    intersection_count,
     sphere_sum,
     sphere_sum_symbolic,
     zonal_eval,
@@ -119,30 +117,37 @@ def zonal_direct(n: int, s: int, w: int, a: int, d: int) -> Fraction:
 
 def test_zonal_point_validation():
     with pytest.raises(ValueError):
-        ZonalPoint(8, 4, 9, 0)
+        zonal_eval(8, 4, 9, 0, 0)
     with pytest.raises(ValueError):
-        ZonalPoint(8, 2, 4, 3)   # a > s
+        zonal_eval(8, 2, 4, 3, 0)   # a > s
     with pytest.raises(ValueError):
-        ZonalPoint(8, 4, 4, 5)   # a > w
+        zonal_eval(8, 4, 4, 5, 0)   # a > w
+    # w - a > n - s: zonal_eval refuses the point as zonal_sum does
+    with pytest.raises(ValueError) as summed:
+        zonal_sum(8, 6, 5, {0: 1}, 1)
+    with pytest.raises(ValueError) as single:
+        zonal_eval(8, 6, 5, 0, 1)
+    assert str(single.value) == str(summed.value)
 
 
 def test_q_dk_spec_values():
-    def q_dk(pt: ZonalPoint, d: int, k: int) -> Fraction:
-        return q_dk_oracle(pt.n, pt.w, pt.a, d, k)(pt.s)
+    def q_dk(pt: tuple[int, int, int, int], d: int, k: int) -> Fraction:
+        n, s, w, a = pt
+        return q_dk_oracle(n, w, a, d, k)(s)
 
-    pt = ZonalPoint(10, 6, 5, 2)
+    pt = (10, 6, 5, 2)
     assert q_dk(pt, 0, 0) == 1
     # degree-1 inner sums expand by hand: k=1 gives (s-a) - a, k=0 second
     # factor gives ((n-s)-(w-a)) - (w-a)
-    assert q_dk(pt, 1, 1) == pt.s - 2 * pt.a
-    pt2 = ZonalPoint(8, 4, 4, 2)
+    assert q_dk(pt, 1, 1) == 6 - 2 * 2
+    pt2 = (8, 4, 4, 2)
     assert q_dk(pt2, 1, 0) == 0  # (n-s) - 2(w-a) = 4 - 4
     assert q_dk(pt2, 1, 1) == 0
 
 
 def test_zonal_degree_zero_is_one():
     for (n, s, w, a) in [(8, 4, 4, 2), (24, 8, 12, 3), (16, 1, 16, 1)]:
-        assert zonal_eval(ZonalPoint(n, s, w, a), 0) == 1
+        assert zonal_eval(n, s, w, a, 0) == 1
 
 
 def test_zonal_degree_one_closed_form():
@@ -150,13 +155,13 @@ def test_zonal_degree_one_closed_form():
     # Z_1 = (2/s) (n a - s w)
     for (n, s, w, a) in [(8, 4, 4, 2), (8, 4, 4, 3), (24, 8, 12, 5), (16, 7, 9, 0)]:
         expected = Fraction(2, s) * (n * a - s * w)
-        assert zonal_eval(ZonalPoint(n, s, w, a), 1) == expected
-    assert zonal_eval(ZonalPoint(8, 4, 4, 2), 1) == 0
+        assert zonal_eval(n, s, w, a, 1) == expected
+    assert zonal_eval(8, 4, 4, 2, 1) == 0
 
 
 def test_zonal_requires_s_at_least_d():
     with pytest.raises(ZeroDivisionError):
-        zonal_eval(ZonalPoint(8, 2, 4, 1), 3)
+        zonal_eval(8, 2, 4, 1, 3)
 
 
 def test_zonal_sum_contract():
@@ -174,9 +179,10 @@ def test_zonal_row_matches_direct_formula():
         for d in range(8):
             for s in range(d, n + 1):
                 for w in range(n + 1):
-                    row, den = _zonal_row(n, s, w, d)
+                    weights, row, den = _zonal_row(n, s, w, d)
                     lo = max(0, w - (n - s))
-                    assert len(row) == min(s, w) - lo + 1
+                    assert weights == range(lo, min(s, w) + 1)
+                    assert len(row) == len(weights)
                     for i, value in enumerate(row):
                         assert Fraction(value, den) == zonal_direct(n, s, w, lo + i, d), \
                             (n, s, w, lo + i, d)
@@ -194,7 +200,7 @@ def test_sphere_sum_vanishes_small_grid():
 def test_sphere_sum_example_from_low_degree():
     assert sphere_sum(8, 2, 4, 2) == 0
     total = sum(
-        intersection_count(8, 2, 4, a) * zonal_eval(ZonalPoint(8, 2, 4, a), 2)
+        comb(2, a) * comb(6, 4 - a) * zonal_eval(8, 2, 4, a, 2)
         for a in range(0, 3)
     )
     assert total == 0
@@ -218,13 +224,13 @@ def test_symbolic_matches_numeric(data):
     w = data.draw(st.integers(0, n))
     a = data.draw(st.integers(max(0, w - (n - s)), min(s, w)))
     expected = zonal_direct(n, s, w, a, d)
-    assert zonal_eval(ZonalPoint(n, None, w, a), d)(s) == expected
-    assert zonal_eval(ZonalPoint(n, s, w, a), d) == expected
+    assert zonal_eval(n, None, w, a, d)(s) == expected
+    assert zonal_eval(n, s, w, a, d) == expected
 
 
 def test_symbolic_mode_via_zonal_point():
     from typeii.exact import RationalFunction
-    res = zonal_eval(ZonalPoint(8, None, 4, 2), 1)
+    res = zonal_eval(8, None, 4, 2, 1)
     assert isinstance(res, RationalFunction)
     assert res(4) == 0          # matches numeric value at s = 4
     assert res(8) == Fraction(2, 8) * (8 * 2 - 8 * 4)
