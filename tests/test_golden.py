@@ -27,7 +27,9 @@ CASES["design-check-golay24-half.json"] = [
     "design-check", "--code", "golay24", "--w", "8", "--t", "5", "--half", "--json"]
 for _n in range(8, 129, 8):
     CASES[f"enumerator-{_n}.json"] = ["enumerator", "--n", str(_n), "--json"]
+CASES["verify-code-qr48.json"] = ["verify-code", "--code", "qr48", "--json"]
 CASES["paper.json"] = ["paper", "--json"]
+CASES["paper-deep.json"] = ["paper", "--deep", "--json"]
 CASES["zonal-numeric.txt"] = ["zonal", "--n", "24", "--s", "12", "--w", "8",
                               "--a", "3", "--d", "5"]
 CASES["zonal-symbolic.txt"] = ["zonal", "--n", "24", "--w", "8", "--a", "2",
