@@ -26,7 +26,13 @@ from .configuration import (
     extended_determinant,
     verify_on_code,
 )
-from .designs import SAMPLE_SEED, default_cbar_sample, predesign_count, sample_profiles
+from .designs import (
+    SAMPLE_SEED,
+    check_predesign_bound,
+    default_cbar_sample,
+    predesign_count,
+    sample_profiles,
+)
 from .exact import factor_numerator, factored_str, format_poly
 from .gf2 import MAX_LENGTH, EnumerationCapError
 from .gleason import extremal_weight_enumerator
@@ -180,6 +186,9 @@ def _cmd_design_check(args) -> int:
     if not 1 <= args.t <= args.w:
         raise ValueError(f"--t must lie in 1..w, got t = {args.t} with w = {args.w}")
     code = resolve(args.code)
+    # every tally below is bounded before the sweep
+    for t in range(1, args.t + 1):
+        check_predesign_bound(code.n, t)
     shell = code.shell(args.w)
     if not shell:
         # every tally of an empty set is the constant 0, a vacuous design

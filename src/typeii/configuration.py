@@ -319,7 +319,7 @@ def verify_on_code(code: Code) -> CodeReport:
     extremal = min_weight == d_min
     enum = extremal_weight_enumerator(n)
     matches_enumerator = tuple(dist) == enum.coefficients
-    span = Code(n, (w.bits for w in shell))
+    span = Code.spanned_by(shell)
     generated = span == code
     leaders = code.coset_leaders(span)
     coset_weights = tuple(sorted(coset.w for coset in leaders.values()))

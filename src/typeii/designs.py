@@ -40,6 +40,7 @@ SAMPLE_SEED = 0x5EED
 
 __all__ = [
     "DesignSet",
+    "check_predesign_bound",
     "default_cbar_sample",
     "intersection_profile",
     "is_t_design",
@@ -50,15 +51,20 @@ __all__ = [
 ]
 
 
+def check_predesign_bound(n: int, t: int):
+    """Refuse a tally over more than PREDESIGN_BOUND t-subsets of n coordinates."""
+    total = comb(n, t)
+    if total > PREDESIGN_BOUND:
+        raise ValueError(f"C({n},{t}) = {total} exceeds the enumeration bound")
+
+
 def predesign_count(dset: DesignSet, t: int) -> int | None:
     """The constant N such that every t-subset of coordinates lies in exactly
     N supports, or None when the counts are not constant."""
     n = dset.n
     if not 0 <= t <= n:
         raise ValueError(f"t = {t} outside 0..{n}")
-    total = comb(n, t)
-    if total > PREDESIGN_BOUND:
-        raise ValueError(f"C({n},{t}) = {total} exceeds the enumeration bound")
+    check_predesign_bound(n, t)
     if t == 0:
         return len(dset)
     cols = dset.columns

@@ -9,7 +9,14 @@ containment, and duals.
 Exhaustive sweeps are bit-sliced (Biham, "A Fast New DES Implementation in
 Software", FSE 1997): one 2^16-bit int per coordinate holds that coordinate of
 2^16 codewords, and a ripple-carry counter over the n ints weighs them all at
-once.  A coset sweep is the same pass with an offset.
+once.  A coset sweep is the same pass with an offset.  The planes of the low
+pivot coordinates take one of two patterns, so their count is made once per
+pattern and each block of 2^16 adds only the other planes; a word is decoded
+from its position by two XOR tables over the low rows.
+
+The span of a set of words is the dual of the linear relations among its
+column bitmaps (`Code.spanned_by`): elimination on n ints, not on one row per
+word.
 """
 
 from __future__ import annotations
@@ -178,16 +185,25 @@ def _combine(rows: Sequence[int], g: int) -> int:
     return acc
 
 
+def _xor_table(rows: Sequence[int]) -> list[int]:
+    """_combine(rows, g) for every g below 2^len(rows), indexed by g."""
+    table = [0]
+    for r in rows:
+        table += [x ^ r for x in table]
+    return table
+
+
 def _set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of mask, ascending."""
     return (m.start() for m in re.finditer("1", format(mask, "b")[::-1]))
 
 
-def ripple_count(columns: Iterable[int]) -> list[int]:
+def ripple_count(columns: Iterable[int], start: Sequence[int] = ()) -> list[int]:
     """Bit-sliced population count: bit t of plane i is bit i of the number
-    of `columns` with bit t set.  A ripple-carry adder adds one column at a
-    time; the carry stops as soon as it is empty."""
-    count: list[int] = []
+    of `columns` with bit t set, plus the count whose planes are `start`.  A
+    ripple-carry adder adds one column at a time; the carry stops as soon as
+    it is empty."""
+    count = list(start)
     for x in columns:
         for i, c in enumerate(count):
             count[i] = c ^ x
@@ -217,14 +233,20 @@ def split_by_count(planes: Sequence[int], full: int, base: int = 0) -> dict[int,
 
 def _weight_classes(rows: Sequence[int], n: int,
                     offset: int = 0) -> Iterator[tuple[int, dict[int, int]]]:
-    """Bit-sliced Gray walk over offset + span(rows), 2^m words per block.
+    """Bit-sliced Gray walk over offset + span(rows), 2^m words per block;
+    rows are RREF rows, each with its pivot at its lowest set bit.
 
     Bit t of the plane of coordinate j is coordinate j of the word at block
     position t, base ^ _combine(rows, gray(t)), m = min(k, LOW_BITS): the
     position order is the order of _gray_sweep.  Blocks walk the high message
     bits in Gray order; a ripple-carry counter adds the planes (complemented
     where base has a 1), and splitting on its bits gives the mask of each
-    weight.  Yields (base, {weight: mask}) per block."""
+    weight.  Yields (base, {weight: mask}) per block.
+
+    Low row r is the only row with a 1 at its pivot p_r, so the plane of p_r
+    is the Gray pattern of bit r, and on the low pivots base is the offset or
+    the offset with p_{m-1} flipped: the counter of the pivot planes is built
+    once per pattern, and each block adds only the other planes to it."""
     m = min(len(rows), LOW_BITS)
     full = (1 << (1 << m)) - 1
     # bit t of lows[r] is bit r of t; of lows[r] ^ lows[r + 1], bit r of gray(t)
@@ -235,16 +257,25 @@ def _weight_classes(rows: Sequence[int], n: int,
         for j in range(n):
             if rows[r] >> j & 1:
                 planes[j] ^= lows[r] ^ lows[r + 1]
+    pivot_mask = sum(r & -r for r in rows[:m])
     sliced = [(j, p) for j, p in enumerate(planes) if p]
+    lead = [(j, p) for j, p in sliced if pivot_mask >> j & 1]
+    rest = [(j, p) for j, p in sliced if not pivot_mask >> j & 1]
     fixed = sum(1 << j for j, p in enumerate(planes) if not p)
     high = rows[m:]
     base = offset
+    precount: dict[int, list[int]] = {}
     for block in range(1 << len(high)):
         if block:
             # gray(block * 2^m + t) = gray(block) * 2^m + (gray(t) ^ (block
             # & 1) * 2^(m-1)): odd blocks also carry low row m - 1
             base ^= high[(block & -block).bit_length() - 1] ^ rows[m - 1]
-        count = ripple_count(x ^ full if base >> j & 1 else x for j, x in sliced)
+        key = base & pivot_mask
+        if key not in precount:
+            precount[key] = ripple_count(x ^ full if base >> j & 1 else x
+                                         for j, x in lead)
+        count = ripple_count((x ^ full if base >> j & 1 else x for j, x in rest),
+                             precount[key])
         yield base, split_by_count(count, full, (base & fixed).bit_count())
 
 
@@ -309,6 +340,17 @@ class Code:
             return False
         return all(other.contains(r) for r in self.rref_rows)
 
+    @classmethod
+    def spanned_by(cls, dset: DesignSet) -> "Code":
+        """span(dset), the dual of the linear relations among its n column
+        bitmaps: the elimination runs on n ints of len(dset) bits, each with
+        its coordinate as a tag above them, not on len(dset) rows of n bits."""
+        size = len(dset)
+        rows, pivots = _rref([col | 1 << (size + j)
+                              for j, col in enumerate(dset.columns)], dset.n + size)
+        # a row whose pivot lies in the tags is a relation among the columns
+        return cls(dset.n, [r >> size for r, p in zip(rows, pivots) if p >= size]).dual()
+
     def basis(self) -> tuple[Word, ...]:
         return tuple(Word(self.n, r) for r in self.rref_rows)
 
@@ -345,17 +387,21 @@ class Code:
         """One bit-sliced pass over offset + this code (a coset unless offset
         is a codeword).  Returns the weight distribution, the words of weight
         `target` (None: no words; LOWEST: the lowest weight present) and the
-        first `per_weight` nonzero words of each weight in the order of words()."""
+        first `per_weight` nonzero words of each weight in the order of words().
+        Only the returned words are decoded, each as base ^ lo[g & 255] ^
+        hi[g >> 8] from its Gray position g, with the XOR tables lo and hi
+        over low rows 0-7 and 8-15."""
         self._check_cap()
         if offset < 0 or offset >> self.n:
             raise ValueError("offset bits beyond the code length")
         rows, n = self.rref_rows, self.n
         dist, hits, picks = [0] * (n + 1), [], {}
         lowest = target == LOWEST
+        lo, hi = _xor_table(rows[:8]), _xor_table(rows[8:LOW_BITS])
         for base, classes in _weight_classes(rows, n, offset):
             def decode(mask: int, limit: int | None = None) -> list[int]:
-                return [base ^ _combine(rows, t ^ t >> 1)
-                        for t in islice(_set_bits(mask), limit)]
+                grays = (t ^ t >> 1 for t in islice(_set_bits(mask), limit))
+                return [base ^ lo[g & 255] ^ hi[g >> 8] for g in grays]
 
             for w, mask in classes.items():
                 dist[w] += mask.bit_count()

@@ -5,7 +5,7 @@ import pytest
 
 from typeii.catalog import build
 from typeii.cli import main
-from typeii.gf2 import format_generator_text
+from typeii.gf2 import Code, format_generator_text
 
 
 def run(capsys, *argv):
@@ -110,6 +110,17 @@ def test_enumeration_cap_is_usage_error(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: ")
     assert "exceed the enumeration cap 2^26" in err
+
+
+def test_design_check_t_bound_precedes_sweep(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("Code.sweep called before the --t bound")
+
+    monkeypatch.setattr(Code, "sweep", no_sweep)
+    code, out, err = run(capsys, "design-check", "--code", "qr48",
+                         "--w", "12", "--t", "7")
+    assert code == 2 and out == ""
+    assert err == "error: C(48,6) = 12271512 exceeds the enumeration bound\n"
 
 
 def test_verify_code_zero_dimensional(capsys, tmp_path):

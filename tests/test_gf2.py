@@ -1,9 +1,12 @@
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typeii.catalog import build
 from typeii.gf2 import (
     LOWEST,
     Code,
@@ -129,6 +132,47 @@ def test_span_of_shell_e8():
     assert Code(8, (word.bits for word in c.shell(4))) == c
 
 
+def _distinct_words(n: int, w: int, count: int, rng: random.Random) -> list[int]:
+    words: set[int] = set()
+    while len(words) < min(count, comb(n, w)):
+        words.add(sum(1 << j for j in rng.sample(range(n), w)))
+    return sorted(words)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_span_from_columns_matches_row_span(data):
+    n = data.draw(st.integers(1, 40))
+    w = data.draw(st.integers(0, n))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    words = _distinct_words(n, w, data.draw(st.integers(0, 64)), rng)
+    dset = DesignSet(n, w, tuple(Word(n, b) for b in words))
+    assert Code.spanned_by(dset) == Code(n, words)
+
+
+@pytest.mark.parametrize("n, w, words", [
+    (10, 4, []),                                                # the zero code
+    (7, 3, [sum(1 << j for j in c) for c in combinations(range(7), 3)]),  # F_2^7
+])
+def test_span_from_columns_edge_cases(n, w, words):
+    span = Code.spanned_by(DesignSet(n, w, tuple(Word(n, b) for b in words)))
+    assert span == Code(n, words) and span.k == (n if words else 0)
+
+
+def test_span_from_columns_of_permuted_octads():
+    perm = list(range(24))
+    random.Random(24).shuffle(perm)
+
+    def moved(bits: int) -> int:
+        return sum(1 << perm[j] for j in range(24) if bits >> j & 1)
+
+    golay = build("golay24")
+    octads = sorted(moved(word.bits) for word in golay.shell(8))
+    span = Code.spanned_by(DesignSet(24, 8, tuple(Word(24, b) for b in octads)))
+    assert span == Code(24, octads) == Code(24, map(moved, golay.rref_rows))
+    assert span.k == 12
+
+
 def _weights(c: Code) -> list[int]:
     return [w for w, count in enumerate(c.weight_distribution()) if count]
 
@@ -204,11 +248,18 @@ def test_bitsliced_sweep_matches_gray_walk(k, data):
     assert [w.bits for w in shell] == hits and shell.w == target
     assert [w.bits for w in got_samples] == samples
 
+    # the offset sweep decodes its samples from a nonzero base; above k = 16
+    # the offset also sets low pivots, so that both counts of the pivot
+    # planes (odd and even blocks) start from a nonzero pattern
     offset = data.draw(st.integers(1, (1 << n) - 1))
-    dist, lowest, leaders, _ = _gray_walk_oracle(code, offset, LOWEST)
-    got_dist, shell, _ = code.sweep(LOWEST, offset=offset)
+    if k > 16:
+        offset |= sum(data.draw(st.sets(st.sampled_from(
+            [r & -r for r in code.rref_rows[:16]]), min_size=1)))
+    dist, lowest, leaders, samples = _gray_walk_oracle(code, offset, LOWEST)
+    got_dist, shell, got_samples = code.sweep(LOWEST, per_weight=3, offset=offset)
     assert got_dist == dist
     assert shell.w == lowest and [w.bits for w in shell] == leaders
+    assert [w.bits for w in got_samples] == samples
 
 
 @settings(max_examples=60, deadline=None)
