@@ -2,7 +2,7 @@
 
 Submodules:
   exact          rationals, polynomials in s, rational functions, determinants
-  gf2            words, codes, duals, shells, cosets over GF(2)
+  gf2            codes over GF(2) on int words: duals, shells, cosets
   harmonic       discrete zonal harmonics: one numerator over s(s-1)...(s-d+1)
   designs        t-design / t-half-design certification on Hamming spheres
   gleason        extremality bounds and extremal weight enumerators

@@ -37,9 +37,8 @@ def _build_e8() -> Code:
 
 
 def _build_e8e8() -> Code:
-    left = _build_e8()
-    rows = [w.bits for w in left.basis()]
-    return Code(16, [r for r in rows] + [r << 8 for r in rows])
+    rows = _build_e8().rref_rows
+    return Code(16, [*rows, *(r << 8 for r in rows)])
 
 
 def _build_d16plus() -> Code:

@@ -6,9 +6,9 @@ for every positive t' <= t.  The tally here is the counting definition,
 which is the authoritative test.  Residuals of zonal harmonic sums give the
 complementary analytic certificate: they vanish through degree t for a
 t-design, and a t-half-design additionally kills degree t + 2.  The zonal
-residual check runs over a deterministic sample of reference words and is a
-necessary condition (zonal polynomials need not span all harmonics), so
-reports label it "zonal-verified".
+residual check runs over a deterministic sample of reference words (int
+words, as in `gf2`) and is a necessary condition (zonal polynomials need not
+span all harmonics), so reports label it "zonal-verified".
 
 Both computations run on one bit-sliced engine (Biham, FSE 1997), the
 transpose of the codeword sweep in `gf2`: the column bitmaps of a set
@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 from operator import and_
 
-from .gf2 import DesignSet, Word, ripple_count, split_by_count
+from .gf2 import DesignSet, ripple_count, split_by_count
 from .harmonic import zonal_sum
 
 PREDESIGN_BOUND = 10**7
@@ -96,18 +96,17 @@ def is_t_design(dset: DesignSet, t: int) -> bool:
     return predesign_count(dset, min(t, dset.w)) is not None
 
 
-def intersection_profile(dset: DesignSet, cbar: Word) -> dict[int, int]:
+def intersection_profile(dset: DesignSet, cbar: int) -> dict[int, int]:
     """How many design words meet cbar in each intersection weight, in
     ascending order of weight."""
-    if cbar.n != dset.n:
-        raise ValueError("reference word of wrong length")
-    cols = dset.columns
-    masks = split_by_count(ripple_count(cols[j] for j in cbar.support()),
-                           (1 << len(dset)) - 1)
+    if cbar < 0 or cbar >> dset.n:
+        raise ValueError("reference word bits beyond the design length")
+    cols = (c for j, c in enumerate(dset.columns) if cbar >> j & 1)
+    masks = split_by_count(ripple_count(cols), (1 << len(dset)) - 1)
     return {a: masks[a].bit_count() for a in sorted(masks)}
 
 
-def sample_profiles(dset: DesignSet, deg: int, cbar_sample: list[Word] | None = None
+def sample_profiles(dset: DesignSet, deg: int, cbar_sample: list[int] | None = None
                     ) -> list[tuple[int, dict[int, int]]]:
     """(weight, intersection profile) of each reference word of weight at
     least deg, in sample order (default: default_cbar_sample(n, deg)).
@@ -116,40 +115,38 @@ def sample_profiles(dset: DesignSet, deg: int, cbar_sample: list[Word] | None = 
     s - l for l < deg, so it is undefined for them."""
     if cbar_sample is None:
         cbar_sample = default_cbar_sample(dset.n, deg)
-    return [(cbar.weight(), intersection_profile(dset, cbar))
-            for cbar in cbar_sample if cbar.weight() >= deg]
+    return [(cbar.bit_count(), intersection_profile(dset, cbar))
+            for cbar in cbar_sample if cbar.bit_count() >= deg]
 
 
-def zonal_design_residual(dset: DesignSet, deg: int, cbar: Word) -> Fraction:
+def zonal_design_residual(dset: DesignSet, deg: int, cbar: int) -> Fraction:
     """Sum of the degree-deg zonal harmonic relative to cbar over the design,
     grouped by intersection weight; zero when dset is a deg-design."""
     profile = intersection_profile(dset, cbar)
-    return zonal_sum(dset.n, cbar.weight(), dset.w, profile, deg)
+    return zonal_sum(dset.n, cbar.bit_count(), dset.w, profile, deg)
 
 
-def default_cbar_sample(n: int, deg: int, extra: int = 64) -> list[Word]:
+def default_cbar_sample(n: int, deg: int, extra: int = 64) -> list[int]:
     """Deterministic reference-word sample: every weight-1 word, every
     weight-deg word supported on the first 12 coordinates, and `extra` words
     from the pseudorandom stream seeded with SAMPLE_SEED."""
-    words = [Word.from_support(n, [j]) for j in range(n)]
+    words = [1 << j for j in range(n)]
     head = min(12, n)
     if deg <= head:
-        words.extend(
-            Word.from_support(n, c) for c in combinations(range(head), deg)
-        )
+        words.extend(sum(1 << j for j in c) for c in combinations(range(head), deg))
     rng = random.Random(SAMPLE_SEED)
-    seen = {w.bits for w in words}
+    seen = set(words)
     while extra > 0:
         bits = rng.getrandbits(n)
         if bits and bits not in seen:
             seen.add(bits)
-            words.append(Word(n, bits))
+            words.append(bits)
             extra -= 1
     return words
 
 
 def is_t_half_design(dset: DesignSet, t: int,
-                     cbar_sample: list[Word] | None = None) -> bool:
+                     cbar_sample: list[int] | None = None) -> bool:
     """t-design whose zonal sums also vanish in degree t + 2, checked over the
     sample of reference words (see sample_profiles)."""
     if not is_t_design(dset, t):

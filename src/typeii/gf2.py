@@ -1,10 +1,11 @@
 """Binary linear code algebra on int bitsets.
 
-Words are fixed-length bit vectors packed into Python ints (coordinate j of a
-word is bit j of the int; text renderings read coordinates left to right).
-Codes carry an eagerly computed reduced row-echelon form of their
-generators, which is the canonical representation used for equality,
-containment, and duals.
+A word is a plain Python int: coordinate j of the word is bit j of the int,
+and its length is the length n of the code or set that holds it, which
+checks that no bit lies at n or above.  `parse_word` and `format_word` read
+and write the text form, coordinates left to right.  Codes carry an eagerly
+computed reduced row-echelon form of their generators, which is the
+canonical representation used for equality, containment, and duals.
 
 Exhaustive sweeps are bit-sliced (Biham, "A Fast New DES Implementation in
 Software", FSE 1997): one 2^16-bit int per coordinate holds that coordinate of
@@ -46,63 +47,17 @@ class CodeFileError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    """Length-n bit vector over GF(2)."""
+def parse_word(text: str) -> int:
+    """The word whose coordinate j is character j of a string of 0s and 1s."""
+    bad = text.strip("01")
+    if bad:
+        raise ValueError(f"invalid bit character {bad[0]!r}")
+    return int(text[::-1] or "0", 2)
 
-    n: int
-    bits: int = 0
 
-    def __post_init__(self):
-        if not 0 < self.n <= MAX_LENGTH:
-            raise ValueError(f"word length must be in 1..{MAX_LENGTH}, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError("bits set beyond the word length")
-
-    @staticmethod
-    def from_string(text: str) -> "Word":
-        bits = 0
-        for j, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
-        return Word(len(text), bits)
-
-    @staticmethod
-    def from_support(n: int, support: Iterable[int]) -> "Word":
-        bits = 0
-        for j in support:
-            if not 0 <= j < n:
-                raise ValueError(f"support position {j} outside 0..{n - 1}")
-            bits |= 1 << j
-        return Word(n, bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if self.bits >> j & 1)
-
-    def _check_same_length(self, other: "Word"):
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-
-    def __xor__(self, other: "Word") -> "Word":
-        self._check_same_length(other)
-        return Word(self.n, self.bits ^ other.bits)
-
-    def __and__(self, other: "Word") -> "Word":
-        self._check_same_length(other)
-        return Word(self.n, self.bits & other.bits)
-
-    def pair(self, other: "Word") -> int:
-        """Bilinear pairing <u, v> = sum u_i v_i over GF(2)."""
-        self._check_same_length(other)
-        return (self.bits & other.bits).bit_count() & 1
-
-    def __str__(self) -> str:
-        return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
+def format_word(n: int, bits: int) -> str:
+    """The length-n word `bits` as 0s and 1s, coordinate 0 first."""
+    return format(bits, f"0{n}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -111,23 +66,22 @@ class DesignSet:
 
     n: int
     w: int
-    words: tuple[Word, ...]
+    words: tuple[int, ...]
 
     def __post_init__(self):
-        seen = set()
-        for word in self.words:
-            if word.n != self.n:
-                raise ValueError("design word of wrong length")
-            if word.weight() != self.w:
-                raise ValueError(f"design word of weight {word.weight()}, expected {self.w}")
-            if word.bits in seen:
-                raise ValueError("duplicate word in design set")
-            seen.add(word.bits)
+        words = self.words
+        if words and (min(words) < 0 or max(words) >> self.n):
+            raise ValueError("design word bits beyond the word length")
+        wrong = set(map(int.bit_count, words)) - {self.w}
+        if wrong:
+            raise ValueError(f"design word of weight {min(wrong)}, expected {self.w}")
+        if len(set(words)) != len(words):
+            raise ValueError("duplicate word in design set")
 
     def __len__(self) -> int:
         return len(self.words)
 
-    def __iter__(self) -> Iterator[Word]:
+    def __iter__(self) -> Iterator[int]:
         return iter(self.words)
 
     @cached_property
@@ -141,7 +95,7 @@ class DesignSet:
         # block; blocks bound the text held at once
         for lo in range(0, len(self.words), TRANSPOSE_BLOCK):
             block = self.words[lo:lo + TRANSPOSE_BLOCK]
-            text = "".join([format(w.bits, fmt) for w in reversed(block)])
+            text = "".join([format(w, fmt) for w in reversed(block)])
             for j in range(n):
                 cols[j] |= int(text[n - 1 - j::n], 2) << lo
         return tuple(cols)
@@ -284,24 +238,18 @@ class Code:
 
     __slots__ = ("n", "rref_rows", "pivots", "k")
 
-    def __init__(self, n: int, generators: Iterable[Word | int | str]):
+    def __init__(self, n: int, generators: Iterable[int | str]):
         if not 0 < n <= MAX_LENGTH:
             raise ValueError(f"code length must be in 1..{MAX_LENGTH}, got {n}")
         rows: list[int] = []
         for g in generators:
-            if isinstance(g, Word):
-                if g.n != n:
+            if isinstance(g, str):
+                if len(g) != n:
                     raise ValueError("generator of wrong length")
-                rows.append(g.bits)
-            elif isinstance(g, str):
-                w = Word.from_string(g)
-                if w.n != n:
-                    raise ValueError("generator of wrong length")
-                rows.append(w.bits)
-            else:
-                if g < 0 or g >> n:
-                    raise ValueError("generator bits beyond code length")
-                rows.append(int(g))
+                g = parse_word(g)
+            elif g < 0 or g >> n:
+                raise ValueError("generator bits beyond code length")
+            rows.append(int(g))
         rref_rows, pivots = _rref(rows, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rref_rows", rref_rows)
@@ -331,9 +279,8 @@ class Code:
                 bits ^= r
         return bits
 
-    def contains(self, word: Word | int) -> bool:
-        bits = word.bits if isinstance(word, Word) else word
-        return self.reduce(bits) == 0
+    def contains(self, word: int) -> bool:
+        return self.reduce(word) == 0
 
     def is_subcode_of(self, other: "Code") -> bool:
         if self.n != other.n:
@@ -350,9 +297,6 @@ class Code:
                               for j, col in enumerate(dset.columns)], dset.n + size)
         # a row whose pivot lies in the tags is a relation among the columns
         return cls(dset.n, [r >> size for r, p in zip(rows, pivots) if p >= size]).dual()
-
-    def basis(self) -> tuple[Word, ...]:
-        return tuple(Word(self.n, r) for r in self.rref_rows)
 
     # -- duals ----------------------------------------------------------------
 
@@ -377,13 +321,12 @@ class Code:
                 f"2^{self.k} codewords exceed the enumeration cap 2^{ENUM_CAP}"
             )
 
-    def words(self) -> Iterator[Word]:
+    def words(self) -> Iterator[int]:
         self._check_cap()
-        for bits in _gray_sweep(self.rref_rows):
-            yield Word(self.n, bits)
+        yield from _gray_sweep(self.rref_rows)
 
     def sweep(self, target: int | None = None, per_weight: int = 0, offset: int = 0
-              ) -> tuple[list[int], DesignSet | None, tuple[Word, ...]]:
+              ) -> tuple[list[int], DesignSet | None, tuple[int, ...]]:
         """One bit-sliced pass over offset + this code (a coset unless offset
         is a codeword).  Returns the weight distribution, the words of weight
         `target` (None: no words; LOWEST: the lowest weight present) and the
@@ -411,9 +354,8 @@ class Code:
                 target, hits = min(classes), []
             if target in classes:
                 hits += decode(classes[target])
-        shell = None if target is None else DesignSet(
-            n, target, tuple(Word(n, b) for b in sorted(hits)))
-        return dist, shell, tuple(Word(n, b) for w in sorted(picks) for b in picks[w])
+        shell = None if target is None else DesignSet(n, target, tuple(sorted(hits)))
+        return dist, shell, tuple(b for w in sorted(picks) for b in picks[w])
 
     def weight_distribution(self) -> list[int]:
         return self.sweep()[0]
@@ -438,7 +380,7 @@ class Code:
         if q > 20:
             raise EnumerationCapError(f"quotient dimension {q} exceeds 20")
         sub._check_cap()
-        out = {0: DesignSet(self.n, 0, (Word(self.n),))}
+        out = {0: DesignSet(self.n, 0, (0,))}
         for label in range(1, 1 << q):
             out[label] = sub.sweep(LOWEST, offset=_combine(ext, label))[1]
         return out
@@ -490,7 +432,7 @@ def format_generator_text(code: Code, comment: str | None = None) -> str:
         for part in comment.splitlines():
             lines.append(f"# {part}")
     lines.append(f"{code.n} {code.k}")
-    lines.extend(str(word) for word in code.basis())
+    lines.extend(format_word(code.n, r) for r in code.rref_rows)
     return "\n".join(lines) + "\n"
 
 

@@ -31,7 +31,7 @@ def check_record(name: str) -> Code:
 
 
 def span_of_shell(code: Code, w: int) -> Code:
-    return Code(code.n, (word.bits for word in code.shell(w)))
+    return Code(code.n, code.shell(w))
 
 
 def data_file_text(name: str) -> str:

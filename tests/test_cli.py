@@ -5,7 +5,7 @@ import pytest
 
 from typeii.catalog import build
 from typeii.cli import main
-from typeii.gf2 import Code, format_generator_text
+from typeii.gf2 import Code, format_generator_text, format_word
 
 
 def run(capsys, *argv):
@@ -134,6 +134,16 @@ def test_verify_code_zero_dimensional(capsys, tmp_path):
     assert res["extremal"] is False and res["all_checks_pass"] is False
 
 
+def test_verify_code_full_space_fails(capsys, tmp_path):
+    # all of F_2^8: its weight-1 words meet the weight-4 shell in 1 position
+    path = tmp_path / "full8.txt"
+    rows = [format_word(8, 1 << j) for j in range(8)]
+    path.write_text("\n".join(["8 8", *rows]) + "\n", encoding="ascii")
+    code, out, _ = run(capsys, "verify-code", "--code", str(path), "--json")
+    assert code == 1
+    assert json.loads(out)["results"]["lambda_rows_consistent"] is False
+
+
 @pytest.mark.parametrize("flags", [(), ("--half", "--json")])
 def test_design_check_empty_shell_fails(capsys, tmp_path, flags):
     # the zero code has no word of weight 4: a vacuous design is refused
@@ -244,7 +254,7 @@ def _fuzz_matrix_text(rng) -> str:
         code = build(rng.choice(("e8", "e8e8", "d16plus", "golay24")))
         n, k = code.n, code.k
         perm = rng.sample(range(n), n)
-        rows = ["".join(str(word)[j] for j in perm) for word in code.basis()]
+        rows = ["".join(format_word(n, r)[j] for j in perm) for r in code.rref_rows]
     else:
         n = rng.choice((8, 12, 16, 24, 32, 40, 48))
         k = rng.randint(0, min(n, 14))

@@ -20,7 +20,7 @@ from typeii.configuration import (
 )
 from typeii.designs import intersection_profile
 from typeii.exact import ONE, ZERO, Polynomial, S, factor_numerator, integer_roots
-from typeii.gf2 import Code, Word
+from typeii.gf2 import Code
 from typeii.gleason import extremal_min_weight
 from typeii.harmonic import zonal_eval
 
@@ -184,9 +184,9 @@ def test_e8_lambda_sum_is_enumerator_coefficient():
 
 def test_d16plus_coset_rep_solves_n16_system():
     code = build("d16plus")
-    span = Code(16, (word.bits for word in code.shell(4)))
+    span = Code(16, code.shell(4))
     rep = next(
-        w for w in code.words() if w.weight() == 8 and not span.contains(w)
+        w for w in code.words() if w.bit_count() == 8 and not span.contains(w)
     )
     shell = code.shell(4)
     profile = intersection_profile(shell, rep)
@@ -204,7 +204,7 @@ def test_golay_octads_cover_every_coordinate():
     octads = build("golay24").shell(8)
     coverage = 0
     for word in octads:
-        coverage |= word.bits
+        coverage |= word
     assert coverage == (1 << 24) - 1
 
 
@@ -216,9 +216,18 @@ def test_intersection_bound_on_golay():
     words = list(octads)[:40]
     for c in words:
         for cbar in words:
-            inter = (c.bits & cbar.bits).bit_count()
+            inter = (c & cbar).bit_count()
             if inter > 4:
-                assert (c.bits ^ cbar.bits).bit_count() < cbar.weight()
+                assert (c ^ cbar).bit_count() < cbar.bit_count()
+
+
+def test_odd_intersections_fail_the_lambda_rows():
+    # all of F_2^8: the weight-4 shell is all of B_4, a 4-design, so every
+    # kept zonal row vanishes; only the odd intersections of the weight-1
+    # samples with the shell break the rows
+    r = verify_on_code(Code(8, [1 << j for j in range(8)]))
+    assert (r.shell_size, r.span_dimension, r.coset_min_weights) == (70, 7, (0, 1))
+    assert not r.lambda_rows_consistent
 
 
 def test_verify_on_qr48():

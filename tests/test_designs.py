@@ -18,14 +18,22 @@ from typeii.designs import (
     sample_profiles,
     zonal_design_residual,
 )
-from typeii.gf2 import Word
+from typeii.gf2 import parse_word
 from typeii.harmonic import zonal_eval, zonal_sum
+
+
+def word(support) -> int:
+    """The word with a 1 at each coordinate of support."""
+    return sum(1 << j for j in support)
+
+
+def support(bits: int) -> list[int]:
+    return [j for j in range(bits.bit_length()) if bits >> j & 1]
 
 
 def sphere(n: int, w: int) -> DesignSet:
     """The full Hamming sphere B_w."""
-    return DesignSet(
-        n, w, tuple(Word.from_support(n, c) for c in combinations(range(n), w)))
+    return DesignSet(n, w, tuple(word(c) for c in combinations(range(n), w)))
 
 
 def doublecount_check(dset: DesignSet, t: int) -> bool:
@@ -86,7 +94,7 @@ def test_empty_design():
 
 def test_proper_subset_fails_at_w():
     # for t >= w the only t-designs in B_w are the sphere and the empty set
-    d = DesignSet(4, 2, (Word.from_string("1100"),))
+    d = DesignSet(4, 2, (parse_word("1100"),))
     assert not is_t_design(d, 2)
 
 
@@ -106,13 +114,13 @@ def test_equation_two_bruteforce_equivalence():
     rng = random.Random(7)
     full = list(combinations(range(n), w))
 
-    def indicator_identity(words: list[Word]) -> bool:
+    def indicator_identity(words: list[int]) -> bool:
         d_size = len(words)
         for r in range(t + 1):
             for isub in combinations(range(n), r):
                 mask = sum(1 << j for j in isub)
                 lhs = comb(n, w) * sum(
-                    1 for word in words if word.bits & mask == mask
+                    1 for bits in words if bits & mask == mask
                 )
                 rhs = d_size * comb(n - r, w - r)
                 if lhs != rhs:
@@ -122,7 +130,7 @@ def test_equation_two_bruteforce_equivalence():
     for _ in range(40):
         size = rng.randint(0, len(full))
         chosen = rng.sample(full, size)
-        words = [Word.from_support(n, c) for c in chosen]
+        words = [word(c) for c in chosen]
         dset = DesignSet(n, w, tuple(words))
         assert is_t_design(dset, t) == indicator_identity(words)
 
@@ -130,25 +138,25 @@ def test_equation_two_bruteforce_equivalence():
 # ------------------------------------------------------------ zonal residuals
 
 def test_octad_residuals_design_degrees(octads):
-    cbars = [Word.from_support(24, range(8)), Word(24, 0b101010101010101)]
+    cbars = [word(range(8)), 0b101010101010101]
     for cbar in cbars:
         for deg in (1, 2, 3, 4, 5):
             assert zonal_design_residual(octads, deg, cbar) == 0
 
 
 def test_octad_residual_degree_seven(octads):
-    cbar = Word.from_support(24, range(9))
+    cbar = word(range(9))
     assert zonal_design_residual(octads, 7, cbar) == 0
 
 
 def test_octad_residual_degree_six_nonzero(octads):
-    cbar = Word.from_support(24, range(8))
+    cbar = word(range(8))
     assert zonal_design_residual(octads, 6, cbar) != 0
 
 
 def test_full_sphere_residual_vanishes():
     b_w = sphere(8, 4)
-    cbar = Word.from_support(8, range(3))
+    cbar = word(range(3))
     for deg in (1, 2, 3):
         assert zonal_design_residual(b_w, deg, cbar) == 0
 
@@ -158,10 +166,10 @@ def test_residual_permutation_invariance(octads):
     perm = list(range(24))
     rng.shuffle(perm)
 
-    def permute(word: Word) -> Word:
-        return Word.from_support(24, [perm[j] for j in word.support()])
+    def permute(bits: int) -> int:
+        return word(perm[j] for j in support(bits))
 
-    cbar = Word.from_support(24, [0, 2, 4, 6, 8, 10, 12])
+    cbar = word([0, 2, 4, 6, 8, 10, 12])
     moved = DesignSet(24, 8, tuple(sorted(permute(w) for w in octads)))
     assert zonal_design_residual(octads, 7, cbar) == \
         zonal_design_residual(moved, 7, permute(cbar))
@@ -175,21 +183,21 @@ def test_octads_are_five_half_design(octads):
 
 
 def test_dodecads_are_five_half_design(dodecads):
-    sample = [Word.from_support(24, range(7)), Word.from_support(24, range(1, 9))]
+    sample = [word(range(7)), word(range(1, 9))]
     assert is_t_half_design(dodecads, 5, sample)
 
 
 def test_full_sphere_is_half_design():
     b_w = sphere(8, 4)
-    assert is_t_half_design(b_w, 2, [Word.from_support(8, range(4))])
+    assert is_t_half_design(b_w, 2, [word(range(4))])
 
 
 def test_default_sample_is_deterministic():
     a = default_cbar_sample(24, 7, extra=16)
     b = default_cbar_sample(24, 7, extra=16)
     assert a == b
-    assert sum(1 for w in a if w.weight() == 1) == 24
-    assert sum(1 for w in a if w.weight() == 7 and max(w.support()) < 12) \
+    assert sum(1 for w in a if w.bit_count() == 1) == 24
+    assert sum(1 for w in a if w.bit_count() == 7 and max(support(w)) < 12) \
         == comb(12, 7)
 
 
@@ -205,18 +213,18 @@ def predesign_count_reference(dset: DesignSet, t: int) -> int | None:
         return len(dset)
     table = [[comb(c, i) for i in range(1, t + 1)] for c in range(n)]
     counts = [0] * comb(n, t)
-    for word in dset.words:
-        for combo in combinations(word.support(), t):
+    for bits in dset.words:
+        for combo in combinations(support(bits), t):
             counts[sum(table[c][i] for i, c in enumerate(combo))] += 1
     first = counts[0]
     return first if all(c == first for c in counts) else None
 
 
-def intersection_profile_reference(dset: DesignSet, cbar: Word) -> dict[int, int]:
+def intersection_profile_reference(dset: DesignSet, cbar: int) -> dict[int, int]:
     """One AND and one bit_count per design word."""
     counts: dict[int, int] = {}
-    for word in dset.words:
-        a = (word.bits & cbar.bits).bit_count()
+    for bits in dset.words:
+        a = (bits & cbar).bit_count()
         counts[a] = counts.get(a, 0) + 1
     return counts
 
@@ -282,7 +290,7 @@ def design_sets(draw) -> DesignSet:
         words = _closure(n, words, _group(kind, n))
     if draw(st.booleans()):
         words = set(ball) - words
-    return DesignSet(n, w, tuple(Word(n, b) for b in sorted(words)))
+    return DesignSet(n, w, tuple(sorted(words)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,8 +298,8 @@ def design_sets(draw) -> DesignSet:
 def test_tally_matches_reference(dset):
     n, w = dset.n, dset.w
     for j, col in enumerate(dset.columns):
-        assert col == sum(1 << i for i, word in enumerate(dset.words)
-                          if word.bits >> j & 1)
+        assert col == sum(1 << i for i, bits in enumerate(dset.words)
+                          if bits >> j & 1)
     counts = {t: predesign_count(dset, t) for t in range(n + 1)}
     assert counts == {t: predesign_count_reference(dset, t) for t in range(n + 1)}
     # the definition: a t'-predesign for every positive t' <= t
@@ -310,8 +318,8 @@ def test_tally_matches_reference(dset):
 @given(design_sets(), st.data())
 def test_profiles_and_zonal_sums_match_reference(dset, data):
     n, w = dset.n, dset.w
-    cbar = Word(n, data.draw(st.integers(0, (1 << n) - 1)))
-    s = cbar.weight()
+    cbar = data.draw(st.integers(0, (1 << n) - 1))
+    s = cbar.bit_count()
     profile = intersection_profile(dset, cbar)
     assert profile == intersection_profile_reference(dset, cbar)
     assert list(profile) == sorted(profile)
@@ -324,16 +332,16 @@ def test_profiles_and_zonal_sums_match_reference(dset, data):
 
 def test_sample_profiles_skip_light_words_in_order(octads):
     sample = default_cbar_sample(24, 7, extra=8)
-    heavy = [cbar for cbar in sample if cbar.weight() >= 7]
+    heavy = [cbar for cbar in sample if cbar.bit_count() >= 7]
     assert len(heavy) < len(sample)
     assert sample_profiles(octads, 7, sample) == [
-        (cbar.weight(), intersection_profile_reference(octads, cbar))
+        (cbar.bit_count(), intersection_profile_reference(octads, cbar))
         for cbar in heavy]
 
 
 def test_profile_rejects_word_of_wrong_length(octads):
     with pytest.raises(ValueError):
-        intersection_profile(octads, Word(23, 1))
+        intersection_profile(octads, 1 << 24)
 
 
 # ------------------------------------------------------------ permutations
@@ -346,10 +354,10 @@ def test_golay_verdicts_invariant_under_coordinate_permutation():
     perm = list(range(24))
     rng.shuffle(perm)
 
-    def permute(word: Word) -> Word:
-        return Word.from_support(24, [perm[j] for j in word.support()])
+    def permute(bits: int) -> int:
+        return word(perm[j] for j in support(bits))
 
-    moved = type(golay)(24, [permute(g) for g in golay.basis()])
+    moved = type(golay)(24, [permute(g) for g in golay.rref_rows])
     sample = default_cbar_sample(24, 7, extra=8)
     moved_sample = [permute(cbar) for cbar in sample]
     for w in (8, 12):
