@@ -19,7 +19,7 @@ once per set.
   t-subset is one `bit_count`; the walk stops at the first count that
   differs, and a prefix held by no support settles its whole subtree.
 - The intersection profile against a reference word adds the columns of
-  its support with the ripple-carry counter of `gf2` and splits the words
+  its support with the carry-save counter of `gf2` and splits the words
   on the counter's bit planes.
 """
 
@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 from operator import and_
 
-from .gf2 import DesignSet, ripple_count, split_by_count
+from .gf2 import DesignSet, count_planes, split_by_count
 from .harmonic import zonal_sum
 
 PREDESIGN_BOUND = 10**7
@@ -102,7 +102,7 @@ def intersection_profile(dset: DesignSet, cbar: int) -> dict[int, int]:
     if cbar < 0 or cbar >> dset.n:
         raise ValueError("reference word bits beyond the design length")
     cols = (c for j, c in enumerate(dset.columns) if cbar >> j & 1)
-    masks = split_by_count(ripple_count(cols), (1 << len(dset)) - 1)
+    masks = split_by_count(count_planes(cols), (1 << len(dset)) - 1)
     return {a: masks[a].bit_count() for a in sorted(masks)}
 
 

@@ -9,22 +9,26 @@ canonical representation used for equality, containment, and duals.
 
 Exhaustive sweeps are bit-sliced (Biham, "A Fast New DES Implementation in
 Software", FSE 1997): one 2^16-bit int per coordinate holds that coordinate of
-2^16 codewords, and a ripple-carry counter over the n ints weighs them all at
-once.  A coset sweep is the same pass with an offset.  The planes of the low
+2^16 codewords, and a carry-save adder tree over the n ints weighs them all
+at once.  A coset sweep is the same pass with an offset.  The planes of the low
 pivot coordinates take one of two patterns, so their count is made once per
 pattern and each block of 2^16 adds only the other planes; a word is decoded
-from its position by two XOR tables over the low rows.
+from its position by two XOR tables over the low rows, whose Gray positions
+come from the set bits of the weight mask, read through a byte table.
 
 The span of a set of words is the dual of the linear relations among its
 column bitmaps (`Code.spanned_by`): elimination on n ints, not on one row per
-word.
+word.  The column bitmaps are the words transposed as one int, by masked swaps
+on every 64 x 64 bit block at once.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -32,7 +36,6 @@ MAX_LENGTH = 128
 ENUM_CAP = 26  # refuse exhaustive sweeps beyond 2^26 codewords
 LOW_BITS = 16  # message bits sliced into the 2^16 bit positions of one plane
 LOWEST = -1    # Code.sweep target: the words of the lowest weight present
-TRANSPOSE_BLOCK = 1024  # words per block when DesignSet.columns transposes
 
 
 class EnumerationCapError(RuntimeError):
@@ -88,17 +91,45 @@ class DesignSet:
     def columns(self) -> tuple[int, ...]:
         """Column bitmaps, the transpose of the words: bit i of columns[j] is
         coordinate j of words[i]."""
-        n, fmt = self.n, f"0{self.n}b"
-        cols = [0] * n
-        # per block of words, the words last to first, each most significant
-        # bit first, so every n-th character from n-1-j reads column j of the
-        # block; blocks bound the text held at once
-        for lo in range(0, len(self.words), TRANSPOSE_BLOCK):
-            block = self.words[lo:lo + TRANSPOSE_BLOCK]
-            text = "".join([format(w, fmt) for w in reversed(block)])
-            for j in range(n):
-                cols[j] |= int(text[n - 1 - j::n], 2) << lo
-        return tuple(cols)
+        return _transpose(self.words, self.n)
+
+
+_LOW64 = (1 << 64) - 1
+
+
+def _swap_mask(s: int) -> bytes:
+    """The bits a transpose stage swaps in one 64 x 64 block, where bit
+    64 r + c is row r, column c: those with bit s of r clear and bit s of c
+    set, each swapped with the bit 63 s above it, at row r + s, column c - s."""
+    row = sum(1 << c for c in range(64) if c & s)
+    return sum(row << 64 * r for r in range(64) if not r & s).to_bytes(512, "little")
+
+
+_SWAP_MASKS = tuple((s, _swap_mask(s)) for s in (32, 16, 8, 4, 2, 1))
+
+
+def _transpose(words: Sequence[int], n: int) -> tuple[int, ...]:
+    """The n column bitmaps of words of length n: bit i of column j is
+    coordinate j of words[i]."""
+    blocks = -(-len(words) // 64)
+    cols: list[int] = []
+    # per 64-bit slice of the words: bit 64 i + j of x is coordinate lo + j of
+    # word i, so every 64 x 64 block of x holds 64 words; the swap stages
+    # transpose all blocks at once (Warren, Hacker's Delight, 2nd ed., 7-3),
+    # after which 64-bit piece 64 b + j of x is coordinate lo + j of words
+    # 64 b to 64 b + 63
+    for lo in range(0, n, 64):
+        packed = array("Q", words if n <= 64 else [w >> lo & _LOW64 for w in words])
+        if sys.byteorder == "big":
+            packed.byteswap()
+        x = int.from_bytes(packed.tobytes(), "little")
+        for s, block_mask in _SWAP_MASKS:
+            d = (x >> 63 * s ^ x) & int.from_bytes(block_mask * blocks, "little")
+            x ^= d ^ d << 63 * s
+        pieces = memoryview(x.to_bytes(512 * blocks, "little")).cast("Q")
+        cols += [int.from_bytes(pieces[j::64].tobytes(), "little")
+                 for j in range(min(64, n - lo))]
+    return tuple(cols)
 
 
 def _rref(rows: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -147,31 +178,65 @@ def _xor_table(rows: Sequence[int]) -> list[int]:
     return table
 
 
+_NONZERO = b"\x00" + b"\x01" * 255  # bytes.translate table: flag nonzero bytes
+# _BYTE_BITS[b]: the set bits of byte b, ascending; bytes with bit j set
+# are those below 2^j with j added
+_BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j,) for bits in table),
+                    range(8), ((),))
+
+
 def _set_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of mask, ascending."""
-    return (m.start() for m in re.finditer("1", format(mask, "b")[::-1]))
+    """Positions of the set bits of mask, ascending, found byte by byte: a
+    regex finds the nonzero bytes and a table lists the bits of each."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    for m in re.finditer(b"\x01", data.translate(_NONZERO)):
+        i = m.start()
+        for j in _BYTE_BITS[data[i]]:
+            yield 8 * i + j
 
 
-def ripple_count(columns: Iterable[int], start: Sequence[int] = ()) -> list[int]:
+def count_planes(columns: Iterable[int], start: Sequence[int] = ()) -> list[int]:
     """Bit-sliced population count: bit t of plane i is bit i of the number
-    of `columns` with bit t set, plus the count whose planes are `start`.  A
-    ripple-carry adder adds one column at a time; the carry stops as soon as
-    it is empty."""
-    count = list(start)
+    of `columns` with bit t set, plus the count whose planes are `start`;
+    the top plane is nonzero.  A carry-save adder tree (Biham, FSE 1997;
+    Warren, Hacker's Delight, 2nd ed., 5-1) keeps the ints pending at each
+    bit level and turns three of them into a sum and a carry by one full
+    adder, so a column costs about one full adder wherever it lands."""
+    levels = [[p] for p in start]
+
+    def add(i: int, x: int):
+        while True:
+            if i == len(levels):
+                levels.append([x])
+                return
+            level = levels[i]
+            level.append(x)
+            if len(level) < 3:
+                return
+            a, b, c = level
+            u = a ^ b
+            level[:] = (u ^ c,)
+            x = a & b | u & c
+            i += 1
+
     for x in columns:
-        for i, c in enumerate(count):
-            count[i] = c ^ x
-            x &= c
-            if not x:
-                break
-        else:
-            count.append(x)
-    return count
+        add(0, x)
+    # a level left with two ints takes a half adder; the carry may fill the
+    # next level, which add reduces
+    for i, level in enumerate(levels):
+        if len(level) == 2:
+            a, b = level
+            level[:] = (a ^ b,)
+            add(i + 1, a & b)
+    planes = [level[0] for level in levels]
+    while planes and not planes[-1]:
+        planes.pop()
+    return planes
 
 
 def split_by_count(planes: Sequence[int], full: int, base: int = 0) -> dict[int, int]:
     """{base + count: mask of the positions in `full` holding that count},
-    where `planes` are the bit planes of ripple_count; empty masks are left out."""
+    where `planes` are the bit planes of count_planes; empty masks are left out."""
     classes = {base: full} if full else {}
     for i, c in enumerate(planes):
         split = {}
@@ -193,7 +258,7 @@ def _weight_classes(rows: Sequence[int], n: int,
     Bit t of the plane of coordinate j is coordinate j of the word at block
     position t, base ^ _combine(rows, gray(t)), m = min(k, LOW_BITS): the
     position order is the order of _gray_sweep.  Blocks walk the high message
-    bits in Gray order; a ripple-carry counter adds the planes (complemented
+    bits in Gray order; count_planes adds the planes (complemented
     where base has a 1), and splitting on its bits gives the mask of each
     weight.  Yields (base, {weight: mask}) per block.
 
@@ -226,9 +291,9 @@ def _weight_classes(rows: Sequence[int], n: int,
             base ^= high[(block & -block).bit_length() - 1] ^ rows[m - 1]
         key = base & pivot_mask
         if key not in precount:
-            precount[key] = ripple_count(x ^ full if base >> j & 1 else x
+            precount[key] = count_planes(x ^ full if base >> j & 1 else x
                                          for j, x in lead)
-        count = ripple_count((x ^ full if base >> j & 1 else x for j, x in rest),
+        count = count_planes((x ^ full if base >> j & 1 else x for j, x in rest),
                              precount[key])
         yield base, split_by_count(count, full, (base & fixed).bit_count())
 

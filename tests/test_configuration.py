@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from typeii import configuration
 from typeii.catalog import build
 from typeii.configuration import (
     COUNTEREXAMPLE,
     DUAL_OF_SPAN,
     GENERATED,
+    INDETERMINATE,
     QUOTIENT_OF_CODE,
     REFERENCE,
     ROOTS_MULT_4,
@@ -19,8 +21,16 @@ from typeii.configuration import (
     verify_on_code,
 )
 from typeii.designs import intersection_profile
-from typeii.exact import ONE, ZERO, Polynomial, S, factor_numerator, integer_roots
-from typeii.gf2 import Code
+from typeii.exact import (
+    ONE,
+    ZERO,
+    Polynomial,
+    RationalFunction,
+    S,
+    factor_numerator,
+    integer_roots,
+)
+from typeii.gf2 import Code, parse_word
 from typeii.gleason import extremal_min_weight
 from typeii.harmonic import zonal_eval
 
@@ -143,6 +153,24 @@ def test_analyze_n56_n96_multiples_of_four():
         assert v.generated_by_minimal
 
 
+# a synthetic determinant with an integer root on each scenario's boundary:
+# d(16) = 4 for the quotient scenario and 0 for the dual one at n = 56
+@pytest.mark.parametrize("n, numerator, relevant, conclusion", [
+    (16, (S - 4) * (S - 1), set(), GENERATED),           # s > d(n), not s >= d(n)
+    (16, (S - 4) * (S - 5), {5}, COUNTEREXAMPLE),
+    (56, S * (S + 2), set(), GENERATED),                 # s > 0, not s >= 0
+    (56, S * (S - 3), {3}, INDETERMINATE),
+])
+def test_analyze_root_boundaries(monkeypatch, n, numerator, relevant, conclusion):
+    monkeypatch.setattr(configuration, "extended_determinant",
+                        lambda n: RationalFunction(numerator, S + 1))
+    v = analyze(n)
+    assert v.integer_roots == integer_roots(numerator)
+    assert v.relevant_roots == relevant and v.conclusion == conclusion
+    assert v.counterexample_weight == (min(relevant) if conclusion == COUNTEREXAMPLE
+                                       else None)
+
+
 @pytest.mark.parametrize("n", SUPPORTED_LENGTHS)
 def test_analyze_matches_reference_conclusion(n):
     assert analyze(n).conclusion == REFERENCE[n].conclusion
@@ -228,6 +256,21 @@ def test_odd_intersections_fail_the_lambda_rows():
     r = verify_on_code(Code(8, [1 << j for j in range(8)]))
     assert (r.shell_size, r.span_dimension, r.coset_min_weights) == (70, 7, (0, 1))
     assert not r.lambda_rows_consistent
+
+
+def test_lambda_rows_checked_at_s_equal_to_degree(monkeypatch):
+    # the weight-2 samples meet the one weight-4 word in 2 or 0 positions, so
+    # the odd check passes, and the kept degrees of n = 8 are 1 and 2; a zonal
+    # sum that is nonzero only at s = d must fail the rows, since the
+    # degree-d row is defined for every s >= d
+    assert kept_degree_set(8) == [1, 2]
+    code = Code(8, [parse_word("11000000"), parse_word("11110000")])
+    for at_degree, consistent in ((0, True), (1, False)):
+        monkeypatch.setattr(configuration, "zonal_sum",
+                            lambda n, s, w, profile, d: at_degree * (s == d))
+        r = verify_on_code(code)
+        assert r.sampled_weights == (2, 2, 4)
+        assert r.lambda_rows_consistent == consistent
 
 
 def test_verify_on_qr48():

@@ -1,5 +1,7 @@
+import inspect
 import random
-from itertools import combinations
+import re
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -14,6 +16,9 @@ from typeii.gf2 import (
     DesignSet,
     EnumerationCapError,
     _gray_sweep,
+    _set_bits,
+    _transpose,
+    count_planes,
     format_generator_text,
     format_word,
     parse_generator_text,
@@ -292,6 +297,116 @@ def test_design_set_validation():
         DesignSet(4, 2, (parse_word("1110"),))
     with pytest.raises(ValueError, match="duplicate"):
         DesignSet(4, 2, (parse_word("1100"), parse_word("1100")))
+
+
+# ------------------------------------------------------------------ kernels
+# The carry-save counter, the block transpose and the byte-table bit decoder
+# against the stdlib kernels they replaced, kept here as oracles.
+
+def ripple_count_reference(columns, start=()) -> list[int]:
+    """Ripple-carry bit-sliced count: each column is added to the planes in
+    turn, the carry moving up until it is empty."""
+    count = list(start)
+    for x in columns:
+        for i, c in enumerate(count):
+            count[i] = c ^ x
+            x &= c
+            if not x:
+                break
+        else:
+            count.append(x)
+    return count
+
+
+def transpose_reference(words, n: int) -> tuple[int, ...]:
+    """Text transpose: the words last to first, each most significant bit
+    first, so every n-th character from n-1-j reads column j."""
+    text = "".join(format(w, f"0{n}b") for w in reversed(words))
+    return tuple(int(text[n - 1 - j::n] or "0", 2) for j in range(n))
+
+
+def set_bits_reference(mask: int) -> list[int]:
+    return [m.start() for m in re.finditer("1", format(mask, "b")[::-1])]
+
+
+def _stripped(planes: list[int]) -> list[int]:
+    while planes and not planes[-1]:
+        planes = planes[:-1]
+    return planes
+
+
+def _count_at(planes: list[int], t: int) -> int:
+    return sum((p >> t & 1) << i for i, p in enumerate(planes))
+
+
+@pytest.mark.parametrize("columns, start", [
+    ([], []),                              # no columns
+    ([], [0b1010, 0b0110, 0]),             # start planes only
+    ([0, 0, 0, 0], []),                    # zero columns
+    ([0, 0, 0], [0, 0b11]),
+    ([0b1011], []),                        # one column
+    ([0b1011], [0b0001, 0b0010]),
+    ([(1 << 70) - 1] * 300, []),           # carries through nine levels
+    ([(1 << 70) - 1] * 255, [1, 0, 0, 0, 0, 0, 0, 0]),
+])
+def test_count_planes_edge_cases(columns, start):
+    planes = count_planes(iter(columns), start)
+    assert planes == _stripped(ripple_count_reference(columns, start))
+    assert not planes or planes[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 70) - 1), max_size=60),
+       st.lists(st.integers(0, (1 << 70) - 1), max_size=7))
+def test_count_planes_matches_ripple_carry(columns, start):
+    planes = count_planes(iter(columns), start)
+    assert planes == _stripped(ripple_count_reference(columns, start))
+    for t in range(70):
+        assert _count_at(planes, t) \
+            == sum(x >> t & 1 for x in columns) + _count_at(start, t)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65, 1025])
+def test_transpose_matches_text_transpose(n, size):
+    rng = random.Random(1000 * n + size)
+    words = [rng.getrandbits(n) for _ in range(size)]
+    if size:
+        words[0], words[-1] = (1 << n) - 1, 1 << n - 1   # first and last rows full
+    cols = _transpose(words, n)
+    assert cols == transpose_reference(words, n) and len(cols) == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 130), st.data())
+def test_transpose_matches_text_transpose_random(n, data):
+    words = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=200))
+    assert _transpose(words, n) == transpose_reference(words, n)
+
+
+def test_set_bits_edge_cases():
+    rng = random.Random(16)
+    masks = [0, 1, (1 << 64) - 1, (1 << 65) - 1, (1 << 1 << 16) - 1,
+             sum(1 << rng.randrange(1 << 16) for _ in range(40)),   # sparse
+             rng.getrandbits(1 << 16)]                              # dense
+    # a bit on each side of every byte and 64-bit boundary up to 2^8
+    for b in range(1, 257):
+        masks += [1 << b - 1, 1 << b, 3 << b - 1]
+    for mask in masks:
+        assert list(_set_bits(mask)) == set_bits_reference(mask)
+
+
+@given(st.integers(0, (1 << 600) - 1))
+def test_set_bits_matches_regex_scan(mask):
+    assert list(_set_bits(mask)) == set_bits_reference(mask)
+
+
+def test_set_bits_is_lazy():
+    # the sweep takes only the first few words of a dense weight class
+    dense = random.Random(17).getrandbits(1 << 16)
+    bits = _set_bits(dense)
+    assert inspect.isgenerator(bits)
+    assert list(islice(bits, 5)) == set_bits_reference(dense)[:5]
 
 
 # ---------------------------------------------------------------- file format

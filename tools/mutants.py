@@ -1,0 +1,138 @@
+"""Mutation smoke test: each mutant below changes one line of `src/typeii`,
+and the tests named with it must fail on the changed copy.
+
+    python3 tools/mutants.py        # about a minute
+
+`src/` and `tests/` are copied to a temporary directory once; each mutant is
+written into that copy, its tests run with `pytest -x`, and the line is put
+back.  The checkout is never written.  The tests first run on the unchanged
+copy, which must pass.  Exit status: 0 when every mutant is killed, 1 when
+one survives (its tests pass), 2 when a mutant's line is not found exactly
+once or the unchanged copy fails.  Stdlib only; the tests need pytest and
+hypothesis.
+
+Left out as equivalent, each with the reason its output cannot differ:
+- `comb(n, t) > PREDESIGN_BOUND` against `>=` in `designs.check_predesign_bound`:
+  no n <= 128 and t give C(n, t) = 10^7.
+- `if target:` against `if target > 1:` at the empty-prefix exit of
+  `designs.predesign_count`: the two differ only when N_t = 1, and then a
+  leaf fails too.  Every leaf below a covered (t-1)-set A checks the sets
+  A + {c}, c > max(A), so if all leaves pass, A with any of its elements
+  swapped for any c > max(A) is covered.  Starting from {0, ..., t-2} and
+  swapping in the elements of a set Q, |Q| < t, in ascending order covers Q,
+  so no prefix is empty: the exit is only an early stop.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/typeii, old line, new line, tests); lines are
+# matched without their indentation, which the new line keeps
+MUTANTS = (
+    ("carry-drop", "gf2.py",
+     "x = a & b | u & c", "x = a & b",
+     ["tests/test_gf2.py"]),
+    ("transpose-stage-drop", "gf2.py",
+     "_SWAP_MASKS = tuple((s, _swap_mask(s)) for s in (32, 16, 8, 4, 2, 1))",
+     "_SWAP_MASKS = tuple((s, _swap_mask(s)) for s in (32, 16, 8, 4, 2))",
+     ["tests/test_gf2.py"]),
+    ("byte-table-shift", "gf2.py",
+     "_BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j,) for bits in table),",
+     "_BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j + 1,) for bits in table),",
+     ["tests/test_gf2.py"]),
+    ("split-empty-masks", "gf2.py",
+     "if hi:", "if True:",
+     ["tests/test_designs.py", "tests/test_gf2.py"]),
+    ("negative-roots", "exact.py",
+     "if q(-d) == 0:", "if False:",
+     ["tests/test_exact.py"]),
+    ("bareiss-swap-sign", "exact.py",
+     "sign = -sign", "sign = sign",
+     ["tests/test_exact.py", "tests/test_configuration.py"]),
+    ("weights-lower-end", "harmonic.py",
+     "return range(max(0, w - (n - s)), min(s, w) + 1)",
+     "return range(max(0, w - (n - s) - 1), min(s, w) + 1)",
+     ["tests/test_harmonic.py"]),
+    ("quotient-root-boundary", "configuration.py",
+     "relevant = frozenset(r for r in roots if r > d_min)",
+     "relevant = frozenset(r for r in roots if r >= d_min)",
+     ["tests/test_configuration.py"]),
+    ("dual-root-boundary", "configuration.py",
+     "relevant = frozenset(r for r in roots if r > 0)",
+     "relevant = frozenset(r for r in roots if r >= 0)",
+     ["tests/test_configuration.py"]),
+    ("lambda-row-boundary", "configuration.py",
+     "if s >= d and zonal_sum(n, s, d_min, profile, d) != 0:",
+     "if s > d and zonal_sum(n, s, d_min, profile, d) != 0:",
+     ["tests/test_configuration.py"]),
+    ("odd-intersections", "configuration.py",
+     "if any(a % 2 for a in profile):", "if False:",
+     ["tests/test_configuration.py", "tests/test_cli.py"]),
+    ("coset-bound", "configuration.py",
+     "bound_ok = all(max(intersection_profile(shell, leader), default=0) <= d_min // 2",
+     "bound_ok = all(max(intersection_profile(shell, leader), default=0) < d_min // 2",
+     ["tests/test_configuration.py"]),
+)
+
+
+def mutate(text: str, old: str, new: str) -> str | None:
+    """text with the one line reading `old` (indentation aside) replaced by
+    `new` at the same indentation; None unless exactly one line matches."""
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if line.strip() == old]
+    if len(hits) != 1:
+        return None
+    line = lines[hits[0]]
+    lines[hits[0]] = line[:len(line) - len(line.lstrip())] + new + "\n"
+    return "".join(lines)
+
+
+def run_tests(copy: Path, tests: list[str]) -> bool:
+    """True when the tests pass on the copy."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return proc.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="typeii-mutants-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        tests = sorted({t for m in MUTANTS for t in m[4]})
+        if not run_tests(copy, tests):
+            print("the tests fail on the unchanged copy", file=sys.stderr)
+            return 2
+        survivors = []
+        for name, path, old, new, tests in MUTANTS:
+            target = copy / "src" / "typeii" / path
+            original = target.read_text(encoding="utf-8")
+            mutant = mutate(original, old, new)
+            if mutant is None:
+                print(f"{name}: no single line {old!r} in {path}", file=sys.stderr)
+                return 2
+            target.write_text(mutant, encoding="utf-8")
+            try:
+                killed = not run_tests(copy, tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            print(f"{name:<24} {'killed' if killed else 'SURVIVED'}", flush=True)
+            if not killed:
+                survivors.append(name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
