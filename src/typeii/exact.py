@@ -8,16 +8,19 @@ polynomial is stored in content/primitive form (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 6): integer numerators over one positive
 integer denominator, reduced so that their gcd is 1.  Ring operations are then
 integer arithmetic plus one gcd per result, and `Fraction` coefficients are
-built only when they are read.  The integer kernels, `_mul_into` (the one
-convolution of coefficient sequences), `_horner` and `_reduce`, are shared with
+built only when they are read.  The integer kernels are shared with
 `harmonic`, which builds its numerators on bare integer tuples and reduces
-once per result.  Polynomials and rational functions are
-immutable.  A rational function is a value type with no arithmetic: it is
-normalized so that the denominator is monic and coprime to the numerator,
-which gives every value a canonical form, and it is built only at the edge,
-once a result in Q(s) is complete.  A determinant of a matrix whose rows
-share one denominator each is fraction-free Bareiss elimination on the
-polynomial numerators followed by one division by the product of the row
+once per result: `_mul_into`, the schoolbook convolution, for a single
+product (`Polynomial.__mul__` and harmonic's cached factors, where packing
+would cost more than it saves); `_product_sum`, Kronecker substitution, for a
+sum of many products into one result (harmonic's numerators d! P_d and
+symbolic sphere sums); `_horner` and `_reduce`.  Polynomials and rational
+functions are immutable.  A rational function is a value type with no
+arithmetic: it is normalized so that the denominator is monic and coprime to
+the numerator, which gives every value a canonical form, and it is built only
+at the edge, once a result in Q(s) is complete.  A determinant of a matrix
+whose rows share one denominator each is fraction-free Bareiss elimination on
+the polynomial numerators followed by one division by the product of the row
 denominators.
 """
 
@@ -54,6 +57,46 @@ def _mul_into(out: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _product_sum(terms: Sequence[Sequence[Sequence[int]]], m: int) -> list[int]:
+    """The m coefficients of the sum over terms of the product of each term's
+    factors (integer coefficient sequences); m is at least the length of
+    every product, and a term with an empty factor is zero.
+
+    Kronecker substitution (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 8.4): each factor is packed by Horner at X = 2^B, the packed
+    ints are multiplied and added, and the sum is read back once as m signed
+    base-X digits.  A product coefficient is a sum of at most prod len(f)
+    products, each below prod 2^bit_length, so a slot of the largest such
+    sum over the terms, plus the bits of the term count and one sign bit,
+    rounded up to whole bytes, holds every coefficient of the sum: the digits
+    are exact by construction.  The readback adds half a slot to each digit,
+    so that every slot is nonnegative, and subtracts it again per slice."""
+    live = [factors for factors in terms if all(factors)]
+    width = 0
+    for factors in live:
+        bits = 0
+        for f in factors:
+            bits += max(max(f), -min(f)).bit_length() + len(f).bit_length()
+        width = max(width, bits)
+    bits = width + len(terms).bit_length() + 1
+    step = -(-bits // 8)
+    shift = 8 * step
+    total = 0
+    for factors in live:
+        product = 1
+        for f in factors:
+            packed = 0
+            for c in reversed(f):
+                packed = (packed << shift) + c
+            product *= packed
+        total += product
+    half = 1 << (shift - 1)
+    raw = (total + int.from_bytes(half.to_bytes(step, "little") * m, "little")
+           ).to_bytes(step * m, "little")
+    return [int.from_bytes(raw[i:i + step], "little") - half
+            for i in range(0, step * m, step)]
 
 
 def _horner(num: Sequence[int], x: int) -> int:

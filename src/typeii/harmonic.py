@@ -30,17 +30,22 @@ tuples are cached by what they depend on, filled on first use: the falling
 products of affine terms by (alpha, beta, m), A by (n, d, k), k! K_k(a; s) by
 (a, k), j! K_j(x; n-s) by (n, x, j), the signed product
 (-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s) by (n, d, k, x) and the sum
-d! P_d by (n, w, a, d).  A build is then d+1 integer convolutions into one
-sum, and `zonal_numerator` reduces that sum by d! once, to the canonical
-Polynomial.  For an integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)),
-an exact Fraction.  The lambda-systems take P_d and falling(d) as they are,
-one numerator row over one denominator, and a RationalFunction is built only
-where a formal Z_d or sphere sum leaves the module.  Sums over intersection
-profiles read one cached integer row per (n, s, w, d), the integer numerators
-d! P_d evaluated by Horner at s for every feasible a, over the one
-denominator d! s(s-1)...(s-d+1), so a sum is one integer dot product and one
-Fraction.  The feasible intersection weights are stated once, in `_weights`;
-`zonal_eval`, `zonal_sum` and the sphere sums all take them from there.
+d! P_d by (n, w, a, d).  The cached factors are single products
+(`exact._mul_into`); a build of d! P_d is then one sum of d+1 products
+(`exact._product_sum`, by Kronecker substitution), and `zonal_numerator`
+reduces that sum by d! once, to the canonical Polynomial.  For an integer
+s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact Fraction.  The
+lambda-systems take P_d and falling(d) as they are, one numerator row over
+one denominator, and a RationalFunction is built only where a formal Z_d or
+sphere sum leaves the module.  Sums over intersection profiles read one
+cached integer row per (n, s, w, d), the integer numerators d! P_d evaluated
+by Horner at s for every feasible a, over the one denominator
+d! s(s-1)...(s-d+1), so a sum is one integer dot product and one Fraction;
+`sphere_sum` reads the row directly, with the sphere counts C(s, a) C(n-s, w-a)
+as weights.  The symbolic sphere sum is one product sum too, of
+C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) d! P_d over a.  The feasible
+intersection weights are stated once, in `_weights`; `zonal_eval`,
+`zonal_sum` and the sphere sums all take them from there.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
 
-from .exact import Polynomial, RationalFunction, _horner, _make, _mul_into, _reduce
+from .exact import (Polynomial, RationalFunction, _horner, _make, _mul_into, _product_sum,
+                    _reduce)
 
 
 def _weights(n: int, s: int | None, w: int) -> range:
@@ -167,11 +173,10 @@ def _weighted_ints(n: int, d: int, k: int, x: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _numerator_ints(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
     """The integer coefficients of d! P_d (degree at most 2d, trailing zeros
-    kept): d+1 convolutions into one sum."""
-    out = [0] * (2 * d + 1)
-    for k in range(d + 1):
-        _mul_into(out, _weighted_ints(n, d, k, w - a), _krawtchouk_ints(a, 1, 0, k))
-    return tuple(out)
+    kept): one product sum over the d+1 terms."""
+    terms = [(_weighted_ints(n, d, k, w - a), _krawtchouk_ints(a, 1, 0, k))
+             for k in range(d + 1)]
+    return tuple(_product_sum(terms, 2 * d + 1))
 
 
 @lru_cache(maxsize=None)
@@ -190,8 +195,9 @@ def zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
 def sphere_sum(n: int, s: int, w: int, d: int) -> Fraction:
     """Sum of Z_d over the whole sphere B_w relative to a weight-s word: at
     intersection weight a it holds C(s, a) C(n-s, w-a) words."""
-    counts = {a: comb(s, a) * comb(n - s, w - a) for a in _weights(n, s, w)}
-    return zonal_sum(n, s, w, counts, d)
+    weights, row, den = _zonal_row(n, s, w, d)
+    return Fraction(sum(comb(s, a) * comb(n - s, w - a) * z
+                        for a, z in zip(weights, row)), den)
 
 
 def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
@@ -200,11 +206,9 @@ def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
     The weight-w words at intersection a number C(s, a) C(n-s, w-a), and
     w! C(s, a) C(n-s, w-a) = C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) is
     an integer polynomial, so the sum of its products with d! P_d is reduced
-    by w! d! once."""
-    total = [0] * (w + 2 * d + 1)
-    for a in _weights(n, None, w):
-        count = _mul_into([0] * (w + 1), _falling_ints(1, 0, a),
-                          _falling_ints(-1, n, w - a))
-        _mul_into(total, [comb(w, a) * c for c in count], _numerator_ints(n, w, a, d))
+    by w! d! once; the sum is one product sum with a four-factor term per a."""
+    terms = [((comb(w, a),), _falling_ints(1, 0, a), _falling_ints(-1, n, w - a),
+              _numerator_ints(n, w, a, d)) for a in _weights(n, None, w)]
+    total = _product_sum(terms, w + 2 * d + 1)
     return RationalFunction(_make(*_reduce(total, factorial(w) * factorial(d))),
                             falling(d))

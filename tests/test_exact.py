@@ -17,6 +17,7 @@ from typeii.exact import (
     integer_roots,
     poly_gcd,
 )
+from typeii.exact import _mul_into, _product_sum
 
 
 # ---------------------------------------------------------------- rationals
@@ -240,6 +241,68 @@ def test_equal_polynomials_hash_equal():
         Polynomial([1, 0.5])
     with pytest.raises(AttributeError):
         S._num = (1,)
+
+
+# ------------------------------------------------------------- product sums
+#
+# _product_sum (Kronecker substitution) against the schoolbook convolution
+# _mul_into, one product per factor and one sum per term.
+
+def product_sum_oracle(terms, m):
+    out = [0] * m
+    for factors in terms:
+        if not all(factors):
+            continue
+        product = [1]
+        for f in factors:
+            product = _mul_into([0] * (len(product) + len(f) - 1), product, f)
+        for i, c in enumerate(product):
+            out[i] += c
+    return out
+
+
+signed_coefficients = st.one_of(st.integers(-9, 9), st.integers(-2**300, 2**300))
+product_terms = st.lists(
+    st.lists(st.lists(signed_coefficients, max_size=6), min_size=1, max_size=4),
+    max_size=20)
+
+
+@settings(deadline=None)
+@given(product_terms, st.integers(0, 3))
+def test_product_sum_matches_convolutions(terms, extra):
+    m = max((sum(map(len, t)) - len(t) + 1 for t in terms if all(t)), default=0) + extra
+    assert _product_sum(terms, m) == product_sum_oracle(terms, m)
+
+
+def test_product_sum_edge_cases():
+    assert _product_sum([], 0) == []
+    assert _product_sum([], 3) == [0, 0, 0]
+    assert _product_sum([((1, 2), ())], 2) == [0, 0]       # an empty factor: zero term
+    assert _product_sum([((1, 2), ()), ((3,), (1, -1))], 2) == [3, -3]
+    assert _product_sum([((0, 0), (0,)), ((0,),)], 2) == [0, 0]
+    assert _product_sum([((3,), (-5,), (7,))], 1) == [-105]
+    assert _product_sum([((1, 1), (1, 1))], 5) == [1, 2, 1, 0, 0]  # trailing zeros kept
+
+
+def test_product_sum_at_the_sign_boundary():
+    # +-2^k and +-(2^k - 1) fill a slot up to its sign bit; k runs through
+    # slots of 1 to 41 bytes
+    for k in range(321):
+        for c in (2**k, -2**k, 2**k - 1, 1 - 2**k):
+            assert _product_sum([((c,),)], 1) == [c]
+            assert _product_sum([((c, -c), (c,))], 3) == [c * c, -c * c, 0]
+            assert _product_sum([((c,), (c,)), ((-c,), (c,))], 1) == [0]
+
+
+def test_product_sum_term_count_headroom():
+    # same-sign maximal coefficients: the sum outgrows the slot of any one
+    # term, and only the bits of the term count keep it inside
+    for k in range(1, 80):
+        for c in (2**k - 1, -2**k):
+            for count in (2, 3, 7, 20, 255, 256):
+                assert _product_sum([((c,),)] * count, 1) == [count * c]
+                assert _product_sum([((c,) * 3, (c,) * 3)] * count, 5) == \
+                    [count * c * c * j for j in (1, 2, 3, 2, 1)]
 
 
 # -------------------------------------------------------- rational functions

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeii.exact import ONE, S, ZERO, Polynomial
+from typeii import harmonic
+from typeii.exact import ONE, S, ZERO, Polynomial, RationalFunction
 from typeii.harmonic import (
     sphere_sum,
     sphere_sum_symbolic,
@@ -213,6 +214,32 @@ def test_sphere_sum_degree_zero_counts_sphere():
 def test_sphere_sum_symbolic_identically_zero_sample():
     for (n, w, d) in [(8, 4, 1), (8, 4, 3), (16, 6, 5), (24, 8, 7), (24, 12, 6)]:
         assert sphere_sum_symbolic(n, w, d).is_zero
+
+
+def test_sphere_sum_symbolic_degree_zero_counts_sphere():
+    # Z_0 = 1: the sum is the sphere size C(n, w) for every s
+    for n in (8, 16, 24):
+        for w in range(n + 1):
+            expected = RationalFunction(Polynomial([comb(n, w)]))
+            assert sphere_sum_symbolic(n, w, 0) == expected
+
+
+@pytest.mark.parametrize("n, w, d", [(8, 4, 1), (16, 6, 3), (24, 8, 7)])
+def test_sphere_sum_symbolic_partial_sums_match_polynomial_oracle(monkeypatch, n, w, d):
+    # over every a the sum vanishes for d >= 1; over the first `top` weights
+    # it does not, and must equal sum_a C(s, a) C(n-s, w-a) P_d over the
+    # common denominator s(s-1)...(s-d+1)
+    den = ONE
+    for l in range(d):
+        den = den * (S - l)
+    for top in range(1, w + 1):
+        monkeypatch.setattr(harmonic, "_weights", lambda *args, top=top: range(top))
+        expected = ZERO
+        for a in range(top):
+            expected = expected + (binom_poly(S, a) * binom_poly(affine(-1, n), w - a)
+                                   * zonal_numerator_oracle(n, w, a, d))
+        assert not expected.is_zero
+        assert sphere_sum_symbolic(n, w, d) == RationalFunction(expected, den)
 
 
 @settings(max_examples=80, deadline=None)

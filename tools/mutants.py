@@ -57,6 +57,23 @@ MUTANTS = (
     ("bareiss-swap-sign", "exact.py",
      "sign = -sign", "sign = sign",
      ["tests/test_exact.py", "tests/test_configuration.py"]),
+    # a product coefficient gathers at most prod len(f) over all factors but
+    # one, so the length bits of the last factor already hold the sign of a
+    # nonempty sum: only the empty sum, whose slot would be 0 bits wide,
+    # tells this mutant apart
+    ("slot-sign-bit", "exact.py",
+     "bits = width + len(terms).bit_length() + 1",
+     "bits = width + len(terms).bit_length()",
+     ["tests/test_exact.py"]),
+    ("slot-term-count", "exact.py",
+     "bits = width + len(terms).bit_length() + 1", "bits = width + 1",
+     ["tests/test_exact.py"]),
+    ("readback-bias", "exact.py",
+     "half = 1 << (shift - 1)", "half = 0",
+     ["tests/test_exact.py"]),
+    ("symbolic-sum-dropped", "harmonic.py",
+     "total = _product_sum(terms, w + 2 * d + 1)", "total = [0] * (w + 2 * d + 1)",
+     ["tests/test_harmonic.py"]),
     ("weights-lower-end", "harmonic.py",
      "return range(max(0, w - (n - s)), min(s, w) + 1)",
      "return range(max(0, w - (n - s) - 1), min(s, w) + 1)",
