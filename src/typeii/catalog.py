@@ -8,8 +8,8 @@ the test suite checks each file and each code's weights against the builders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .gf2 import Code, load_code
 
@@ -99,12 +99,10 @@ def _build_qr48() -> Code:
     return _build_extended_qr(47)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    n: int
-    k: int
-    builder: Callable[[], Code]
+class CatalogEntry(namedtuple("CatalogEntry", "name n k builder")):
+    """A catalog code: its name, its [n, k] and the function that builds it."""
+
+    __slots__ = ()
 
 
 CATALOG: dict[str, CatalogEntry] = {

@@ -25,7 +25,7 @@ decide the configuration question per scenario:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .designs import intersection_profile
 from .exact import (
@@ -76,25 +76,22 @@ def kept_degree_set(n: int) -> list[int]:
     return available[:need]
 
 
-@dataclass(frozen=True)
-class ConfigRow:
+class ConfigRow(namedtuple("ConfigRow", "tag degree coefficients rhs denominator")):
     """One equation of the lambda-system: (coefficients . lambda = rhs) with
-    every entry a numerator over the row's one denominator."""
+    every entry a numerator over the row's one denominator.  `tag` is "sum"
+    or "zonal" and `degree` the zonal degree, None for the sum row;
+    `coefficients` is a tuple of Polynomials, `rhs` and `denominator` are
+    Polynomials."""
 
-    tag: str                                  # "sum" or "zonal"
-    degree: int | None                        # zonal degree, None for the sum row
-    coefficients: tuple[Polynomial, ...]
-    rhs: Polynomial
-    denominator: Polynomial
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConfigSystem:
-    n: int
-    scenario: str
-    variables: tuple[str, ...]                # lambda_0, lambda_2, ...
-    rows: tuple[ConfigRow, ...]
-    kept_degrees: tuple[int, ...]
+class ConfigSystem(namedtuple("ConfigSystem", "n scenario variables rows kept_degrees")):
+    """The lambda-system of length n: `variables` names the unknowns
+    (lambda_0, lambda_2, ...), `rows` holds one ConfigRow per equation and
+    `kept_degrees` the zonal degrees of its rows."""
+
+    __slots__ = ()
 
     @property
     def min_weight(self) -> int:
@@ -128,17 +125,16 @@ def extended_determinant(n: int) -> RationalFunction:
                       [row.denominator for row in rows])
 
 
-@dataclass(frozen=True)
-class Verdict:
-    n: int
-    scenario: str
-    determinant: RationalFunction
-    factors: NumeratorFactors
-    integer_roots: frozenset[int]            # all integer roots of the numerator
-    relevant_roots: frozenset[int]           # restricted to the scenario's range
-    conclusion: str
-    generated_by_minimal: bool
-    counterexample_weight: int | None = None
+class Verdict(namedtuple("Verdict", "n scenario determinant factors integer_roots "
+                                   "relevant_roots conclusion generated_by_minimal "
+                                   "counterexample_weight", defaults=(None,))):
+    """The integer-root verdict for length n: the extended `determinant` (a
+    RationalFunction) and the NumeratorFactors of its numerator,
+    `integer_roots` (a frozenset of all integer roots of the numerator) and
+    `relevant_roots` (those in the scenario's range), the `conclusion`, and
+    the weight of a counterexample class, None unless there is one."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -204,15 +200,14 @@ def analyze(n: int) -> Verdict:
     )
 
 
-# Reference analysis results the tool is expected to reproduce: the required
-# polynomial factor of each determinant numerator, the published integer
-# prefactor, and the published denominator (the latter two are informational).
-@dataclass(frozen=True)
-class ReferenceResult:
-    factor: Polynomial
-    constant: int
-    denominator_root_powers: tuple[tuple[int, int], ...]
-    conclusion: str
+class ReferenceResult(namedtuple("ReferenceResult",
+                                 "factor constant denominator_root_powers conclusion")):
+    """A reference analysis result the tool is expected to reproduce: the
+    required polynomial factor of the determinant numerator, the published
+    integer prefactor, and the published denominator as (root, power) pairs
+    (the latter two are informational)."""
+
+    __slots__ = ()
 
     def denominator(self) -> Polynomial:
         out = Polynomial([1])
@@ -277,20 +272,15 @@ def reference_ratio(n: int) -> RationalFunction:
 
 # ------------------------------------------------------------ concrete codes
 
-@dataclass(frozen=True)
-class CodeReport:
-    n: int
-    k: int
-    min_weight: int
-    extremal: bool
-    shell_size: int
-    matches_enumerator: bool
-    span_dimension: int
-    generated_by_minimal: bool
-    coset_min_weights: tuple[int, ...]
-    lambda_rows_consistent: bool
-    intersection_bound_holds: bool
-    sampled_weights: tuple[int, ...]
+class CodeReport(namedtuple("CodeReport", "n k min_weight extremal shell_size "
+                                         "matches_enumerator span_dimension "
+                                         "generated_by_minimal coset_min_weights "
+                                         "lambda_rows_consistent intersection_bound_holds "
+                                         "sampled_weights")):
+    """The checks of verify_on_code on one code, every field an int, a bool
+    or a tuple of ints."""
+
+    __slots__ = ()
 
     @property
     def all_checks_pass(self) -> bool:
@@ -302,7 +292,7 @@ class CodeReport:
         )
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "all_checks_pass": self.all_checks_pass}
+        return {**self._asdict(), "all_checks_pass": self.all_checks_pass}
 
 
 def verify_on_code(code: Code) -> CodeReport:

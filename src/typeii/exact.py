@@ -26,12 +26,12 @@ denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 def _reduce(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -515,13 +515,13 @@ def format_poly(p: Polynomial) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class NumeratorFactors:
-    """p = content * prod (s - r)^m * residual over the integer roots r of p."""
+class NumeratorFactors(namedtuple("NumeratorFactors", "content linear residual")):
+    """p = content * prod (s - r)^m * residual over the integer roots r of p:
+    `content` is the rational scale (a Fraction, sign included), `linear`
+    the (integer root, multiplicity) pairs and `residual` the
+    integer-root-free cofactor, a Polynomial."""
 
-    content: Fraction                        # rational scale, sign included
-    linear: tuple[tuple[int, int], ...]      # (integer root, multiplicity)
-    residual: Polynomial                     # integer-root-free cofactor
+    __slots__ = ()
 
     def linear_str(self, sep: str = "*") -> str:
         """The linear factors, e.g. 's*(s-1)^2*(s+3)'; '' when there are none."""

@@ -27,10 +27,9 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from collections.abc import Iterable, Iterator, Sequence
+from functools import reduce
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
 
 MAX_LENGTH = 128
 ENUM_CAP = 26  # refuse exhaustive sweeps beyond 2^26 codewords
@@ -63,23 +62,27 @@ def format_word(n: int, bits: int) -> str:
     return format(bits, f"0{n}b")[::-1]
 
 
-@dataclass(frozen=True)
 class DesignSet:
-    """A finite subset of the Hamming sphere B_w, the raw material of a design."""
+    """A finite subset of the Hamming sphere B_w, the raw material of a
+    design: distinct words of length n and weight w.  Immutable."""
 
-    n: int
-    w: int
-    words: tuple[int, ...]
+    __slots__ = ("n", "w", "words", "_columns")
 
-    def __post_init__(self):
-        words = self.words
-        if words and (min(words) < 0 or max(words) >> self.n):
+    def __init__(self, n: int, w: int, words: tuple[int, ...]):
+        if words and (min(words) < 0 or max(words) >> n):
             raise ValueError("design word bits beyond the word length")
-        wrong = set(map(int.bit_count, words)) - {self.w}
+        wrong = set(map(int.bit_count, words)) - {w}
         if wrong:
-            raise ValueError(f"design word of weight {min(wrong)}, expected {self.w}")
+            raise ValueError(f"design word of weight {min(wrong)}, expected {w}")
         if len(set(words)) != len(words):
             raise ValueError("duplicate word in design set")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "_columns", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DesignSet is immutable")
 
     def __len__(self) -> int:
         return len(self.words)
@@ -87,11 +90,13 @@ class DesignSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.words)
 
-    @cached_property
+    @property
     def columns(self) -> tuple[int, ...]:
         """Column bitmaps, the transpose of the words: bit i of columns[j] is
-        coordinate j of words[i]."""
-        return _transpose(self.words, self.n)
+        coordinate j of words[i].  Computed on first use."""
+        if self._columns is None:
+            object.__setattr__(self, "_columns", _transpose(self.words, self.n))
+        return self._columns
 
 
 _LOW64 = (1 << 64) - 1

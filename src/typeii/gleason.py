@@ -15,8 +15,6 @@ lower-triangular and forward substitution solves it in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf2 import MAX_LENGTH
 
 
@@ -37,18 +35,22 @@ def sigma(n: int) -> int:
     return {0: 5, 8: 3, 16: 1}[n % 24]
 
 
-@dataclass(frozen=True)
 class WeightEnumerator:
-    """Homogeneous weight enumerator: coefficients[w] counts weight-w words."""
+    """Homogeneous weight enumerator: coefficients[w] counts weight-w words.
+    Immutable."""
 
-    n: int
-    coefficients: tuple[int, ...]
+    __slots__ = ("n", "coefficients")
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.n + 1:
+    def __init__(self, n: int, coefficients: tuple[int, ...]):
+        if len(coefficients) != n + 1:
             raise ValueError("coefficient vector must have length n + 1")
-        if self.coefficients[0] != 1:
+        if coefficients[0] != 1:
             raise ValueError("A_0 must be 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightEnumerator is immutable")
 
     def __getitem__(self, w: int) -> int:
         return self.coefficients[w]

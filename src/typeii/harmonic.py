@@ -41,11 +41,12 @@ sphere sum leaves the module.  Sums over intersection profiles read one
 cached integer row per (n, s, w, d), the integer numerators d! P_d evaluated
 by Horner at s for every feasible a, over the one denominator
 d! s(s-1)...(s-d+1), so a sum is one integer dot product and one Fraction;
-`sphere_sum` reads the row directly, with the sphere counts C(s, a) C(n-s, w-a)
-as weights.  The symbolic sphere sum is one product sum too, of
-C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) d! P_d over a.  The feasible
-intersection weights are stated once, in `_weights`; `zonal_eval`,
-`zonal_sum` and the sphere sums all take them from there.
+`sphere_sum` builds the same row uncached, since it reads each row once, and
+weights it by the sphere counts C(s, a) C(n-s, w-a).  The symbolic sphere
+sum is one product sum too, of C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1)
+d! P_d over a.  The feasible intersection weights are stated once, in
+`_weights`; `zonal_eval`, `zonal_sum` and the sphere sums all take them from
+there.
 """
 
 from __future__ import annotations
@@ -99,9 +100,8 @@ def _check_degree(s: int | None, d: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _zonal_row(n: int, s: int, w: int, d: int
-               ) -> tuple[range, tuple[int, ...], int]:
+def _integer_row(n: int, s: int, w: int, d: int
+                 ) -> tuple[range, tuple[int, ...], int]:
     """(weights, row, D): weights = _weights(n, s, w), row[i] =
     Z_d(n, s, w, a) * D at a = weights[i], and D = d! * s(s-1)...(s-d+1),
     the denominator of the integer numerators d! P_d (a common denominator of
@@ -111,6 +111,11 @@ def _zonal_row(n: int, s: int, w: int, d: int
     _check_degree(s, d)
     row = tuple(_horner(_numerator_ints(n, w, a, d), s) for a in weights)
     return weights, row, factorial(d) * perm(s, d)
+
+
+# zonal_sum reads few rows many times (one per profile); a sphere sum reads
+# each row once, so it calls _integer_row and keeps nothing
+_zonal_row = lru_cache(maxsize=None)(_integer_row)
 
 
 def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fraction:
@@ -195,7 +200,7 @@ def zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
 def sphere_sum(n: int, s: int, w: int, d: int) -> Fraction:
     """Sum of Z_d over the whole sphere B_w relative to a weight-s word: at
     intersection weight a it holds C(s, a) C(n-s, w-a) words."""
-    weights, row, den = _zonal_row(n, s, w, d)
+    weights, row, den = _integer_row(n, s, w, d)
     return Fraction(sum(comb(s, a) * comb(n - s, w - a) * z
                         for a, z in zip(weights, row)), den)
 

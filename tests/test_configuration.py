@@ -31,7 +31,7 @@ from typeii.exact import (
     integer_roots,
 )
 from typeii.gf2 import Code, parse_word
-from typeii.gleason import extremal_min_weight
+from typeii.gleason import extremal_min_weight, extremal_weight_enumerator
 from typeii.harmonic import zonal_eval
 
 
@@ -199,6 +199,23 @@ def test_verify_on_d16plus():
     assert r.span_dimension == 7
     assert r.coset_min_weights == (0, 8)
     assert r.all_checks_pass  # consistency checks hold even without generation
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: analyze(8), "conclusion"),
+    (lambda: verify_on_code(build("e8")), "generated_by_minimal"),
+    (lambda: build("e8").shell(4), "words"),
+    (lambda: extremal_weight_enumerator(8), "coefficients"),
+    (lambda: build_system(8).rows[1], "rhs"),
+], ids=["Verdict", "CodeReport", "DesignSet", "WeightEnumerator", "ConfigRow"])
+def test_records_are_immutable(make, field):
+    record = make()
+    value = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    with pytest.raises(AttributeError):
+        record.extra = value
+    assert getattr(record, field) is value
 
 
 def test_e8_lambda_sum_is_enumerator_coefficient():

@@ -48,6 +48,15 @@ MUTANTS = (
      "_BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j,) for bits in table),",
      "_BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j + 1,) for bits in table),",
      ["tests/test_gf2.py"]),
+    ("design-bits-bound", "gf2.py",
+     "if words and (min(words) < 0 or max(words) >> n):", "if words and min(words) < 0:",
+     ["tests/test_gf2.py::test_design_set_validation"]),
+    ("design-duplicates", "gf2.py",
+     "if len(set(words)) != len(words):", "if False:",
+     ["tests/test_gf2.py::test_design_set_validation"]),
+    ("enumerator-a0", "gleason.py",
+     "if coefficients[0] != 1:", "if False:",
+     ["tests/test_gleason.py::test_weight_enumerator_validation"]),
     ("split-empty-masks", "gf2.py",
      "if hi:", "if True:",
      ["tests/test_designs.py", "tests/test_gf2.py"]),
