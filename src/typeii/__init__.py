@@ -6,7 +6,7 @@ Submodules:
   harmonic       discrete zonal harmonics: one numerator over s(s-1)...(s-d+1)
   designs        t-design / t-half-design certification on Hamming spheres
   gleason        extremality bounds and extremal weight enumerators
-  catalog        constructions of the concrete codes used for verification
+  catalog        the concrete codes used for verification, as shipped matrix files
   configuration  intersection-count systems, their determinants, and verdicts
   cli            command-line front end
 """

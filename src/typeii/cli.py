@@ -168,11 +168,7 @@ def _cmd_determinant(args) -> int:
 
 
 def _cmd_enumerator(args) -> int:
-    try:
-        enum = extremal_weight_enumerator(args.n)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    enum = extremal_weight_enumerator(args.n)
     if args.json:
         _emit_json(_report("enumerator", {"n": args.n},
                            {str(w): c for w, c in enum.nonzero().items()}))
@@ -186,7 +182,9 @@ def _cmd_design_check(args) -> int:
     if not 1 <= args.t <= args.w:
         raise ValueError(f"--t must lie in 1..w, got t = {args.t} with w = {args.w}")
     code = resolve(args.code)
-    # every tally below is bounded before the sweep
+    # --w bounds --t, and every tally below is bounded before the sweep
+    if not 0 <= args.w <= code.n:
+        raise ValueError(f"shell weight {args.w} outside 0..{code.n}")
     for t in range(1, args.t + 1):
         check_predesign_bound(code.n, t)
     shell = code.shell(args.w)

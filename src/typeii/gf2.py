@@ -35,6 +35,7 @@ MAX_LENGTH = 128
 ENUM_CAP = 26  # refuse exhaustive sweeps beyond 2^26 codewords
 LOW_BITS = 16  # message bits sliced into the 2^16 bit positions of one plane
 LOWEST = -1    # Code.sweep target: the words of the lowest weight present
+MAX_FILE_BYTES = 1 << 20  # refuse longer matrix files; 128 rows take 17 KB
 
 
 class EnumerationCapError(RuntimeError):
@@ -157,15 +158,6 @@ def _rref(rows: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(work[i] for i in order), tuple(pivots[i] for i in order)
 
 
-def _gray_sweep(rows: Sequence[int]) -> Iterator[int]:
-    """span(rows) in Gray-walk order: step i yields _combine(rows, gray(i))."""
-    acc = 0
-    yield acc
-    for m in range(1, 1 << len(rows)):
-        acc ^= rows[(m & -m).bit_length() - 1]
-        yield acc
-
-
 def _combine(rows: Sequence[int], g: int) -> int:
     """XOR of the rows selected by the set bits of g."""
     acc = 0
@@ -261,11 +253,11 @@ def _weight_classes(rows: Sequence[int], n: int,
     rows are RREF rows, each with its pivot at its lowest set bit.
 
     Bit t of the plane of coordinate j is coordinate j of the word at block
-    position t, base ^ _combine(rows, gray(t)), m = min(k, LOW_BITS): the
-    position order is the order of _gray_sweep.  Blocks walk the high message
-    bits in Gray order; count_planes adds the planes (complemented
-    where base has a 1), and splitting on its bits gives the mask of each
-    weight.  Yields (base, {weight: mask}) per block.
+    position t, base ^ _combine(rows, gray(t)) with gray(t) = t ^ t >> 1 and
+    m = min(k, LOW_BITS).  Blocks walk the high message bits in Gray order;
+    count_planes adds the planes (complemented where base has a 1), and
+    splitting on its bits gives the mask of each weight.  Yields
+    (base, {weight: mask}) per block.
 
     Low row r is the only row with a 1 at its pivot p_r, so the plane of p_r
     is the Gray pattern of bit r, and on the low pivots base is the offset or
@@ -308,18 +300,12 @@ class Code:
 
     __slots__ = ("n", "rref_rows", "pivots", "k")
 
-    def __init__(self, n: int, generators: Iterable[int | str]):
+    def __init__(self, n: int, generators: Iterable[int]):
         if not 0 < n <= MAX_LENGTH:
             raise ValueError(f"code length must be in 1..{MAX_LENGTH}, got {n}")
-        rows: list[int] = []
-        for g in generators:
-            if isinstance(g, str):
-                if len(g) != n:
-                    raise ValueError("generator of wrong length")
-                g = parse_word(g)
-            elif g < 0 or g >> n:
-                raise ValueError("generator bits beyond code length")
-            rows.append(int(g))
+        rows = list(generators)
+        if rows and (min(rows) < 0 or max(rows) >> n):
+            raise ValueError("generator bits beyond code length")
         rref_rows, pivots = _rref(rows, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rref_rows", rref_rows)
@@ -391,16 +377,13 @@ class Code:
                 f"2^{self.k} codewords exceed the enumeration cap 2^{ENUM_CAP}"
             )
 
-    def words(self) -> Iterator[int]:
-        self._check_cap()
-        yield from _gray_sweep(self.rref_rows)
-
     def sweep(self, target: int | None = None, per_weight: int = 0, offset: int = 0
               ) -> tuple[list[int], DesignSet | None, tuple[int, ...]]:
         """One bit-sliced pass over offset + this code (a coset unless offset
         is a codeword).  Returns the weight distribution, the words of weight
         `target` (None: no words; LOWEST: the lowest weight present) and the
-        first `per_weight` nonzero words of each weight in the order of words().
+        first `per_weight` nonzero words of each weight in Gray-walk order,
+        where step i is the XOR of the rows picked by the bits of i ^ i >> 1.
         Only the returned words are decoded, each as base ^ lo[g & 255] ^
         hi[g >> 8] from its Gray position g, with the XOR tables lo and hi
         over low rows 0-7 and 8-15."""
@@ -465,7 +448,7 @@ def parse_generator_text(text: str) -> Code:
     offending 1-based line number.
     """
     header: tuple[int, int] | None = None
-    rows: list[str] = []
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -485,9 +468,9 @@ def parse_generator_text(text: str) -> Code:
         n, k = header
         if len(rows) == k:
             raise CodeFileError(f"more than the {k} declared generator rows", lineno)
-        if len(line) != n or any(ch not in "01" for ch in line):
+        if len(line) != n or line.strip("01"):
             raise CodeFileError(f"expected exactly {n} characters from {{0,1}}", lineno)
-        rows.append(line)
+        rows.append(parse_word(line))
     if header is None:
         raise CodeFileError("missing header 'n k'", 1)
     n, k = header
@@ -507,5 +490,10 @@ def format_generator_text(code: Code, comment: str | None = None) -> str:
 
 
 def load_code(path) -> Code:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_generator_text(fh.read())
+    """Read a matrix file of at most MAX_FILE_BYTES bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise CodeFileError(f"file exceeds {MAX_FILE_BYTES} bytes",
+                            data.count(b"\n", 0, MAX_FILE_BYTES) + 1)
+    return parse_generator_text(data.decode("ascii"))

@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from typeii.catalog import build
+from typeii.catalog import resolve
 from typeii.configuration import (
     REFERENCE,
     analyze,
@@ -30,6 +30,8 @@ from typeii.gf2 import Code
 from typeii.gleason import extremal_min_weight, extremal_weight_enumerator
 from typeii.harmonic import sphere_sum, sphere_sum_symbolic
 
+from test_gf2 import gray_walk
+
 
 def span_of_shell(code: Code, w: int) -> Code:
     return Code(code.n, code.shell(w))
@@ -42,7 +44,7 @@ def verdict(num: int, ok: bool, desc: str):
 
 @pytest.fixture(scope="module")
 def golay():
-    return build("golay24")
+    return resolve("golay24")
 
 
 @pytest.fixture(scope="module")
@@ -84,9 +86,9 @@ def test_criterion_04_catalog_configuration_verdicts():
     t0 = time.perf_counter()
     ok = True
     for name in ("e8", "e8e8", "golay24", "rm32"):
-        code = build(name)
+        code = resolve(name)
         ok = ok and span_of_shell(code, extremal_min_weight(code.n)) == code
-    d16 = build("d16plus")
+    d16 = resolve("d16plus")
     span = span_of_shell(d16, 4)
     ok = ok and span.k == d16.k - 1
     ok = ok and sorted(s.w for s in d16.coset_leaders(span).values()) == [0, 8]
@@ -98,7 +100,7 @@ def test_criterion_04_catalog_configuration_verdicts():
 
 def test_criterion_04_deep_qr48_span():
     t0 = time.perf_counter()
-    code = build("qr48")
+    code = resolve("qr48")
     ok = span_of_shell(code, 12) == code
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
@@ -152,7 +154,7 @@ def test_criterion_07_harmonic_sphere_sum_gate():
 def test_criterion_08_enumerator_oracle():
     ok = True
     for name in ("e8", "e8e8", "d16plus", "golay24", "rm32"):
-        code = build(name)
+        code = resolve(name)
         enum = extremal_weight_enumerator(code.n)
         ok = ok and tuple(code.weight_distribution()) == enum.coefficients
     verdict(8, ok, "extremal enumerators equal exhaustive shell counts for "
@@ -160,7 +162,7 @@ def test_criterion_08_enumerator_oracle():
 
 
 def test_criterion_08_deep_qr48_shell_count():
-    dist = build("qr48").weight_distribution()
+    dist = resolve("qr48").weight_distribution()
     ok = dist[12] == extremal_weight_enumerator(48)[12] == 17296
     verdict(8, ok, "A_12(48) = 17296 matches the qr48 sweep")
 
@@ -186,7 +188,7 @@ def test_criterion_09_property_suites(golay, octads):
             failures += 1
 
     # minimal words meeting a codeword too deeply would shorten it
-    codewords = list(golay.words())
+    codewords = list(gray_walk(golay))
     octad_list = list(octads)
     for _ in range(cases):
         c = rng.choice(octad_list)

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from typeii.catalog import build
+from typeii.catalog import resolve
 from typeii.cli import main
-from typeii.gf2 import Code, format_generator_text, format_word
+from typeii.gf2 import MAX_FILE_BYTES, Code, format_generator_text, format_word
 
 
 def run(capsys, *argv):
@@ -80,7 +80,7 @@ def test_verify_code_catalog_and_file(capsys, tmp_path):
     assert "generated_by_minimal = False" in out
     assert "[0, 8]" in out
     path = tmp_path / "e8.txt"
-    path.write_text(format_generator_text(build("e8")), encoding="ascii")
+    path.write_text(format_generator_text(resolve("e8")), encoding="ascii")
     code, out, _ = run(capsys, "verify-code", "--code", str(path))
     assert code == 0
     assert "generated_by_minimal = True" in out
@@ -123,6 +123,21 @@ def test_design_check_t_bound_precedes_sweep(capsys, monkeypatch):
     assert err == "error: C(48,6) = 12271512 exceeds the enumeration bound\n"
 
 
+@pytest.mark.parametrize("w", [9, 10**9])
+def test_design_check_w_bound_precedes_tallies(capsys, monkeypatch, w):
+    # --t <= --w leaves --w unbounded, and the tally bounds are checked for
+    # every t up to --t: --w must lie in 0..n before that loop starts
+    def bound(n, t):
+        if t > n:
+            raise AssertionError(f"tally bound checked at t = {t} > n = {n}")
+
+    monkeypatch.setattr("typeii.cli.check_predesign_bound", bound)
+    code, out, err = run(capsys, "design-check", "--code", "e8",
+                         "--w", str(w), "--t", str(w))
+    assert code == 2 and out == ""
+    assert err == f"error: shell weight {w} outside 0..8\n"
+
+
 def test_verify_code_zero_dimensional(capsys, tmp_path):
     # a valid file: 0 <= k <= n; the zero code has no minimal weight
     path = tmp_path / "k0.txt"
@@ -161,6 +176,21 @@ def test_malformed_matrix_file_reports_line(capsys, tmp_path):
     code, _, err = run(capsys, "verify-code", "--code", str(path))
     assert code == 2
     assert "line 4" in err
+
+
+@pytest.mark.parametrize("extra, exit_code", [(0, 0), (1, 2)])
+def test_matrix_file_size_bound(capsys, tmp_path, extra, exit_code):
+    # a comment line fills the file to MAX_FILE_BYTES (+ extra) bytes ahead of
+    # a valid e8 matrix; one byte past the bound is refused
+    assert MAX_FILE_BYTES == 1 << 20
+    body = format_generator_text(resolve("e8"))
+    path = tmp_path / "long.txt"
+    path.write_text("#" * (MAX_FILE_BYTES + extra - len(body) - 1) + "\n" + body,
+                    encoding="ascii")
+    assert path.stat().st_size == MAX_FILE_BYTES + extra
+    code, _, err = run(capsys, "verify-code", "--code", str(path))
+    assert code == exit_code
+    assert ("exceeds" in err) == (exit_code == 2)
 
 
 def test_design_check_json(capsys):
@@ -251,7 +281,7 @@ def _fuzz_matrix_text(rng) -> str:
     in its header, its characters or its row count.  Lengths 12 and 40 are
     valid for the parser but unsupported by verify-code."""
     if rng.random() < 0.3:
-        code = build(rng.choice(("e8", "e8e8", "d16plus", "golay24")))
+        code = resolve(rng.choice(("e8", "e8e8", "d16plus", "golay24")))
         n, k = code.n, code.k
         perm = rng.sample(range(n), n)
         rows = ["".join(format_word(n, r)[j] for j in perm) for r in code.rref_rows]

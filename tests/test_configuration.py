@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from typeii import configuration
-from typeii.catalog import build
+from typeii.catalog import resolve
 from typeii.configuration import (
     COUNTEREXAMPLE,
     DUAL_OF_SPAN,
@@ -33,6 +34,8 @@ from typeii.exact import (
 from typeii.gf2 import Code, parse_word
 from typeii.gleason import extremal_min_weight, extremal_weight_enumerator
 from typeii.harmonic import zonal_eval
+
+from test_gf2 import gray_walk
 
 
 # ------------------------------------------------------------ system building
@@ -187,14 +190,14 @@ def test_verdict_roundtrips_to_dict():
 
 @pytest.mark.parametrize("name", ["e8", "e8e8", "golay24", "rm32"])
 def test_verify_on_generated_codes(name):
-    r = verify_on_code(build(name))
+    r = verify_on_code(resolve(name))
     assert r.generated_by_minimal
     assert r.coset_min_weights == (0,)
     assert r.all_checks_pass
 
 
 def test_verify_on_d16plus():
-    r = verify_on_code(build("d16plus"))
+    r = verify_on_code(resolve("d16plus"))
     assert not r.generated_by_minimal
     assert r.span_dimension == 7
     assert r.coset_min_weights == (0, 8)
@@ -203,8 +206,8 @@ def test_verify_on_d16plus():
 
 @pytest.mark.parametrize("make, field", [
     (lambda: analyze(8), "conclusion"),
-    (lambda: verify_on_code(build("e8")), "generated_by_minimal"),
-    (lambda: build("e8").shell(4), "words"),
+    (lambda: verify_on_code(resolve("e8")), "generated_by_minimal"),
+    (lambda: resolve("e8").shell(4), "words"),
     (lambda: extremal_weight_enumerator(8), "coefficients"),
     (lambda: build_system(8).rows[1], "rhs"),
 ], ids=["Verdict", "CodeReport", "DesignSet", "WeightEnumerator", "ConfigRow"])
@@ -219,20 +222,18 @@ def test_records_are_immutable(make, field):
 
 
 def test_e8_lambda_sum_is_enumerator_coefficient():
-    code = build("e8")
+    code = resolve("e8")
     shell = code.shell(4)
-    for cbar in list(code.words())[1:6]:
+    for cbar in islice(gray_walk(code), 1, 6):
         profile = intersection_profile(shell, cbar)
         assert sum(profile.values()) == 14
         assert all(a % 2 == 0 for a in profile)
 
 
 def test_d16plus_coset_rep_solves_n16_system():
-    code = build("d16plus")
+    code = resolve("d16plus")
     span = Code(16, code.shell(4))
-    rep = next(
-        w for w in code.words() if w.bit_count() == 8 and not span.contains(w)
-    )
+    rep = next(w for w in code.shell(8) if not span.contains(w))
     shell = code.shell(4)
     profile = intersection_profile(shell, rep)
     assert set(profile) <= {0, 2}          # intersection bound at d/2 = 2
@@ -246,7 +247,7 @@ def test_d16plus_coset_rep_solves_n16_system():
 
 
 def test_golay_octads_cover_every_coordinate():
-    octads = build("golay24").shell(8)
+    octads = resolve("golay24").shell(8)
     coverage = 0
     for word in octads:
         coverage |= word
@@ -256,7 +257,7 @@ def test_golay_octads_cover_every_coordinate():
 def test_intersection_bound_on_golay():
     # adding a minimal word to any codeword it meets too deeply would shorten
     # it; instantiated over octad pairs
-    code = build("golay24")
+    code = resolve("golay24")
     octads = code.shell(8)
     words = list(octads)[:40]
     for c in words:
@@ -291,5 +292,5 @@ def test_lambda_rows_checked_at_s_equal_to_degree(monkeypatch):
 
 
 def test_verify_on_qr48():
-    r = verify_on_code(build("qr48"))
+    r = verify_on_code(resolve("qr48"))
     assert r.generated_by_minimal and r.all_checks_pass

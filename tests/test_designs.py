@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeii.catalog import build
+from typeii.catalog import resolve
 from typeii.designs import (
     DesignSet,
     default_cbar_sample,
@@ -45,12 +45,12 @@ def doublecount_check(dset: DesignSet, t: int) -> bool:
 
 @pytest.fixture(scope="module")
 def octads():
-    return build("golay24").shell(8)
+    return resolve("golay24").shell(8)
 
 
 @pytest.fixture(scope="module")
 def dodecads():
-    return build("golay24").shell(12)
+    return resolve("golay24").shell(12)
 
 
 # ------------------------------------------------------------ predesign tally
@@ -349,7 +349,7 @@ def test_profile_rejects_word_of_wrong_length(octads):
 def test_golay_verdicts_invariant_under_coordinate_permutation():
     # the engine walks and adds columns in coordinate order, so a permuted
     # code must give the same tallies, verdicts and profiles
-    golay = build("golay24")
+    golay = resolve("golay24")
     rng = random.Random(24)
     perm = list(range(24))
     rng.shuffle(perm)

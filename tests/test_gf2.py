@@ -1,6 +1,7 @@
 import inspect
 import random
 import re
+from collections.abc import Iterator
 from itertools import combinations, islice
 from math import comb
 
@@ -8,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeii.catalog import build
+from typeii.catalog import resolve
 from typeii.gf2 import (
     LOWEST,
     Code,
     CodeFileError,
     DesignSet,
     EnumerationCapError,
-    _gray_sweep,
     _set_bits,
     _transpose,
     count_planes,
@@ -29,7 +29,7 @@ E8_ROWS = ["11111111", "01010101", "00110011", "00001111"]
 
 
 def e8() -> Code:
-    return Code(8, E8_ROWS)
+    return Code(8, map(parse_word, E8_ROWS))
 
 
 def min_weight(c: Code) -> int:
@@ -57,7 +57,7 @@ def test_word_validation():
     with pytest.raises(ValueError):
         Code(4, [0b10000])
     with pytest.raises(ValueError):
-        Code(4, ["10000"])
+        Code(4, [-1])
     with pytest.raises(ValueError):
         parse_word("01012")
 
@@ -83,7 +83,7 @@ def test_e8_is_self_dual():
     assert c.k == 4
     d = c.dual()
     # brute-force pairing check over all 16 x 16 codeword pairs
-    words = list(c.words())
+    words = list(gray_walk(c))
     assert len(words) == 16
     for u in words:
         for v in words:
@@ -92,7 +92,7 @@ def test_e8_is_self_dual():
 
 
 def test_dual_of_full_space_is_trivial():
-    full = Code(4, ["1000", "0100", "0010", "0001"])
+    full = Code(4, [1 << j for j in range(4)])
     assert full.dual().k == 0
     assert full.dual().dual() == full
 
@@ -126,7 +126,7 @@ def test_shell_cap_enforced():
     # k = 27 > ENUM_CAP: every exhaustive routine refuses before any sweep
     c = Code(27, [1 << i for i in range(27)])
     for sweep in (lambda: c.shell(4), c.weight_distribution, c.sweep,
-                  lambda: next(c.words()), lambda: c.coset_leaders(c)):
+                  lambda: c.coset_leaders(c)):
         with pytest.raises(EnumerationCapError, match="enumeration cap 2\\^26"):
             sweep()
     with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ def test_span_from_columns_of_permuted_octads():
     def moved(bits: int) -> int:
         return sum(1 << perm[j] for j in range(24) if bits >> j & 1)
 
-    golay = build("golay24")
+    golay = resolve("golay24")
     octads = sorted(map(moved, golay.shell(8)))
     span = Code.spanned_by(DesignSet(24, 8, tuple(octads)))
     assert span == Code(24, octads) == Code(24, map(moved, golay.rref_rows))
@@ -190,7 +190,7 @@ def test_properties_e8():
 
 
 def test_properties_length2_repetition():
-    c = Code(2, ["11"])
+    c = Code(2, [0b11])
     assert all(w % 2 == 0 for w in _weights(c)) and c.dual() == c
     assert not all(w % 4 == 0 for w in _weights(c))
     assert min_weight(c) == 2
@@ -198,7 +198,7 @@ def test_properties_length2_repetition():
 
 def test_self_dual_implies_half_dimension():
     for rows, n in [(E8_ROWS, 8), (["11"], 2)]:
-        c = Code(n, rows)
+        c = Code(n, map(parse_word, rows))
         if c.dual() == c:
             assert 2 * c.k == n
 
@@ -210,7 +210,7 @@ def test_coset_min_weight_trivial_quotient():
 
 def test_coset_requires_subcode():
     c = e8()
-    other = Code(8, ["10000000"])
+    other = Code(8, [parse_word("10000000")])
     with pytest.raises(ValueError):
         c.coset_leaders(other)
 
@@ -223,7 +223,7 @@ def _gray_walk_oracle(code: Code, offset: int, target: int, per_weight: int = 3)
     dist = [0] * (code.n + 1)
     hits: list[int] = []
     picks: dict[int, list[int]] = {}
-    for bits in _gray_sweep(code.rref_rows):
+    for bits in gray_walk(code):
         word = bits ^ offset
         w = word.bit_count()
         dist[w] += 1
@@ -274,7 +274,7 @@ def test_coset_leaders_match_residue_classes(n, data):
     code = Code(n, rows)
     sub = Code(n, rows[:data.draw(st.integers(0, len(rows)))])
     expected: dict[int, tuple[int, list[int]]] = {}
-    for word in code.words():
+    for word in gray_walk(code):
         key = sub.reduce(word)
         best = expected.get(key)
         if best is None or word.bit_count() < best[0]:
@@ -301,7 +301,20 @@ def test_design_set_validation():
 
 # ------------------------------------------------------------------ kernels
 # The carry-save counter, the block transpose and the byte-table bit decoder
-# against the stdlib kernels they replaced, kept here as oracles.
+# against the stdlib kernels they replaced, kept here as oracles, with the
+# Gray walk that enumerates a code one word at a time.
+
+def gray_walk(code: Code) -> Iterator[int]:
+    """The codewords in Gray-walk order, one XOR per step: step i is the XOR
+    of the RREF rows picked by the bits of i ^ i >> 1, the order in which
+    Code.sweep takes its per-weight samples."""
+    rows = code.rref_rows
+    acc = 0
+    yield acc
+    for m in range(1, 1 << len(rows)):
+        acc ^= rows[(m & -m).bit_length() - 1]
+        yield acc
+
 
 def ripple_count_reference(columns, start=()) -> list[int]:
     """Ripple-carry bit-sliced count: each column is added to the planes in
@@ -428,6 +441,7 @@ def test_generator_file_ignores_blanks_and_comments():
         ("8\n", 1),
         ("8 4\n1111\n", 2),
         ("8 4\n111111112\n", 2),
+        ("8 4\n1111111x\n", 2),
         ("8 4\n11111111\n01010101\n00110011\n00001111\n11110000\n", 6),
     ],
 )

@@ -1,6 +1,6 @@
 import pytest
 
-from typeii.catalog import build
+from typeii.catalog import resolve
 from typeii.gleason import (
     WeightEnumerator,
     extremal_min_weight,
@@ -52,7 +52,7 @@ def test_enumerator_totals_and_gaps():
 
 @pytest.mark.parametrize("name", ["e8", "e8e8", "d16plus", "golay24", "rm32"])
 def test_enumerator_matches_exhaustive_counts(name):
-    code = build(name)
+    code = resolve(name)
     dist = code.weight_distribution()
     enum = extremal_weight_enumerator(code.n)
     assert tuple(dist) == enum.coefficients
@@ -60,7 +60,7 @@ def test_enumerator_matches_exhaustive_counts(name):
 
 
 def test_enumerator_matches_qr48_shell():
-    code = build("qr48")
+    code = resolve("qr48")
     assert code.weight_distribution()[12] == extremal_weight_enumerator(48)[12]
 
 

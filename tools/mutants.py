@@ -1,7 +1,7 @@
 """Mutation smoke test: each mutant below changes one line of `src/typeii`,
 and the tests named with it must fail on the changed copy.
 
-    python3 tools/mutants.py        # about a minute
+    python3 tools/mutants.py        # two to three minutes
 
 `src/` and `tests/` are copied to a temporary directory once; each mutant is
 written into that copy, its tests run with `pytest -x`, and the line is put
@@ -106,6 +106,12 @@ MUTANTS = (
      "bound_ok = all(max(intersection_profile(shell, leader), default=0) <= d_min // 2",
      "bound_ok = all(max(intersection_profile(shell, leader), default=0) < d_min // 2",
      ["tests/test_configuration.py"]),
+    ("design-check-w-bound", "cli.py",
+     "if not 0 <= args.w <= code.n:", "if False:",
+     ["tests/test_cli.py::test_design_check_w_bound_precedes_tallies"]),
+    ("matrix-file-bound", "gf2.py",
+     "if len(data) > MAX_FILE_BYTES:", "if False:",
+     ["tests/test_cli.py::test_matrix_file_size_bound"]),
 )
 
 
