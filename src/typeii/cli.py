@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 
 from . import __version__
 from .catalog import CATALOG, resolve
@@ -29,7 +30,7 @@ from .configuration import (
 from .designs import (
     SAMPLE_SEED,
     check_predesign_bound,
-    default_cbar_sample,
+    killed_degrees,
     predesign_count,
     sample_profiles,
 )
@@ -267,9 +268,11 @@ def _cmd_paper(args) -> int:
     catalog_names = ["e8", "e8e8", "d16plus", "golay24", "rm32"]
     if args.deep:
         catalog_names.append("qr48")
+    codes = {}
     for name in catalog_names:
         t0 = time.perf_counter()
-        report = verify_on_code(resolve(name))
+        codes[name] = code = resolve(name)
+        report = verify_on_code(code)
         expect_generated = name != "d16plus"
         ok = (report.all_checks_pass
               and report.generated_by_minimal == expect_generated)
@@ -280,27 +283,21 @@ def _cmd_paper(args) -> int:
         record(f"catalog {name}", ok, detail, time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    octads = resolve("golay24").shell(8)
-    # a 6-design is a t-design for every t < 6, so N_6 alone decides "fails at 6"
-    counts = {t: predesign_count(octads, t) for t in range(1, 7)}
-    fails_at_6 = counts.pop(6) is None
+    octads = codes["golay24"].shell(8)
+    # exact (see designs): a t-design kills every degree 1..t, and one
+    # inner distribution decides every degree through 7
+    killed = killed_degrees(octads, 7)
+    strength = next(t for t in range(8) if t + 1 not in killed)
+    counts = {t: len(octads) * comb(8, t) // comb(24, t) if t <= strength else None
+              for t in range(1, 6)}
+    fails_at_6 = strength < 6
     ok = counts == {1: 253, 2: 77, 3: 21, 4: 5, 5: 1} and fails_at_6
     record("golay octads 5-design", ok, f"N = {counts}, fails at 6: {fails_at_6}",
            time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    # one intersection profile per reference word serves every degree
-    profiles = sample_profiles(octads, 1, default_cbar_sample(24, 7, extra=16))
-    degrees_ok = all(
-        zonal_sum(octads.n, s, octads.w, profile, d) == 0
-        for d in (1, 2, 3, 4, 5, 7)
-        for s, profile in profiles
-        if s >= d
-    )
-    degree6_breaks = any(
-        s >= 6 and zonal_sum(octads.n, s, octads.w, profile, 6) != 0
-        for s, profile in profiles
-    )
+    degrees_ok = {1, 2, 3, 4, 5, 7} <= killed
+    degree6_breaks = 6 not in killed
     record("golay octads 5.5-design residuals", degrees_ok and degree6_breaks,
            f"degrees 1-5,7 vanish: {degrees_ok}; degree 6 nonzero: {degree6_breaks}",
            time.perf_counter() - t0)

@@ -93,10 +93,6 @@ class ConfigSystem(namedtuple("ConfigSystem", "n scenario variables rows kept_de
 
     __slots__ = ()
 
-    @property
-    def min_weight(self) -> int:
-        return extremal_min_weight(self.n)
-
 
 def build_system(n: int) -> ConfigSystem:
     """The sum row plus one symbolic zonal row per kept degree, in the

@@ -445,7 +445,8 @@ def parse_generator_text(text: str) -> Code:
     """Parse the generator-matrix format: 'n k' then k rows of n bits.
 
     Blank lines and lines starting with '#' are ignored.  Errors report the
-    offending 1-based line number.
+    offending 1-based line number; rows of rank below k are refused at the
+    header line.
     """
     header: tuple[int, int] | None = None
     rows: list[int] = []
@@ -464,6 +465,7 @@ def parse_generator_text(text: str) -> Code:
             if not 0 < n <= MAX_LENGTH or not 0 <= k <= n:
                 raise CodeFileError(f"invalid dimensions n={n} k={k}", lineno)
             header = (n, k)
+            header_line = lineno
             continue
         n, k = header
         if len(rows) == k:
@@ -476,7 +478,11 @@ def parse_generator_text(text: str) -> Code:
     n, k = header
     if len(rows) != k:
         raise CodeFileError(f"expected {k} generator rows, found {len(rows)}", 1)
-    return Code(n, rows)
+    code = Code(n, rows)
+    if code.k != k:
+        raise CodeFileError(f"generator rows have rank {code.k}, below the declared "
+                            f"k = {k}", header_line)
+    return code
 
 
 def format_generator_text(code: Code, comment: str | None = None) -> str:

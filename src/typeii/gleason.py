@@ -55,10 +55,6 @@ class WeightEnumerator:
     def __getitem__(self, w: int) -> int:
         return self.coefficients[w]
 
-    def total(self) -> int:
-        """Value at (x, y) = (1, 1): the number of codewords, 2^(n/2)."""
-        return sum(self.coefficients)
-
     def nonzero(self) -> dict[int, int]:
         return {w: c for w, c in enumerate(self.coefficients) if c}
 

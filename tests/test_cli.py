@@ -178,6 +178,14 @@ def test_malformed_matrix_file_reports_line(capsys, tmp_path):
     assert "line 4" in err
 
 
+def test_rank_deficient_matrix_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "rank3.txt"
+    path.write_text("8 4\n11111111\n11111111\n01010101\n00110011\n", encoding="ascii")
+    code, out, err = run(capsys, "verify-code", "--code", str(path))
+    assert code == 2 and out == ""
+    assert "line 1" in err and "rank 3" in err and "k = 4" in err
+
+
 @pytest.mark.parametrize("extra, exit_code", [(0, 0), (1, 2)])
 def test_matrix_file_size_bound(capsys, tmp_path, extra, exit_code):
     # a comment line fills the file to MAX_FILE_BYTES (+ extra) bytes ahead of
@@ -222,6 +230,20 @@ def test_paper_driver(capsys):
     assert "all checks passed" in out
     assert out.count("PASS") == 15
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("flags, calls", [((), 5), (("--deep",), 6)])
+def test_paper_resolves_each_code_once(capsys, monkeypatch, flags, calls):
+    names = []
+
+    def counting_resolve(name):
+        names.append(name)
+        return resolve(name)
+
+    monkeypatch.setattr("typeii.cli.resolve", counting_resolve)
+    code, _, _ = run(capsys, "paper", "--json", *flags)
+    assert code == 0
+    assert len(names) == calls and len(set(names)) == calls
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "2"])

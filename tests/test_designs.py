@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -11,9 +12,10 @@ from typeii.catalog import resolve
 from typeii.designs import (
     DesignSet,
     default_cbar_sample,
+    inner_distribution,
     intersection_profile,
     is_t_design,
-    is_t_half_design,
+    killed_degrees,
     predesign_count,
     sample_profiles,
     zonal_design_residual,
@@ -177,19 +179,32 @@ def test_residual_permutation_invariance(octads):
 
 # ------------------------------------------------------------ half designs
 
+def sampled_half_design(dset: DesignSet, t: int, sample: list[int]) -> bool:
+    """The sampled t-half-design check, an oracle next to the exact
+    certificate: a t-design whose degree-(t+2) zonal residuals vanish
+    against every sample word of weight at least t + 2."""
+    deg = t + 2
+    return is_t_design(dset, t) and all(
+        zonal_sum(dset.n, s, dset.w, profile, deg) == 0
+        for s, profile in sample_profiles(dset, deg, sample))
+
+
 def test_octads_are_five_half_design(octads):
     sample = default_cbar_sample(24, 7, extra=8)
-    assert is_t_half_design(octads, 5, sample)
+    assert sampled_half_design(octads, 5, sample)
+    assert {1, 2, 3, 4, 5, 7} <= killed_degrees(octads, 7)
 
 
 def test_dodecads_are_five_half_design(dodecads):
     sample = [word(range(7)), word(range(1, 9))]
-    assert is_t_half_design(dodecads, 5, sample)
+    assert sampled_half_design(dodecads, 5, sample)
+    assert {1, 2, 3, 4, 5, 7} <= killed_degrees(dodecads, 7)
 
 
 def test_full_sphere_is_half_design():
     b_w = sphere(8, 4)
-    assert is_t_half_design(b_w, 2, [word(range(4))])
+    assert sampled_half_design(b_w, 2, [word(range(4))])
+    assert killed_degrees(b_w, 4) == {1, 2, 3, 4}
 
 
 def test_default_sample_is_deterministic():
@@ -271,18 +286,19 @@ def _group(kind: str, n: int) -> list[list[int]]:
 
 
 @st.composite
-def design_sets(draw) -> DesignSet:
-    """Small subsets of B_w, the empty set included.  A union of orbits
-    under a transitive, 2-transitive or 3-transitive group (cyclic shift,
-    AGL(1, q), PGL(2, q)) is a 1-, 2- or 3-design, and the complement in B_w
-    of a t-design is a t-design too, so constant tallies are common."""
+def design_sets(draw, max_n: int = 12) -> DesignSet:
+    """Small subsets of B_w with n <= max_n, the empty set included.  A
+    union of orbits under a transitive, 2-transitive or 3-transitive group
+    (cyclic shift, AGL(1, q), PGL(2, q)) is a 1-, 2- or 3-design, and the
+    complement in B_w of a t-design is a t-design too, so constant tallies
+    are common."""
     kind = draw(st.sampled_from(["none", "cyclic", "affine", "projective"]))
     if kind == "affine":
-        n = draw(st.sampled_from(sorted(PRIMITIVE_ROOT)))
+        n = draw(st.sampled_from([q for q in sorted(PRIMITIVE_ROOT) if q <= max_n]))
     elif kind == "projective":
-        n = draw(st.sampled_from([q + 1 for q in PRIMITIVE_ROOT]))
+        n = draw(st.sampled_from([q + 1 for q in PRIMITIVE_ROOT if q < max_n]))
     else:
-        n = draw(st.integers(1, 12))
+        n = draw(st.integers(1, max_n))
     w = draw(st.integers(0, n))
     ball = [sum(1 << j for j in c) for c in combinations(range(n), w)]
     words = set(draw(st.lists(st.sampled_from(ball), max_size=4)))
@@ -339,6 +355,50 @@ def test_sample_profiles_skip_light_words_in_order(octads):
         for cbar in heavy]
 
 
+# ------------------------------------------------------------ exact certificate
+
+@settings(max_examples=400, deadline=None)
+@given(design_sets(max_n=10))
+def test_killed_degrees_match_tally(dset):
+    # Delsarte: D in B_w is a t-design iff it kills the harmonics of every
+    # degree 1..min(t, w, n - w); the tally is the counting definition
+    n, w = dset.n, dset.w
+    top = min(w, n - w)
+    inner = inner_distribution(dset)
+    assert inner == dict(sorted(Counter(
+        (x & y).bit_count() for x in dset for y in dset).items()))
+    # the double sum is a positive multiple of a squared norm
+    assert all(zonal_sum(n, w, w, inner, d) >= 0 for d in range(1, top + 1))
+    killed = killed_degrees(dset, n)
+    assert killed <= set(range(1, top + 1))
+    assert killed_degrees(dset, 2) == killed & {1, 2}
+    for t in range(1, w + 1):
+        certified = set(range(1, min(t, top) + 1)) <= killed
+        n_t = predesign_count(dset, t)
+        assert (n_t is not None) == certified
+        if certified:
+            assert n_t * comb(n, t) == len(dset) * comb(w, t)
+
+
+@pytest.mark.parametrize("name, w, killed", [
+    ("golay24", 8, {1, 2, 3, 4, 5, 7}),
+    ("golay24", 12, {1, 2, 3, 4, 5, 7, 9, 10, 11}),
+    ("e8", 4, {1, 2, 3}),
+    ("e8e8", 4, {1, 3}),
+    ("d16plus", 4, {1, 3}),
+    ("rm32", 8, {1, 2, 3, 5}),
+])
+def test_catalog_shell_kill_sets(name, w, killed):
+    shell = resolve(name).shell(w)
+    inner = inner_distribution(shell)
+    assert sum(inner.values()) == len(shell) ** 2 and inner[w] == len(shell)
+    assert killed_degrees(shell, shell.n) == killed
+    # a killed degree leaves no residual against any reference word
+    for d in killed:
+        for cbar in (word(range(d)), word(range(1, 2 * d, 2))):
+            assert zonal_design_residual(shell, d, cbar) == 0
+
+
 def test_profile_rejects_word_of_wrong_length(octads):
     with pytest.raises(ValueError):
         intersection_profile(octads, 1 << 24)
@@ -366,8 +426,10 @@ def test_golay_verdicts_invariant_under_coordinate_permutation():
         assert [predesign_count(moved_shell, t) for t in range(1, 7)] \
             == [predesign_count(shell, t) for t in range(1, 7)]
         for t in (4, 5):
-            assert is_t_half_design(moved_shell, t, moved_sample) \
-                == is_t_half_design(shell, t, sample)
+            assert sampled_half_design(moved_shell, t, moved_sample) \
+                == sampled_half_design(shell, t, sample)
+        assert inner_distribution(moved_shell) == inner_distribution(shell)
+        assert killed_degrees(moved_shell, w) == killed_degrees(shell, w)
         profiles = [p for _, p in sample_profiles(shell, 1, sample)]
         moved_profiles = [p for _, p in sample_profiles(moved_shell, 1, moved_sample)]
         assert sorted(map(sorted, map(dict.items, moved_profiles))) \

@@ -454,3 +454,13 @@ def test_generator_file_errors_carry_line_numbers(text, line):
 def test_generator_file_row_count_mismatch():
     with pytest.raises(CodeFileError):
         parse_generator_text("8 4\n11111111\n")
+
+
+def test_generator_file_rank_below_header():
+    # a repeated row leaves rank 3 under a header declaring k = 4: refused
+    # at the header line, not loaded as an [8,3] code
+    text = "# e8 with a repeated row\n8 4\n11111111\n11111111\n01010101\n00110011\n"
+    with pytest.raises(CodeFileError) as err:
+        parse_generator_text(text)
+    assert err.value.line == 2
+    assert "rank 3" in str(err.value) and "k = 4" in str(err.value)

@@ -44,7 +44,7 @@ def test_enumerator_small_lengths():
 def test_enumerator_totals_and_gaps():
     for n in range(8, 97, 8):
         enum = extremal_weight_enumerator(n)
-        assert enum.total() == 2 ** (n // 2)
+        assert sum(enum.coefficients) == 2 ** (n // 2)
         d = extremal_min_weight(n)
         assert all(enum[w] == 0 for w in range(1, d))
         assert all(enum[w] == 0 for w in range(n + 1) if w % 4)

@@ -112,6 +112,15 @@ MUTANTS = (
     ("matrix-file-bound", "gf2.py",
      "if len(data) > MAX_FILE_BYTES:", "if False:",
      ["tests/test_cli.py::test_matrix_file_size_bound"]),
+    ("header-rank", "gf2.py",
+     "if code.k != k:", "if False:",
+     ["tests/test_gf2.py::test_generator_file_rank_below_header",
+      "tests/test_cli.py::test_rank_deficient_matrix_file_is_usage_error"]),
+    # only y itself meets y in all w coordinates, so this drops the diagonal
+    ("inner-diagonal", "designs.py",
+     "total[a] = total.get(a, 0) + count",
+     "total[a] = total.get(a, 0) + count - (a == dset.w)",
+     ["tests/test_designs.py"]),
 )
 
 
