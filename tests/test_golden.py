@@ -34,6 +34,11 @@ CASES["zonal-numeric.txt"] = ["zonal", "--n", "24", "--s", "12", "--w", "8",
                               "--a", "3", "--d", "5"]
 CASES["zonal-symbolic.txt"] = ["zonal", "--n", "24", "--w", "8", "--a", "2",
                                "--d", "3"]
+# the widest numerator slot the CLI bounds allow: n = 128, d = n/2
+CASES["zonal-numeric-128.txt"] = ["zonal", "--n", "128", "--s", "64", "--w", "64",
+                                  "--a", "32", "--d", "64"]
+CASES["zonal-symbolic-128.txt"] = ["zonal", "--n", "128", "--w", "64", "--a", "32",
+                                   "--d", "64"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
