@@ -38,7 +38,7 @@ from .exact import (
     det_ratfun,
     factor_numerator,
 )
-from .gf2 import Code
+from .gf2 import Code, DesignSet
 from .gleason import extremal_min_weight, extremal_weight_enumerator, sigma
 from .harmonic import falling, zonal_numerator, zonal_sum
 
@@ -295,11 +295,22 @@ def verify_on_code(code: Code) -> CodeReport:
     """End-to-end configuration check on a constructed code: extremality,
     span of the minimal shell, coset minimal weights, and exact consistency
     of observed lambda vectors with every kept zonal equation."""
+    return check_sweep(code, *minimal_sweep(code))
+
+
+def minimal_sweep(code: Code) -> tuple[list[int], DesignSet, tuple[int, ...]]:
+    """The one pass over a code of supported length that verify_on_code
+    checks: its weight distribution, its shell of the extremal minimum
+    weight d(n) and 3 sample words of each nonzero weight."""
+    _check_supported(code.n)
+    return code.sweep(extremal_min_weight(code.n), per_weight=3)
+
+
+def check_sweep(code: Code, dist: list[int], shell: DesignSet,
+                samples: tuple[int, ...]) -> CodeReport:
+    """The checks of verify_on_code on the result of minimal_sweep(code)."""
     n = code.n
-    _check_supported(n)
     d_min = extremal_min_weight(n)
-    # one pass: the distribution, the minimal shell and 3 samples per weight
-    dist, shell, samples = code.sweep(d_min, per_weight=3)
     # 0 for the zero code (k = 0), which has no nonzero word and is not extremal
     min_weight = next((w for w in range(1, n + 1) if dist[w]), 0)
     extremal = min_weight == d_min

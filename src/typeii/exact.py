@@ -10,18 +10,26 @@ integer denominator, reduced so that their gcd is 1.  Ring operations are then
 integer arithmetic plus one gcd per result, and `Fraction` coefficients are
 built only when they are read.  The integer kernels are shared with
 `harmonic`, which builds its numerators on bare integer tuples and reduces
-once per result: `_mul_into`, the schoolbook convolution, for a single
-product (`Polynomial.__mul__` and harmonic's cached factors, where packing
-would cost more than it saves); `_product_sum`, Kronecker substitution, for a
-sum of many products into one result (harmonic's numerators d! P_d and
-symbolic sphere sums); `_horner` and `_reduce`.  Polynomials and rational
-functions are immutable.  A rational function is a value type with no
-arithmetic: it is normalized so that the denominator is monic and coprime to
-the numerator, which gives every value a canonical form, and it is built only
-at the edge, once a result in Q(s) is complete.  A determinant of a matrix
-whose rows share one denominator each is fraction-free Bareiss elimination on
-the polynomial numerators followed by one division by the product of the row
-denominators.
+once per result.  `_mul_into`, the schoolbook convolution, is kept for a
+single product (`Polynomial.__mul__` and harmonic's cached factors, where
+packing would cost more than it saves).  Sums of many products use Kronecker
+substitution: `_pack` evaluates a coefficient sequence at X = 2^(8 step) by
+Horner shift-adds, the packed ints are multiplied and added, and `_unpack`
+reads the total back once as signed slots of step bytes, each biased by half
+a slot so that the bytes split it.  `_product_sum` sizes its slot from the
+factors' L1 norms (a product coefficient is at most the product of the
+factors' norms) and packs every factor on each call, for the symbolic sphere
+sums; harmonic packs the factors of its numerators d! P_d once, at a slot
+of closed form, and caches them, so a numerator build calls `_unpack` alone.
+`_horner` and `_reduce` complete the kernels.
+
+Polynomials and rational functions are immutable.  A rational function is a
+value type with no arithmetic: it is normalized so that the denominator is
+monic and coprime to the numerator, which gives every value a canonical
+form, and it is built only at the edge, once a result in Q(s) is complete.
+A determinant of a matrix whose rows share one denominator each is
+fraction-free Bareiss elimination on the polynomial numerators followed by
+one division by the product of the row denominators.
 """
 
 from __future__ import annotations
@@ -59,27 +67,45 @@ def _mul_into(out: list[int], a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _pack(f: Sequence[int], shift: int) -> int:
+    """The coefficient sequence f evaluated at X = 2^shift, by Horner."""
+    packed = 0
+    for c in reversed(f):
+        packed = (packed << shift) + c
+    return packed
+
+
+def _unpack(total: int, step: int, m: int) -> list[int]:
+    """The m signed base-2^(8 step) digits of total, every one of absolute
+    value below 2^(8 step - 1).  Half a slot is added to each digit, so that
+    every slot is nonnegative, and subtracted again per slice."""
+    half = 1 << (8 * step - 1)
+    raw = (total + int.from_bytes(half.to_bytes(step, "little") * m, "little")
+           ).to_bytes(step * m, "little")
+    return [int.from_bytes(raw[i:i + step], "little") - half
+            for i in range(0, step * m, step)]
+
+
 def _product_sum(terms: Sequence[Sequence[Sequence[int]]], m: int) -> list[int]:
     """The m coefficients of the sum over terms of the product of each term's
     factors (integer coefficient sequences); m is at least the length of
-    every product, and a term with an empty factor is zero.
+    every product, and a term with an empty or all-zero factor is zero.
 
     Kronecker substitution (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, 8.4): each factor is packed by Horner at X = 2^B, the packed
-    ints are multiplied and added, and the sum is read back once as m signed
-    base-X digits.  A product coefficient is a sum of at most prod len(f)
-    products, each below prod 2^bit_length, so a slot of the largest such
-    sum over the terms, plus the bits of the term count and one sign bit,
-    rounded up to whole bytes, holds every coefficient of the sum: the digits
-    are exact by construction.  The readback adds half a slot to each digit,
-    so that every slot is nonnegative, and subtracts it again per slice."""
-    live = [factors for factors in terms if all(factors)]
+    Algebra*, 8.4): each factor is packed at X = 2^(8 step), the packed ints
+    are multiplied and added, and the sum is read back once as m signed
+    digits.  Every coefficient of a product is at most the product of its
+    factors' L1 norms, which is below 2^(sum of the norms' bit lengths), so
+    a slot of the largest such sum over the terms, plus the bits of the term
+    count and one sign bit, rounded up to whole bytes, holds every
+    coefficient of the sum: the digits are exact by construction."""
     width = 0
-    for factors in live:
-        bits = 0
-        for f in factors:
-            bits += max(max(f), -min(f)).bit_length() + len(f).bit_length()
-        width = max(width, bits)
+    live = []
+    for factors in terms:
+        norms = [sum(map(abs, f)) for f in factors]
+        if all(norms):
+            live.append(factors)
+            width = max(width, sum(x.bit_length() for x in norms))
     bits = width + len(terms).bit_length() + 1
     step = -(-bits // 8)
     shift = 8 * step
@@ -87,16 +113,9 @@ def _product_sum(terms: Sequence[Sequence[Sequence[int]]], m: int) -> list[int]:
     for factors in live:
         product = 1
         for f in factors:
-            packed = 0
-            for c in reversed(f):
-                packed = (packed << shift) + c
-            product *= packed
+            product *= _pack(f, shift)
         total += product
-    half = 1 << (shift - 1)
-    raw = (total + int.from_bytes(half.to_bytes(step, "little") * m, "little")
-           ).to_bytes(step * m, "little")
-    return [int.from_bytes(raw[i:i + step], "little") - half
-            for i in range(0, step * m, step)]
+    return _unpack(total, step, m)
 
 
 def _horner(num: Sequence[int], x: int) -> int:

@@ -25,28 +25,51 @@ from the identity
 
 with A_{n,d,k} = prod_{l<k} (n-d+l+1-s) * (s-k)...(s-d+1).  A scaled factor
 j! K_j(x; N) = sum_i (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) has
-integer coefficients, so every term is an integer polynomial.  The integer
-tuples are cached by what they depend on, filled on first use: the falling
-products of affine terms by (alpha, beta, m), A by (n, d, k), k! K_k(a; s) by
-(a, k), j! K_j(x; n-s) by (n, x, j), the signed product
-(-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s) by (n, d, k, x) and the sum
-d! P_d by (n, w, a, d).  The cached factors are single products
-(`exact._mul_into`); a build of d! P_d is then one sum of d+1 products
-(`exact._product_sum`, by Kronecker substitution), and `zonal_numerator`
-reduces that sum by d! once, to the canonical Polynomial.  For an integer
-s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact Fraction.  The
-lambda-systems take P_d and falling(d) as they are, one numerator row over
-one denominator, and a RationalFunction is built only where a formal Z_d or
-sphere sum leaves the module.  Sums over intersection profiles read one
-cached integer row per (n, s, w, d), the integer numerators d! P_d evaluated
-by Horner at s for every feasible a, over the one denominator
-d! s(s-1)...(s-d+1), so a sum is one integer dot product and one Fraction;
-`sphere_sum` builds the same row uncached, since it reads each row once, and
-weights it by the sphere counts C(s, a) C(n-s, w-a).  The symbolic sphere
-sum is one product sum too, of C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1)
-d! P_d over a.  The feasible intersection weights are stated once, in
-`_weights`; `zonal_eval`, `zonal_sum` and the sphere sums all take them from
-there.
+integer coefficients, so every term is an integer polynomial.  The factors
+are single products (`exact._mul_into`), cached as integer tuples by what
+they depend on and filled on first use: the falling products of affine terms
+by (alpha, beta, m), A by (n, d, k), k! K_k(a; s) by (a, 1, 0, k) and
+j! K_j(x; n-s) by (x, -1, n, j).
+
+A build of d! P_d is Kronecker substitution on factors packed once
+(`exact._pack`) at X = 2^(8 step): the signed product
+(-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s) is cached packed by
+(n, d, k, x) (`_weighted_packed`) and k! K_k(a; s) by (a, k, step)
+(`_krawtchouk_packed`), so d! P_d is d+1 big-int products, one sum and one
+readback of 2d+1 signed slots (`exact._unpack`), cached as a tuple by
+(n, w, a, d) (`_numerator_ints`).  The slot of step = `_step(n, d)` bytes
+comes from a closed-form bound, so no build reads a coefficient to size it.
+The L1 norm ||.||_1, the sum of the absolute coefficients, is
+submultiplicative, and:
+
+- A's linear factors n-d+l+1-s (l < k) and s-t (k <= t < d) have norm at
+  most max(n, d) + 1, so ||A_{n,d,k}||_1 <= (max(n, d) + 1)^d;
+- the linear factors N-x-t (t < j <= d) of j! K_j(x; N) have norm at most
+  L = n + d + 1 for 0 <= x <= n, and C(x, i) j!/(j-i)! <= C(j, i) x^i, so
+  ||j! K_j(x; N)||_1 <= sum_i C(j, i) x^i L^(j-i) = (x + L)^j
+  <= (2n + d + 1)^j, and the two Krawtchouk factors of a term together have
+  norm at most (2n + d + 1)^d;
+- sum_k C(d, k) = 2^d.
+
+Hence ||d! P_d||_1 <= 2^d (max(n, d) + 1)^d (2n + d + 1)^d, which bounds
+every coefficient, and a slot of one byte more than that bound's bits holds
+each with its sign.  Only the final coefficients have to fit: packing is a
+ring homomorphism, so the products and partial sums may carry across slots.
+
+`zonal_numerator` reduces d! P_d by d! once, to the canonical Polynomial.
+For an integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact
+Fraction.  The lambda-systems take P_d and falling(d) as they are, one
+numerator row over one denominator, and a RationalFunction is built only
+where a formal Z_d or sphere sum leaves the module.  Sums over intersection
+profiles read one cached integer row per (n, s, w, d), the integer
+numerators d! P_d evaluated by Horner at s for every feasible a, over the
+one denominator d! s(s-1)...(s-d+1), so a sum is one integer dot product and
+one Fraction; `sphere_sum` builds the same row uncached, since it reads each
+row once, and weights it by the sphere counts C(s, a) C(n-s, w-a).  The
+symbolic sphere sum is one `exact._product_sum`, of
+C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) d! P_d over a.  The feasible
+intersection weights are stated once, in `_weights`; `zonal_eval`,
+`zonal_sum` and the sphere sums all take them from there.
 """
 
 from __future__ import annotations
@@ -54,9 +77,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
+from operator import mul
 
-from .exact import (Polynomial, RationalFunction, _horner, _make, _mul_into, _product_sum,
-                    _reduce)
+from .exact import (Polynomial, RationalFunction, _horner, _make, _mul_into, _pack,
+                    _product_sum, _reduce, _unpack)
 
 
 def _weights(n: int, s: int | None, w: int) -> range:
@@ -166,22 +190,38 @@ def _coefficient_ints(n: int, d: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weighted_ints(n: int, d: int, k: int, x: int) -> tuple[int, ...]:
+def _step(n: int, d: int) -> int:
+    """The slot in bytes that holds every coefficient of every d! P_d of
+    length n with its sign: one byte more than the bits of the bound
+    2^d (max(n, d) + 1)^d (2n + d + 1)^d on the L1 norm ||d! P_d||_1."""
+    bound = 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d
+    return bound.bit_length() // 8 + 1
+
+
+@lru_cache(maxsize=None)
+def _weighted_packed(n: int, d: int, k: int, x: int) -> int:
     """(-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s), the part of term k of
-    d! P_d that does not depend on a once x = w - a is fixed."""
-    sign = (-1) ** k * comb(d, k)
+    d! P_d that does not depend on a once x = w - a is fixed, packed at the
+    slot _step(n, d)."""
     product = _mul_into([0] * (2 * d - k + 1), _coefficient_ints(n, d, k),
                         _krawtchouk_ints(x, -1, n, d - k))
-    return tuple(sign * c for c in product)
+    return (-1) ** k * comb(d, k) * _pack(product, 8 * _step(n, d))
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk_packed(a: int, k: int, step: int) -> int:
+    """k! K_k(a; s) packed at a slot of step bytes."""
+    return _pack(_krawtchouk_ints(a, 1, 0, k), 8 * step)
 
 
 @lru_cache(maxsize=None)
 def _numerator_ints(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
     """The integer coefficients of d! P_d (degree at most 2d, trailing zeros
-    kept): one product sum over the d+1 terms."""
-    terms = [(_weighted_ints(n, d, k, w - a), _krawtchouk_ints(a, 1, 0, k))
-             for k in range(d + 1)]
-    return tuple(_product_sum(terms, 2 * d + 1))
+    kept): d+1 products of packed factors, summed and read back once."""
+    step = _step(n, d)
+    weighted = [_weighted_packed(n, d, k, w - a) for k in range(d + 1)]
+    krawtchouk = [_krawtchouk_packed(a, k, step) for k in range(d + 1)]
+    return tuple(_unpack(sum(map(mul, weighted, krawtchouk)), step, 2 * d + 1))
 
 
 @lru_cache(maxsize=None)

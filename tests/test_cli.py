@@ -246,6 +246,22 @@ def test_paper_resolves_each_code_once(capsys, monkeypatch, flags, calls):
     assert len(names) == calls and len(set(names)) == calls
 
 
+def test_paper_sweeps_golay24_once(capsys, monkeypatch):
+    golay = resolve("golay24")
+    sweep = Code.sweep
+    swept = []
+
+    def counting_sweep(self, *args, **kwargs):
+        if self == golay:
+            swept.append(args)
+        return sweep(self, *args, **kwargs)
+
+    monkeypatch.setattr(Code, "sweep", counting_sweep)
+    code, _, _ = run(capsys, "paper", "--json")
+    assert code == 0
+    assert len(swept) == 1
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-1", "2"])
 def test_threads_flag_rejected(capsys, value):
     # --threads is gone: every value is an unknown-argument usage error

@@ -305,6 +305,24 @@ def test_product_sum_term_count_headroom():
                     [count * c * c * j for j in (1, 2, 3, 2, 1)]
 
 
+def test_product_sum_l1_width_edge_cases():
+    # an all-zero factor zeroes its term, however wide its other factors
+    assert _product_sum([((0, 0), (2**200,)), ((1,), (-1, 1))], 2) == [-1, 1]
+    assert _product_sum([((0,), (2**200,))], 2) == [0, 0]
+    # an empty factor does the same
+    assert _product_sum([((), (2**200,)), ((3,),)], 1) == [3]
+    # single coefficients attain the L1 bound: three terms of 2^6 - 1 sum to
+    # 189, which needs 9 bits with the sign; without the sign bit or the
+    # term-count bits the slot would be one byte
+    for c in (63, -63):
+        assert _product_sum([((c,),)] * 3, 1) == [3 * c]
+    # a factor's L1 norm, not its largest coefficient, sets its width: the
+    # middle coefficient 147 of (7 + 7s + 7s^2)^2 overflows the one-byte slot
+    # that 3 bits per factor, a term-count bit and a sign bit would give
+    assert _product_sum([((7, 7, 7), (7, 7, 7))], 5) == [49, 98, 147, 98, 49]
+    assert _product_sum([((7, -7, 7), (-7, 7, -7))], 5) == [-49, 98, -147, 98, -49]
+
+
 # -------------------------------------------------------- rational functions
 
 def test_ratfun_normalization_and_arith():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typeii import harmonic
-from typeii.exact import ONE, S, ZERO, Polynomial, RationalFunction
+from typeii.exact import ONE, S, ZERO, Polynomial, RationalFunction, _product_sum
 from typeii.harmonic import (
     sphere_sum,
     sphere_sum_symbolic,
@@ -93,6 +93,56 @@ def test_zonal_numerator_matches_polynomial_construction(data):
 
 def test_zonal_numerator_matches_polynomial_construction_large():
     assert zonal_numerator(64, 30, 11, 32) == zonal_numerator_oracle(64, 30, 11, 32)
+
+
+# the corners of the CLI bounds n <= 128, d <= n/2: the empty and the full
+# word, and a = w, where the largest coefficients sit
+@pytest.mark.parametrize("n, w, a, d", [
+    (1, 0, 0, 0), (1, 1, 1, 0), (2, 2, 2, 1), (2, 1, 0, 1),
+    (8, 8, 8, 4), (8, 8, 0, 4), (8, 4, 4, 4), (8, 0, 0, 1),
+    (128, 128, 128, 1), (128, 128, 128, 64), (128, 128, 0, 64),
+])
+def test_zonal_numerator_matches_polynomial_construction_corners(n, w, a, d):
+    assert zonal_numerator(n, w, a, d) == zonal_numerator_oracle(n, w, a, d)
+
+
+# ------------------------------ reference: one product sum of unpacked factors
+# d! P_d as one exact._product_sum over the d+1 terms, each factor an integer
+# tuple: the route the packed factors of typeii.harmonic replaced.
+
+def numerator_product_sum(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
+    terms = [(((-1) ** k * comb(d, k),), harmonic._coefficient_ints(n, d, k),
+              harmonic._krawtchouk_ints(w - a, -1, n, d - k),
+              harmonic._krawtchouk_ints(a, 1, 0, k)) for k in range(d + 1)]
+    return tuple(_product_sum(terms, 2 * d + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_numerator_ints_match_product_sum(data):
+    n = data.draw(st.integers(1, 128))
+    d = data.draw(st.integers(0, n // 2))
+    w = data.draw(st.integers(0, n))
+    a = data.draw(st.integers(0, w))
+    assert harmonic._numerator_ints(n, w, a, d) == numerator_product_sum(n, w, a, d)
+
+
+def _corners(n: int):
+    for d in sorted({0, 1, n // 2}):
+        for w in sorted({0, 1, n // 2, n - 1, n}):
+            for a in sorted({0, w // 2, w}):
+                yield w, a, d
+
+
+@pytest.mark.parametrize("n", [1, 8, 128])
+def test_numerator_slot_holds_every_coefficient(n):
+    # _unpack reads a digit c exactly when |c| < 2^(8 step - 1); at n = 8,
+    # d = 1 and at n = 128, d = 1 the coefficients of w = a = n need the
+    # whole slot, so a slot one byte narrower fails there
+    for w, a, d in _corners(n):
+        num = harmonic._numerator_ints(n, w, a, d)
+        assert num == numerator_product_sum(n, w, a, d)
+        assert max(map(abs, num)) < 2 ** (8 * harmonic._step(n, d) - 1)
 
 
 def zonal_direct(n: int, s: int, w: int, a: int, d: int) -> Fraction:

@@ -66,10 +66,9 @@ MUTANTS = (
     ("bareiss-swap-sign", "exact.py",
      "sign = -sign", "sign = sign",
      ["tests/test_exact.py", "tests/test_configuration.py"]),
-    # a product coefficient gathers at most prod len(f) over all factors but
-    # one, so the length bits of the last factor already hold the sign of a
-    # nonempty sum: only the empty sum, whose slot would be 0 bits wide,
-    # tells this mutant apart
+    # the L1 bound is attained: a single coefficient c has norm |c|, and
+    # three terms of 2^6 - 1 sum to 189, so 6 bits of width and 2 of term
+    # count leave no room for the sign when the slot is exactly one byte
     ("slot-sign-bit", "exact.py",
      "bits = width + len(terms).bit_length() + 1",
      "bits = width + len(terms).bit_length()",
@@ -77,9 +76,16 @@ MUTANTS = (
     ("slot-term-count", "exact.py",
      "bits = width + len(terms).bit_length() + 1", "bits = width + 1",
      ["tests/test_exact.py"]),
-    ("readback-bias", "exact.py",
-     "half = 1 << (shift - 1)", "half = 0",
+    ("slot-l1-norm", "exact.py",
+     "norms = [sum(map(abs, f)) for f in factors]",
+     "norms = [max(map(abs, f), default=0) for f in factors]",
      ["tests/test_exact.py"]),
+    ("readback-bias", "exact.py",
+     "half = 1 << (8 * step - 1)", "half = 0",
+     ["tests/test_exact.py"]),
+    ("numerator-slot-short", "harmonic.py",
+     "return bound.bit_length() // 8 + 1", "return bound.bit_length() // 8",
+     ["tests/test_harmonic.py"]),
     ("symbolic-sum-dropped", "harmonic.py",
      "total = _product_sum(terms, w + 2 * d + 1)", "total = [0] * (w + 2 * d + 1)",
      ["tests/test_harmonic.py"]),
