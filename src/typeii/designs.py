@@ -16,11 +16,11 @@ degrees where it vanishes.  D is a t-design iff it kills every degree
 1..min(t, w, n - w); then N_t = |D| C(w, t) / C(n, t).  A t-half-design is a
 t-design that also kills degree t + 2.
 
-`design-check` still decides with the counting definition (`predesign_count`)
-and, with `--half`, with zonal residuals against a deterministic sample of
-reference words (int words, as in `gf2`).  A sample gives a necessary
-condition only (its zonal functions need not span all harmonics), so that
-report labels the half verdict "zonal-verified".
+`design-check` counts N_t with the tally (`predesign_count`), which reaches
+shells far too large for pair work, and decides `--half` from the
+certificate: degree t + 2 is killed, or lies above min(w, n - w), where no
+nonzero harmonic lives on B_w.  The certificate costs |D| profiles, so
+`check_pair_bound` refuses more than PAIR_BOUND words before the first.
 
 Every computation runs on one bit-sliced engine (Biham, FSE 1997), the
 transpose of the codeword sweep in `gf2`: the column bitmaps of a set
@@ -37,10 +37,8 @@ once per set.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 from math import comb
 from operator import and_
 
@@ -48,18 +46,17 @@ from .gf2 import DesignSet, count_planes, split_by_count
 from .harmonic import zonal_sum
 
 PREDESIGN_BOUND = 10**7
-SAMPLE_SEED = 0x5EED
+PAIR_BOUND = 1 << 15  # every catalog shell up to qr48 w = 12
 
 __all__ = [
     "DesignSet",
+    "check_pair_bound",
     "check_predesign_bound",
-    "default_cbar_sample",
     "inner_distribution",
     "intersection_profile",
     "is_t_design",
     "killed_degrees",
     "predesign_count",
-    "sample_profiles",
     "zonal_design_residual",
 ]
 
@@ -69,6 +66,12 @@ def check_predesign_bound(n: int, t: int):
     total = comb(n, t)
     if total > PREDESIGN_BOUND:
         raise ValueError(f"C({n},{t}) = {total} exceeds the enumeration bound")
+
+
+def check_pair_bound(size: int):
+    """Refuse pair work (a profile per word) on more than PAIR_BOUND words."""
+    if size > PAIR_BOUND:
+        raise ValueError(f"{size} words exceed PAIR_BOUND = {PAIR_BOUND}")
 
 
 def predesign_count(dset: DesignSet, t: int) -> int | None:
@@ -123,6 +126,7 @@ def inner_distribution(dset: DesignSet) -> dict[int, int]:
     """How many ordered pairs (x, y) of design words meet in each
     intersection weight, in ascending order of weight: the sum over y in
     dset of intersection_profile(dset, y), the diagonal x = y included."""
+    check_pair_bound(len(dset))
     total: dict[int, int] = {}
     for y in dset:
         for a, count in intersection_profile(dset, y).items():
@@ -140,40 +144,9 @@ def killed_degrees(dset: DesignSet, top: int) -> set[int]:
             if zonal_sum(n, w, w, inner, d) == 0}
 
 
-def sample_profiles(dset: DesignSet, deg: int, cbar_sample: list[int] | None = None
-                    ) -> list[tuple[int, dict[int, int]]]:
-    """(weight, intersection profile) of each reference word of weight at
-    least deg, in sample order (default: default_cbar_sample(n, deg)).
-
-    Lighter words are skipped: the degree-deg zonal generator divides by
-    s - l for l < deg, so it is undefined for them."""
-    if cbar_sample is None:
-        cbar_sample = default_cbar_sample(dset.n, deg)
-    return [(cbar.bit_count(), intersection_profile(dset, cbar))
-            for cbar in cbar_sample if cbar.bit_count() >= deg]
-
-
 def zonal_design_residual(dset: DesignSet, deg: int, cbar: int) -> Fraction:
     """Sum of the degree-deg zonal harmonic relative to cbar over the design,
     grouped by intersection weight; zero when dset is a deg-design."""
     profile = intersection_profile(dset, cbar)
     return zonal_sum(dset.n, cbar.bit_count(), dset.w, profile, deg)
 
-
-def default_cbar_sample(n: int, deg: int, extra: int = 64) -> list[int]:
-    """Deterministic reference-word sample: every weight-1 word, every
-    weight-deg word supported on the first 12 coordinates, and `extra` words
-    from the pseudorandom stream seeded with SAMPLE_SEED."""
-    words = [1 << j for j in range(n)]
-    head = min(12, n)
-    if deg <= head:
-        words.extend(sum(1 << j for j in c) for c in combinations(range(head), deg))
-    rng = random.Random(SAMPLE_SEED)
-    seen = set(words)
-    while extra > 0:
-        bits = rng.getrandbits(n)
-        if bits and bits not in seen:
-            seen.add(bits)
-            words.append(bits)
-            extra -= 1
-    return words

@@ -19,17 +19,13 @@ from typeii.configuration import (
     reference_ratio,
     verify_on_code,
 )
-from typeii.designs import (
-    default_cbar_sample,
-    is_t_design,
-    predesign_count,
-    zonal_design_residual,
-)
+from typeii.designs import is_t_design, predesign_count, zonal_design_residual
 from typeii.exact import Polynomial, RationalFunction, S, integer_roots
 from typeii.gf2 import Code
 from typeii.gleason import extremal_min_weight, extremal_weight_enumerator
 from typeii.harmonic import sphere_sum, sphere_sum_symbolic
 
+from test_designs import default_cbar_sample
 from test_gf2 import gray_walk
 
 

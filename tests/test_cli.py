@@ -5,6 +5,7 @@ import pytest
 
 from typeii.catalog import resolve
 from typeii.cli import main
+from typeii.designs import PAIR_BOUND
 from typeii.gf2 import MAX_FILE_BYTES, Code, format_generator_text, format_word
 
 
@@ -209,6 +210,37 @@ def test_design_check_json(capsys):
     res = payload["results"]
     assert res["predesign_counts"] == {"1": 253, "2": 77, "3": 21, "4": 5, "5": 1}
     assert res["is_t_design"] is True
+
+
+@pytest.mark.parametrize("name, w, t, exit_code", [
+    ("golay24", 8, 4, 1),  # the octads kill {1-5, 7}: degree 6 is not killed
+    ("e8e8", 4, 1, 0),     # kills {1, 3}
+    ("rm32", 8, 3, 0),     # kills {1, 2, 3, 5}
+])
+def test_design_check_half_kill_sets(capsys, name, w, t, exit_code):
+    code, out, _ = run(capsys, "design-check", "--code", name, "--w", str(w),
+                       "--t", str(t), "--half")
+    assert code == exit_code
+    *_, design_line, half_line = out.splitlines()
+    assert design_line == f"is_{t}_design = True"
+    assert half_line.endswith(str(exit_code == 0))
+
+
+def test_design_check_pair_bound_precedes_tally_and_profiles(capsys, monkeypatch):
+    # the qr48 weight-16 shell has 535,095 words: its tally is cheap, its
+    # pair work is not
+    def refuse(*args):
+        raise AssertionError("design work before the pair bound")
+
+    monkeypatch.setattr("typeii.cli.predesign_count", refuse)
+    monkeypatch.setattr("typeii.designs.intersection_profile", refuse)
+    argv = ["design-check", "--code", "qr48", "--w", "16", "--t", "2"]
+    code, out, err = run(capsys, *argv, "--half")
+    assert code == 2 and out == ""
+    assert err == f"error: 535095 words exceed PAIR_BOUND = {PAIR_BOUND}\n"
+    monkeypatch.undo()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "is_2_design = True" in out
 
 
 def test_design_check_failing_t(capsys):

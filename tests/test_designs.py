@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from typeii.catalog import resolve
 from typeii.designs import (
+    PAIR_BOUND,
     DesignSet,
-    default_cbar_sample,
+    check_pair_bound,
     inner_distribution,
     intersection_profile,
     is_t_design,
     killed_degrees,
     predesign_count,
-    sample_profiles,
     zonal_design_residual,
 )
 from typeii.gf2 import parse_word
@@ -178,6 +178,40 @@ def test_residual_permutation_invariance(octads):
 
 
 # ------------------------------------------------------------ half designs
+# The sampled residual check `design-check --half` ran before it read the
+# exact certificate, kept as an oracle: zonal residuals against a sample of
+# reference words, a necessary condition only.
+
+SAMPLE_SEED = 0x5EED
+
+
+def default_cbar_sample(n: int, deg: int, extra: int = 64) -> list[int]:
+    """Deterministic reference-word sample: every weight-1 word, every
+    weight-deg word supported on the first 12 coordinates, and `extra` words
+    from the pseudorandom stream seeded with SAMPLE_SEED."""
+    words = [1 << j for j in range(n)]
+    head = min(12, n)
+    if deg <= head:
+        words.extend(word(c) for c in combinations(range(head), deg))
+    rng = random.Random(SAMPLE_SEED)
+    seen = set(words)
+    while extra > 0:
+        bits = rng.getrandbits(n)
+        if bits and bits not in seen:
+            seen.add(bits)
+            words.append(bits)
+            extra -= 1
+    return words
+
+
+def sample_profiles(dset: DesignSet, deg: int, cbar_sample: list[int]
+                    ) -> list[tuple[int, dict[int, int]]]:
+    """(weight, intersection profile) of each reference word of weight at
+    least deg, in sample order.  Lighter words are skipped: the degree-deg
+    zonal generator divides by s - l for l < deg."""
+    return [(cbar.bit_count(), intersection_profile(dset, cbar))
+            for cbar in cbar_sample if cbar.bit_count() >= deg]
+
 
 def sampled_half_design(dset: DesignSet, t: int, sample: list[int]) -> bool:
     """The sampled t-half-design check, an oracle next to the exact
@@ -346,15 +380,6 @@ def test_profiles_and_zonal_sums_match_reference(dset, data):
             == zonal_sum_reference(n, s, w, profile, d)
 
 
-def test_sample_profiles_skip_light_words_in_order(octads):
-    sample = default_cbar_sample(24, 7, extra=8)
-    heavy = [cbar for cbar in sample if cbar.bit_count() >= 7]
-    assert len(heavy) < len(sample)
-    assert sample_profiles(octads, 7, sample) == [
-        (cbar.bit_count(), intersection_profile_reference(octads, cbar))
-        for cbar in heavy]
-
-
 # ------------------------------------------------------------ exact certificate
 
 @settings(max_examples=400, deadline=None)
@@ -378,6 +403,31 @@ def test_killed_degrees_match_tally(dset):
         assert (n_t is not None) == certified
         if certified:
             assert n_t * comb(n, t) == len(dset) * comb(w, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(design_sets(max_n=9))
+def test_killed_degrees_match_sphere_residuals(dset):
+    # exact oracle: the zonal functions of the words of B_w span the degree-d
+    # harmonics on B_w, so D kills degree d iff its residual against every
+    # reference word of B_w vanishes
+    n, w = dset.n, dset.w
+    killed = killed_degrees(dset, n)
+    ball = sphere(n, w).words
+    for d in range(1, min(w, n - w) + 1):
+        assert (d in killed) == all(
+            zonal_design_residual(dset, d, y) == 0 for y in ball)
+
+
+def test_pair_bound(monkeypatch):
+    check_pair_bound(PAIR_BOUND)
+    with pytest.raises(ValueError, match=f"{PAIR_BOUND + 1} words exceed PAIR_BOUND"):
+        check_pair_bound(PAIR_BOUND + 1)
+    # the certificate refuses a set past the bound before its first profile
+    monkeypatch.setattr("typeii.designs.PAIR_BOUND", 19)
+    assert len(inner_distribution(sphere(6, 2))) == 3
+    with pytest.raises(ValueError, match="20 words exceed PAIR_BOUND = 19"):
+        inner_distribution(sphere(6, 3))
 
 
 @pytest.mark.parametrize("name, w, killed", [

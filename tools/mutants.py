@@ -112,6 +112,13 @@ MUTANTS = (
      "bound_ok = all(max(intersection_profile(shell, leader), default=0) <= d_min // 2",
      "bound_ok = all(max(intersection_profile(shell, leader), default=0) < d_min // 2",
      ["tests/test_configuration.py"]),
+    # the golay24 octads kill degree 5 but not 6, so t = 4 flips its verdict
+    ("half-degree-shift", "cli.py",
+     "deg = args.t + 2", "deg = args.t + 1",
+     ["tests/test_cli.py::test_design_check_half_kill_sets"]),
+    ("pair-bound-skip", "designs.py",
+     "if size > PAIR_BOUND:", "if False:",
+     ["tests/test_cli.py::test_design_check_pair_bound_precedes_tally_and_profiles"]),
     ("design-check-w-bound", "cli.py",
      "if not 0 <= args.w <= code.n:", "if False:",
      ["tests/test_cli.py::test_design_check_w_bound_precedes_tallies"]),
