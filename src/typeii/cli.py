@@ -204,7 +204,7 @@ def _cmd_design_check(args) -> int:
     verdict = all(c is not None for c in counts.values())
     half_verdict = None
     if args.half:
-        # exact (see designs); above min(w, n - w) no harmonic lives on B_w
+        # exact (see designs); above min(w, n - w) no nonzero harmonic lives on B_w
         deg = args.t + 2
         half_verdict = verdict and (deg > min(shell.w, code.n - shell.w)
                                     or deg in killed_degrees(shell, deg))

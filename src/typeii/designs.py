@@ -149,4 +149,3 @@ def zonal_design_residual(dset: DesignSet, deg: int, cbar: int) -> Fraction:
     grouped by intersection weight; zero when dset is a deg-design."""
     profile = intersection_profile(dset, cbar)
     return zonal_sum(dset.n, cbar.bit_count(), dset.w, profile, deg)
-
