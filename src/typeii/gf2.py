@@ -2,19 +2,26 @@
 
 A word is a plain Python int: coordinate j of the word is bit j of the int,
 and its length is the length n of the code or set that holds it, which
-checks that no bit lies at n or above.  `parse_word` and `format_word` read
-and write the text form, coordinates left to right.  Codes carry an eagerly
-computed reduced row-echelon form of their generators, which is the
-canonical representation used for equality, containment, and duals.
+checks that no bit lies at n or above.  `parse_word` reads the text form,
+coordinates left to right.  Codes carry an eagerly computed reduced
+row-echelon form of their generators, which is the canonical representation
+used for equality, containment, and duals.
 
 Exhaustive sweeps are bit-sliced (Biham, "A Fast New DES Implementation in
 Software", FSE 1997): one 2^16-bit int per coordinate holds that coordinate of
 2^16 codewords, and a carry-save adder tree over the n ints weighs them all
 at once.  A coset sweep is the same pass with an offset.  The planes of the low
 pivot coordinates take one of two patterns, so their count is made once per
-pattern and each block of 2^16 adds only the other planes; a word is decoded
-from its position by two XOR tables over the low rows, whose Gray positions
-come from the set bits of the weight mask, read through a byte table.
+pattern and each block of 2^16 adds only the other planes.  The patterns are
+bytes repeated and read as one int.  A word is decoded from its position t in
+the block by two XOR tables over the Gray basis rows[i] ^ rows[i - 1], indexed
+by t itself; the positions are the set bits of the weight mask, read through a
+byte table.
+
+A code holding the all-ones word 1 is swept over half its words: the Gray
+walk's second half is its first half complemented, so each weight-w class of
+the first half is also the weight-(n - w) class of its complement block, and
+the distribution, the shells and the samples are read from the first half.
 
 The span of a set of words is the dual of the linear relations among its
 column bitmaps (`Code.spanned_by`): elimination on n ints, not on one row per
@@ -27,9 +34,11 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import islice
+from operator import xor
 
 MAX_LENGTH = 128
 ENUM_CAP = 26  # refuse exhaustive sweeps beyond 2^26 codewords
@@ -56,11 +65,6 @@ def parse_word(text: str) -> int:
     if bad:
         raise ValueError(f"invalid bit character {bad[0]!r}")
     return int(text[::-1] or "0", 2)
-
-
-def format_word(n: int, bits: int) -> str:
-    """The length-n word `bits` as 0s and 1s, coordinate 0 first."""
-    return format(bits, f"0{n}b")[::-1]
 
 
 class DesignSet:
@@ -247,6 +251,32 @@ def split_by_count(planes: Sequence[int], full: int, base: int = 0) -> dict[int,
     return classes
 
 
+_LOW_BYTES = b"\xaa\xcc\xf0"  # bit t of byte r is bit r of t, for r < 3
+
+
+def _bit_patterns(m: int) -> list[int]:
+    """For r below m, the 2^m-bit int whose bit t is bit r of t: for r >= 3,
+    runs of 2^(r-3) zero bytes and 2^(r-3) 0xff bytes, repeated."""
+    size = max(1 << m >> 3, 1)
+    full = (1 << (1 << m)) - 1
+    patterns = []
+    for r in range(m):
+        run = 1 << r >> 3
+        unit = bytes(run) + b"\xff" * run if run else _LOW_BYTES[r:r + 1]
+        patterns.append(int.from_bytes(unit * (size // len(unit)), "little") & full)
+    return patterns
+
+
+def _xor_positions(mask: int, x: int, patterns: Sequence[int]) -> int:
+    """mask with bit t moved to bit t ^ x, where patterns are _bit_patterns(m)
+    and x is below 2^m: per set bit r of x, the bits with bit r of t set move
+    down 2^r and the others up."""
+    for r in _set_bits(x):
+        down = mask & patterns[r]
+        mask = down >> (1 << r) | (mask ^ down) << (1 << r)
+    return mask
+
+
 def _weight_classes(rows: Sequence[int], n: int,
                     offset: int = 0) -> Iterator[tuple[int, dict[int, int]]]:
     """Bit-sliced Gray walk over offset + span(rows), 2^m words per block;
@@ -266,8 +296,7 @@ def _weight_classes(rows: Sequence[int], n: int,
     m = min(len(rows), LOW_BITS)
     full = (1 << (1 << m)) - 1
     # bit t of lows[r] is bit r of t; of lows[r] ^ lows[r + 1], bit r of gray(t)
-    lows = [full // ((1 << (2 << r)) - 1) * (((1 << (1 << r)) - 1) << (1 << r))
-            for r in range(m)] + [0]
+    lows = _bit_patterns(m) + [0]
     planes = [0] * n
     for r in range(m):
         for j in range(n):
@@ -384,29 +413,70 @@ class Code:
         `target` (None: no words; LOWEST: the lowest weight present) and the
         first `per_weight` nonzero words of each weight in Gray-walk order,
         where step i is the XOR of the rows picked by the bits of i ^ i >> 1.
-        Only the returned words are decoded, each as base ^ lo[g & 255] ^
-        hi[g >> 8] from its Gray position g, with the XOR tables lo and hi
-        over low rows 0-7 and 8-15."""
+
+        When the all-ones word 1 is in the code (it is the XOR of all RREF
+        rows), only the first half of the walk is swept, over rows[:-1]: the
+        word at step i ^ alt is the word at step i plus 1, where gray(alt) =
+        2^k - 1 has its top bit set, so each class of weight w in a block
+        also gives the class of weight n - w of the complement block.  The
+        samples short of `per_weight` in the first half are topped up from the
+        second half in walk order, from the `per_weight` complement blocks of
+        each weight that come first, at block ^ alt >> m; their positions are
+        permuted by t -> t ^ (alt mod 2^m) to be read in order.
+
+        Only the returned words are decoded, each as base ^ lo[t & 255] ^
+        hi[t >> 8] from its block position t, with lo and hi the XOR tables
+        of the Gray basis rows[i] ^ rows[i - 1] over positions 0-7 and 8-15."""
         self._check_cap()
         if offset < 0 or offset >> self.n:
             raise ValueError("offset bits beyond the code length")
         rows, n = self.rref_rows, self.n
-        dist, hits, picks = [0] * (n + 1), [], {}
+        ones = (1 << n) - 1
+        half = reduce(xor, rows, 0) == ones
+        walk = rows[:-1] if half else rows
+        m = min(len(walk), LOW_BITS)
+        basis = [r ^ s for r, s in zip(walk[:m], (0, *walk))]
+        lo, hi = _xor_table(basis[:8]), _xor_table(basis[8:])
+        alt = (2 << len(rows)) // 3  # bits k-1, k-3, ...: gray(alt) = 2^k - 1
+        alt_hi, alt_lo = alt >> m, alt & ((1 << m) - 1)
+        # block b complemented is block b ^ alt_hi of the second half, with
+        # position t moved to t ^ alt_lo; that block's position 0 is base ^ flip
+        flip = ones ^ lo[alt_lo & 255] ^ hi[alt_lo >> 8]
+        dist, hits, picks, tails = [0] * (n + 1), [], {}, {}
         lowest = target == LOWEST
-        lo, hi = _xor_table(rows[:8]), _xor_table(rows[8:LOW_BITS])
-        for base, classes in _weight_classes(rows, n, offset):
-            def decode(mask: int, limit: int | None = None) -> list[int]:
-                grays = (t ^ t >> 1 for t in islice(_set_bits(mask), limit))
-                return [base ^ lo[g & 255] ^ hi[g >> 8] for g in grays]
 
+        def decode(base: int, mask: int, limit: int | None = None) -> list[int]:
+            return [base ^ lo[t & 255] ^ hi[t >> 8]
+                    for t in islice(_set_bits(mask), limit)]
+
+        for block, (base, classes) in enumerate(_weight_classes(walk, n, offset)):
             for w, mask in classes.items():
                 dist[w] += mask.bit_count()
                 if w and len(picks.setdefault(w, [])) < per_weight:
-                    picks[w] += decode(mask, per_weight - len(picks[w]))
-            if lowest and (target < 0 or min(classes) < target):
-                target, hits = min(classes), []
-            if target in classes:
-                hits += decode(classes[target])
+                    picks[w] += decode(base, mask, per_weight - len(picks[w]))
+            sides = [(base, classes)]
+            if half:
+                mirror = {n - w: mask for w, mask in classes.items()}
+                sides.append((base ^ ones, mirror))
+                for w, mask in mirror.items():
+                    if w and per_weight:
+                        kept = tails.setdefault(w, [])
+                        insort(kept, (block ^ alt_hi, base ^ flip, mask))
+                        del kept[per_weight:]
+            for side_base, side in sides:
+                if lowest and (target < 0 or min(side) < target):
+                    target, hits = min(side), []
+                if target in side:
+                    hits += decode(side_base, side[target])
+        if half:
+            dist = [a + b for a, b in zip(dist, reversed(dist))]
+        patterns = _bit_patterns(m) if tails else []
+        for w, kept in tails.items():
+            for _, base, mask in kept:
+                need = per_weight - len(picks.setdefault(w, []))
+                if need <= 0:
+                    break
+                picks[w] += decode(base, _xor_positions(mask, alt_lo, patterns), need)
         shell = None if target is None else DesignSet(n, target, tuple(sorted(hits)))
         return dist, shell, tuple(b for w in sorted(picks) for b in picks[w])
 
@@ -483,16 +553,6 @@ def parse_generator_text(text: str) -> Code:
         raise CodeFileError(f"generator rows have rank {code.k}, below the declared "
                             f"k = {k}", header_line)
     return code
-
-
-def format_generator_text(code: Code, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    lines.append(f"{code.n} {code.k}")
-    lines.extend(format_word(code.n, r) for r in code.rref_rows)
-    return "\n".join(lines) + "\n"
 
 
 def load_code(path) -> Code:

@@ -7,8 +7,10 @@ from importlib import resources
 import pytest
 
 from typeii.catalog import CATALOG, resolve
-from typeii.gf2 import Code, format_generator_text, parse_generator_text, parse_word
+from typeii.gf2 import Code, parse_generator_text, parse_word
 from typeii.gleason import extremal_min_weight
+
+from test_gf2 import format_generator_text
 
 
 def _qr_set(p: int) -> set[int]:

@@ -6,7 +6,9 @@ import pytest
 from typeii.catalog import resolve
 from typeii.cli import main
 from typeii.designs import PAIR_BOUND
-from typeii.gf2 import MAX_FILE_BYTES, Code, format_generator_text, format_word
+from typeii.gf2 import MAX_FILE_BYTES, Code
+
+from test_gf2 import format_generator_text, format_word
 
 
 def run(capsys, *argv):

@@ -16,11 +16,11 @@ from typeii.gf2 import (
     CodeFileError,
     DesignSet,
     EnumerationCapError,
+    _bit_patterns,
     _set_bits,
     _transpose,
+    _xor_positions,
     count_planes,
-    format_generator_text,
-    format_word,
     parse_generator_text,
     parse_word,
 )
@@ -68,6 +68,12 @@ def test_weight_identity_quantified(n, data):
     v = data.draw(st.integers(0, (1 << n) - 1))
     assert (u ^ v).bit_count() \
         == u.bit_count() + v.bit_count() - 2 * (u & v).bit_count()
+
+
+def format_word(n: int, bits: int) -> str:
+    """The length-n word `bits` as 0s and 1s, coordinate 0 first: the text
+    form parse_word reads."""
+    return format(bits, f"0{n}b")[::-1]
 
 
 def test_support_roundtrip():
@@ -267,6 +273,50 @@ def test_bitsliced_sweep_matches_gray_walk(k, data):
     assert list(got_samples) == samples
 
 
+def _assert_half_sweep(k: int, seed: int):
+    """Code.sweep on a random [n, k] code holding the all-ones word, which
+    walks half the code and reads the complements of its words for the
+    other half, against the Gray walk over the whole code: the sweep of a
+    random weight and the LOWEST sweep of a random coset."""
+    rng = random.Random(seed)
+    n = rng.randint(k, 40)
+    rows = [(1 << n) - 1]
+    while Code(n, rows).k < k:
+        rows.append(rng.getrandbits(n))
+    code = Code(n, rows)
+    per_weight = rng.choice((1, 3, 5))
+    target = rng.randint(0, n)
+    dist, _, hits, samples = _gray_walk_oracle(code, 0, target, per_weight)
+    got_dist, shell, got_samples = code.sweep(target, per_weight)
+    assert got_dist == dist
+    assert list(shell) == hits and shell.w == target
+    assert list(got_samples) == samples
+
+    offset = rng.randrange(1, 1 << n)
+    dist, lowest, leaders, samples = _gray_walk_oracle(code, offset, LOWEST, per_weight)
+    got_dist, shell, got_samples = code.sweep(LOWEST, per_weight, offset)
+    assert got_dist == dist
+    assert shell.w == lowest and list(shell) == leaders
+    assert list(got_samples) == samples
+
+
+# the random-code test above almost never draws a code holding 1; above
+# k = 17 the half walk over k - 1 rows crosses the 2^16-word blocks, whose
+# complements come in the order block ^ (alt >> 16), so one example each
+@pytest.mark.parametrize("k", range(1, 18))
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_half_sweep_matches_gray_walk(k, seed):
+    _assert_half_sweep(k, seed)
+
+
+@pytest.mark.parametrize("k", [18, 19, 20])
+@settings(max_examples=1, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_half_sweep_across_blocks_matches_gray_walk(k, seed):
+    _assert_half_sweep(k, seed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 14), st.data())
 def test_coset_leaders_match_residue_classes(n, data):
@@ -397,6 +447,25 @@ def test_transpose_matches_text_transpose_random(n, data):
     assert _transpose(words, n) == transpose_reference(words, n)
 
 
+@pytest.mark.parametrize("m", range(17))
+def test_bit_patterns_match_division_formula(m):
+    # 2^m bits; the period-2^(r+1) pattern of bit r is full // (2^(2^(r+1)) - 1)
+    # copies of its top half
+    full = (1 << (1 << m)) - 1
+    assert _bit_patterns(m) == [
+        full // ((1 << (2 << r)) - 1) * (((1 << (1 << r)) - 1) << (1 << r))
+        for r in range(m)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10), st.data())
+def test_xor_positions_moves_bit_t_to_t_xor_x(m, data):
+    mask = data.draw(st.integers(0, (1 << (1 << m)) - 1))
+    x = data.draw(st.integers(0, (1 << m) - 1))
+    moved = sum(1 << (t ^ x) for t in range(1 << m) if mask >> t & 1)
+    assert _xor_positions(mask, x, _bit_patterns(m)) == moved
+
+
 def test_set_bits_edge_cases():
     rng = random.Random(16)
     masks = [0, 1, (1 << 64) - 1, (1 << 65) - 1, (1 << 1 << 16) - 1,
@@ -423,6 +492,15 @@ def test_set_bits_is_lazy():
 
 
 # ---------------------------------------------------------------- file format
+
+def format_generator_text(code: Code, comment: str | None = None) -> str:
+    """The generator-matrix file of a code: comment lines, the header 'n k'
+    and the RREF rows, the format parse_generator_text reads."""
+    lines = [f"# {part}" for part in (comment or "").splitlines()]
+    lines.append(f"{code.n} {code.k}")
+    lines.extend(format_word(code.n, r) for r in code.rref_rows)
+    return "\n".join(lines) + "\n"
+
 
 def test_generator_file_roundtrip():
     c = e8()

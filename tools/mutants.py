@@ -48,6 +48,18 @@ MUTANTS = (
      "_BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j,) for bits in table),",
      "_BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j + 1,) for bits in table),",
      ["tests/test_gf2.py"]),
+    # a code holding 1 is swept over the first half of its Gray walk: the
+    # mirrored counts give the second half, and alt = gray^-1(2^k - 1) orders
+    # the complement blocks and positions that top up the samples
+    ("half-mirror-drop", "gf2.py",
+     "dist = [a + b for a, b in zip(dist, reversed(dist))]", "dist = dist",
+     ["tests/test_gf2.py::test_half_sweep_matches_gray_walk",
+      "tests/test_gf2.py::test_half_sweep_across_blocks_matches_gray_walk"]),
+    ("half-alt-parity", "gf2.py",
+     "alt = (2 << len(rows)) // 3  # bits k-1, k-3, ...: gray(alt) = 2^k - 1",
+     "alt = (1 << len(rows)) // 3",
+     ["tests/test_gf2.py::test_half_sweep_matches_gray_walk",
+      "tests/test_gf2.py::test_half_sweep_across_blocks_matches_gray_walk"]),
     ("design-bits-bound", "gf2.py",
      "if words and (min(words) < 0 or max(words) >> n):", "if words and min(words) < 0:",
      ["tests/test_gf2.py::test_design_set_validation"]),
