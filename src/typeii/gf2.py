@@ -420,9 +420,10 @@ class Code:
         2^k - 1 has its top bit set, so each class of weight w in a block
         also gives the class of weight n - w of the complement block.  The
         samples short of `per_weight` in the first half are topped up from the
-        second half in walk order, from the `per_weight` complement blocks of
-        each weight that come first, at block ^ alt >> m; their positions are
-        permuted by t -> t ^ (alt mod 2^m) to be read in order.
+        second half in walk order: while a weight is short, the sweep keeps
+        the `per_weight` complement blocks holding it that come first, at
+        block ^ alt >> m, and reads their positions permuted by
+        t -> t ^ (alt mod 2^m).
 
         Only the returned words are decoded, each as base ^ lo[t & 255] ^
         hi[t >> 8] from its block position t, with lo and hi the XOR tables
@@ -459,7 +460,7 @@ class Code:
                 mirror = {n - w: mask for w, mask in classes.items()}
                 sides.append((base ^ ones, mirror))
                 for w, mask in mirror.items():
-                    if w and per_weight:
+                    if w and len(picks.get(w, ())) < per_weight:
                         kept = tails.setdefault(w, [])
                         insort(kept, (block ^ alt_hi, base ^ flip, mask))
                         del kept[per_weight:]

@@ -6,7 +6,7 @@ from itertools import combinations, islice
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from typeii.catalog import resolve
@@ -302,16 +302,20 @@ def _assert_half_sweep(k: int, seed: int):
 
 # the random-code test above almost never draws a code holding 1; above
 # k = 17 the half walk over k - 1 rows crosses the 2^16-word blocks, whose
-# complements come in the order block ^ (alt >> 16), so one example each
+# complements come in the order block ^ (alt >> 16), so one example each.
+# A smaller seed is no simpler code, so a failure is reported unshrunk
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
 @pytest.mark.parametrize("k", range(1, 18))
-@settings(max_examples=2, deadline=None)
+@settings(max_examples=2, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 2**32))
 def test_half_sweep_matches_gray_walk(k, seed):
     _assert_half_sweep(k, seed)
 
 
 @pytest.mark.parametrize("k", [18, 19, 20])
-@settings(max_examples=1, deadline=None)
+@settings(max_examples=1, deadline=None, phases=NO_SHRINK)
 @given(seed=st.integers(0, 2**32))
 def test_half_sweep_across_blocks_matches_gray_walk(k, seed):
     _assert_half_sweep(k, seed)
