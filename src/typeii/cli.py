@@ -173,12 +173,12 @@ def _cmd_determinant(args) -> int:
 
 
 def _cmd_enumerator(args) -> int:
-    enum = extremal_weight_enumerator(args.n)
+    nonzero = {w: c for w, c in enumerate(extremal_weight_enumerator(args.n)) if c}
     if args.json:
         _emit_json(_report("enumerator", {"n": args.n},
-                           {str(w): c for w, c in enum.nonzero().items()}))
+                           {str(w): c for w, c in nonzero.items()}))
     else:
-        for w, c in enum.nonzero().items():
+        for w, c in nonzero.items():
             print(f"A_{w} = {c}")
     return 0
 

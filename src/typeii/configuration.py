@@ -314,8 +314,7 @@ def check_sweep(code: Code, dist: list[int], shell: DesignSet,
     # 0 for the zero code (k = 0), which has no nonzero word and is not extremal
     min_weight = next((w for w in range(1, n + 1) if dist[w]), 0)
     extremal = min_weight == d_min
-    enum = extremal_weight_enumerator(n)
-    matches_enumerator = tuple(dist) == enum.coefficients
+    matches_enumerator = tuple(dist) == extremal_weight_enumerator(n)
     span = Code.spanned_by(shell)
     generated = span == code
     leaders = code.coset_leaders(span)

@@ -54,7 +54,6 @@ __all__ = [
     "check_predesign_bound",
     "inner_distribution",
     "intersection_profile",
-    "is_t_design",
     "killed_degrees",
     "predesign_count",
     "zonal_design_residual",
@@ -101,15 +100,6 @@ def predesign_count(dset: DesignSet, t: int) -> int | None:
         return True
 
     return target if walk((1 << len(dset)) - 1, 0, t) else None
-
-
-def is_t_design(dset: DesignSet, t: int) -> bool:
-    """True iff dset is a t'-predesign for every positive t' <= t.
-
-    One tally decides it.  For t <= w a t-predesign is an s-predesign for
-    every s <= t, with N_s = N_t C(n-s, t-s) / C(w-s, t-s); for t > w no
-    t-subset lies in a support, so only the w-tally can fail."""
-    return predesign_count(dset, min(t, dset.w)) is not None
 
 
 def intersection_profile(dset: DesignSet, cbar: int) -> dict[int, int]:

@@ -10,18 +10,11 @@ integer denominator, reduced so that their gcd is 1.  Ring operations are then
 integer arithmetic plus one gcd per result, and `Fraction` coefficients are
 built only when they are read.  The integer kernels are shared with
 `harmonic`, which builds its numerators on bare integer tuples and reduces
-once per result.  `_mul_into`, the schoolbook convolution, is kept for a
-single product (`Polynomial.__mul__` and harmonic's cached factors, where
-packing would cost more than it saves).  Sums of many products use Kronecker
-substitution: `_pack` evaluates a coefficient sequence at X = 2^(8 step) by
-Horner shift-adds, the packed ints are multiplied and added, and `_unpack`
-reads the total back once as signed slots of step bytes, each biased by half
-a slot so that the bytes split it.  `_product_sum` sizes its slot from the
-factors' L1 norms (a product coefficient is at most the product of the
-factors' norms) and packs every factor on each call, for the symbolic sphere
-sums; harmonic packs the factors of its numerators d! P_d once, at a slot
-of closed form, and caches them, so a numerator build calls `_unpack` alone.
-`_horner` and `_reduce` complete the kernels.
+once per result: `_reduce` (the canonical pair), `_mul_into` (the schoolbook
+convolution, which `Polynomial.__mul__` calls too), `_horner`, and the
+Kronecker substitution pair `_pack` (a coefficient sequence at X = 2^(8 step)
+by Horner shift-adds) and `_unpack` (the signed readback of a packed sum as
+slots of step bytes).  `harmonic` sizes the slots.
 
 Polynomials and rational functions are immutable.  A rational function is a
 value type with no arithmetic: it is normalized so that the denominator is
@@ -84,38 +77,6 @@ def _unpack(total: int, step: int, m: int) -> list[int]:
            ).to_bytes(step * m, "little")
     return [int.from_bytes(raw[i:i + step], "little") - half
             for i in range(0, step * m, step)]
-
-
-def _product_sum(terms: Sequence[Sequence[Sequence[int]]], m: int) -> list[int]:
-    """The m coefficients of the sum over terms of the product of each term's
-    factors (integer coefficient sequences); m is at least the length of
-    every product, and a term with an empty or all-zero factor is zero.
-
-    Kronecker substitution (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, 8.4): each factor is packed at X = 2^(8 step), the packed ints
-    are multiplied and added, and the sum is read back once as m signed
-    digits.  Every coefficient of a product is at most the product of its
-    factors' L1 norms, which is below 2^(sum of the norms' bit lengths), so
-    a slot of the largest such sum over the terms, plus the bits of the term
-    count and one sign bit, rounded up to whole bytes, holds every
-    coefficient of the sum: the digits are exact by construction."""
-    width = 0
-    live = []
-    for factors in terms:
-        norms = [sum(map(abs, f)) for f in factors]
-        if all(norms):
-            live.append(factors)
-            width = max(width, sum(x.bit_length() for x in norms))
-    bits = width + len(terms).bit_length() + 1
-    step = -(-bits // 8)
-    shift = 8 * step
-    total = 0
-    for factors in live:
-        product = 1
-        for f in factors:
-            product *= _pack(f, shift)
-        total += product
-    return _unpack(total, step, m)
 
 
 def _horner(num: Sequence[int], x: int) -> int:

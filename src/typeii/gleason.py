@@ -8,13 +8,18 @@ bound, computed exactly in the invariant-ring basis
     g8  = x^8 + 14 x^4 y^4 + y^8
     g24 = x^4 y^4 (x^4 - y^4)^4
 
-by solving the linear system that kills the low-weight coefficients.  Since
-g8^i g24^j starts at y^(4j) with coefficient 1, that system is unit
-lower-triangular and forward substitution solves it in integers.
+by solving the linear system that kills the low-weight coefficients.  Every
+Type II weight is a multiple of 4, so the work runs in z = y^4 with x = 1:
+g8 = 1 + 14 z + z^2 and g24 = z (1 - z)^4 are dense coefficient tuples, and
+the basis elements g8^i g24^j (8i + 24j = n) are powers multiplied by
+`exact._mul_into`.  Since g8^i g24^j starts at z^j with coefficient 1, the
+system is unit lower-triangular and forward substitution solves it in
+integers.
 """
 
 from __future__ import annotations
 
+from .exact import _mul_into
 from .gf2 import MAX_LENGTH
 
 
@@ -35,70 +40,25 @@ def sigma(n: int) -> int:
     return {0: 5, 8: 3, 16: 1}[n % 24]
 
 
-class WeightEnumerator:
-    """Homogeneous weight enumerator: coefficients[w] counts weight-w words.
-    Immutable."""
-
-    __slots__ = ("n", "coefficients")
-
-    def __init__(self, n: int, coefficients: tuple[int, ...]):
-        if len(coefficients) != n + 1:
-            raise ValueError("coefficient vector must have length n + 1")
-        if coefficients[0] != 1:
-            raise ValueError("A_0 must be 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightEnumerator is immutable")
-
-    def __getitem__(self, w: int) -> int:
-        return self.coefficients[w]
-
-    def nonzero(self) -> dict[int, int]:
-        return {w: c for w, c in enumerate(self.coefficients) if c}
+# the Gleason generators in z = y^4, coefficient of z^k at index k
+_G8 = (1, 14, 1)
+_G24 = (0, 1, -4, 6, -4, 1)
 
 
-# weight profiles (coefficient of y^w) of the Gleason generators
-_G8 = {0: 1, 4: 14, 8: 1}
-_G24 = {4: 1, 8: -4, 12: 6, 16: -4, 20: 1}
-
-
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
-    return out
-
-
-def _basis_profiles(n: int) -> list[dict[int, int]]:
-    """Weight profiles of g8^i * g24^j over all (i, j) with 8i + 24j = n."""
-    profiles = []
-    for j in range(n // 24 + 1):
-        i = (n - 24 * j) // 8
-        prof = {0: 1}
-        for _ in range(i):
-            prof = _convolve(prof, _G8)
-        for _ in range(j):
-            prof = _convolve(prof, _G24)
-        profiles.append(prof)
-    return profiles
-
-
-def extremal_weight_enumerator(n: int) -> WeightEnumerator:
+def extremal_weight_enumerator(n: int) -> tuple[int, ...]:
     """The unique Type II weight enumerator of length n with A_w = 0 for
-    0 < w < extremal_min_weight(n)."""
+    0 < w < extremal_min_weight(n): the tuple (A_0, ..., A_n)."""
     _check_length(n)
-    profiles = _basis_profiles(n)
-    # coefficients c_j of g8^i g24^j with A_0 = 1 and A_4, ..., A_{4(m-1)} = 0;
-    # row r involves only the profiles j <= r, and profile r has A_{4r} = 1
-    coeffs: list[int] = []
-    for row in range(len(profiles)):
-        known = sum(c * prof.get(4 * row, 0) for c, prof in zip(coeffs, profiles))
-        coeffs.append((1 if row == 0 else 0) - known)
+    # enum accumulates c_j g8^i g24^j over j < r; g8^i g24^r is the only
+    # later basis element with a z^r term, and that term is 1, so c_r sets
+    # A_{4r} to 1 for r = 0 and to 0 below the minimal weight
+    enum = [0] * (n // 4 + 1)
+    for r in range(n // 24 + 1):
+        basis = (1,)
+        for g, e in ((_G8, (n - 24 * r) // 8), (_G24, r)):
+            for _ in range(e):
+                basis = _mul_into([0] * (len(basis) + len(g) - 1), basis, g)
+        _mul_into(enum, ((r == 0) - enum[r],), basis)
     out = [0] * (n + 1)
-    for c, prof in zip(coeffs, profiles):
-        for w, v in prof.items():
-            out[w] += c * v
-    return WeightEnumerator(n, tuple(out))
+    out[::4] = enum
+    return tuple(out)

@@ -37,7 +37,7 @@ A build of d! P_d is Kronecker substitution on factors packed once
 (n, d, k, x) (`_weighted_packed`) and k! K_k(a; s) by (a, k, step)
 (`_krawtchouk_packed`), so d! P_d is d+1 big-int products, one sum and one
 readback of 2d+1 signed slots (`exact._unpack`), cached as a tuple by
-(n, w, a, d) (`_numerator_ints`).  The slot of step = `_step(n, d)` bytes
+(n, w, a, d) (`_numerator_ints`).  The slot of step = `_step(n, 0, d)` bytes
 comes from a closed-form bound, so no build reads a coefficient to size it.
 The L1 norm ||.||_1, the sum of the absolute coefficients, is
 submultiplicative, and:
@@ -56,6 +56,15 @@ every coefficient, and a slot of one byte more than that bound's bits holds
 each with its sign.  Only the final coefficients have to fit: packing is a
 ring homomorphism, so the products and partial sums may carry across slots.
 
+The symbolic sphere sum packs its terms the same way, at the slot
+`_step(n, w, d)`: term a is C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1)
+d! P_d, and ||C(w, a) s(s-1)...(s-a+1)||_1 <= C(w, a) a! <= w^a,
+||(n-s)...(n-s-w+a+1)||_1 <= (n + 1)^(w-a) and
+sum_a w^a (n + 1)^(w-a) <= (w + n + 1)^w <= (2n + 1)^w, so every sum of
+terms has norm at most (2n + 1)^w times the numerator bound; w = 0 gives
+the numerator slot back.  This holds for any range of a, and at d = 0 the
+sum is the constant w! C(n, w), which the (2n + 1)^w factor must hold.
+
 `zonal_numerator` reduces d! P_d by d! once, to the canonical Polynomial.
 For an integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact
 Fraction.  The lambda-systems take P_d and falling(d) as they are, one
@@ -66,8 +75,7 @@ numerators d! P_d evaluated by Horner at s for every feasible a, over the
 one denominator d! s(s-1)...(s-d+1), so a sum is one integer dot product and
 one Fraction; `sphere_sum` builds the same row uncached, since it reads each
 row once, and weights it by the sphere counts C(s, a) C(n-s, w-a).  The
-symbolic sphere sum is one `exact._product_sum`, of
-C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) d! P_d over a.  The feasible
+symbolic sphere sum is one readback of the packed terms above.  The feasible
 intersection weights are stated once, in `_weights`; `zonal_eval`,
 `zonal_sum` and the sphere sums all take them from there.
 """
@@ -80,7 +88,7 @@ from math import comb, factorial, perm
 from operator import mul
 
 from .exact import (Polynomial, RationalFunction, _horner, _make, _mul_into, _pack,
-                    _product_sum, _reduce, _unpack)
+                    _reduce, _unpack)
 
 
 def _weights(n: int, s: int | None, w: int) -> range:
@@ -190,11 +198,12 @@ def _coefficient_ints(n: int, d: int, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _step(n: int, d: int) -> int:
-    """The slot in bytes that holds every coefficient of every d! P_d of
-    length n with its sign: one byte more than the bits of the bound
-    2^d (max(n, d) + 1)^d (2n + d + 1)^d on the L1 norm ||d! P_d||_1."""
-    bound = 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d
+def _step(n: int, w: int, d: int) -> int:
+    """The slot in bytes that holds, with its sign, every coefficient of
+    w! d! times a partial sphere sum of Z_d over weight w at length n, and
+    for w = 0 of every d! P_d: one byte more than the bits of the bound
+    (2n + 1)^w 2^d (max(n, d) + 1)^d (2n + d + 1)^d on the L1 norm."""
+    bound = (2 * n + 1) ** w * 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d
     return bound.bit_length() // 8 + 1
 
 
@@ -202,10 +211,10 @@ def _step(n: int, d: int) -> int:
 def _weighted_packed(n: int, d: int, k: int, x: int) -> int:
     """(-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s), the part of term k of
     d! P_d that does not depend on a once x = w - a is fixed, packed at the
-    slot _step(n, d)."""
+    slot _step(n, 0, d)."""
     product = _mul_into([0] * (2 * d - k + 1), _coefficient_ints(n, d, k),
                         _krawtchouk_ints(x, -1, n, d - k))
-    return (-1) ** k * comb(d, k) * _pack(product, 8 * _step(n, d))
+    return (-1) ** k * comb(d, k) * _pack(product, 8 * _step(n, 0, d))
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +227,7 @@ def _krawtchouk_packed(a: int, k: int, step: int) -> int:
 def _numerator_ints(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
     """The integer coefficients of d! P_d (degree at most 2d, trailing zeros
     kept): d+1 products of packed factors, summed and read back once."""
-    step = _step(n, d)
+    step = _step(n, 0, d)
     weighted = [_weighted_packed(n, d, k, w - a) for k in range(d + 1)]
     krawtchouk = [_krawtchouk_packed(a, k, step) for k in range(d + 1)]
     return tuple(_unpack(sum(map(mul, weighted, krawtchouk)), step, 2 * d + 1))
@@ -250,10 +259,13 @@ def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
 
     The weight-w words at intersection a number C(s, a) C(n-s, w-a), and
     w! C(s, a) C(n-s, w-a) = C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) is
-    an integer polynomial, so the sum of its products with d! P_d is reduced
-    by w! d! once; the sum is one product sum with a four-factor term per a."""
-    terms = [((comb(w, a),), _falling_ints(1, 0, a), _falling_ints(-1, n, w - a),
-              _numerator_ints(n, w, a, d)) for a in _weights(n, None, w)]
-    total = _product_sum(terms, w + 2 * d + 1)
-    return RationalFunction(_make(*_reduce(total, factorial(w) * factorial(d))),
-                            falling(d))
+    an integer polynomial.  Its product with d! P_d is three factors packed
+    at the slot _step(n, w, d); the products are summed, read back once and
+    reduced by w! d!."""
+    step = _step(n, w, d)
+    shift = 8 * step
+    total = sum(comb(w, a) * _pack(_falling_ints(1, 0, a), shift)
+                * _pack(_falling_ints(-1, n, w - a), shift)
+                * _pack(_numerator_ints(n, w, a, d), shift) for a in _weights(n, None, w))
+    num = _unpack(total, step, w + 2 * d + 1)
+    return RationalFunction(_make(*_reduce(num, factorial(w) * factorial(d))), falling(d))

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -264,6 +265,18 @@ def test_paper_driver(capsys):
     assert "all checks passed" in out
     assert out.count("PASS") == 15
     assert "FAIL" not in out
+
+
+def test_paper_timings_stamp_each_check(capsys):
+    code, out, _ = run(capsys, "paper", "--timings")
+    assert code == 0
+    stamp = re.compile(r"  \[ *\d+\.\d\ds\]")
+    lines = out.splitlines()
+    assert lines[-2:] == ["", "all checks passed"]
+    assert len(lines) == 17
+    assert all(len(stamp.findall(line)) == 1 for line in lines[:-2])
+    _, plain, _ = run(capsys, "paper")
+    assert stamp.sub("", out) == plain
 
 
 @pytest.mark.parametrize("flags, calls", [((), 5), (("--deep",), 6)])

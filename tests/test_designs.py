@@ -15,7 +15,6 @@ from typeii.designs import (
     check_pair_bound,
     inner_distribution,
     intersection_profile,
-    is_t_design,
     killed_degrees,
     predesign_count,
     zonal_design_residual,
@@ -36,6 +35,15 @@ def support(bits: int) -> list[int]:
 def sphere(n: int, w: int) -> DesignSet:
     """The full Hamming sphere B_w."""
     return DesignSet(n, w, tuple(word(c) for c in combinations(range(n), w)))
+
+
+def is_t_design(dset: DesignSet, t: int) -> bool:
+    """True iff dset is a t'-predesign for every positive t' <= t.
+
+    One tally decides it.  For t <= w a t-predesign is an s-predesign for
+    every s <= t, with N_s = N_t C(n-s, t-s) / C(w-s, t-s); for t > w no
+    t-subset lies in a support, so only the w-tally can fail."""
+    return predesign_count(dset, min(t, dset.w)) is not None
 
 
 def doublecount_check(dset: DesignSet, t: int) -> bool:

@@ -1,3 +1,4 @@
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -17,7 +18,7 @@ from typeii.exact import (
     integer_roots,
     poly_gcd,
 )
-from typeii.exact import _mul_into, _product_sum
+from typeii.exact import _mul_into, _pack, _unpack
 
 
 # ---------------------------------------------------------------- rationals
@@ -245,8 +246,43 @@ def test_equal_polynomials_hash_equal():
 
 # ------------------------------------------------------------- product sums
 #
-# _product_sum (Kronecker substitution) against the schoolbook convolution
-# _mul_into, one product per factor and one sum per term.
+# _product_sum sums many products by Kronecker substitution at a slot sized
+# from the factors' L1 norms, on the real _pack and _unpack; it is the
+# oracle of typeii.harmonic's packed kernels, whose slots have closed forms.
+# Here it is checked against the schoolbook convolution _mul_into, one
+# product per factor and one sum per term.
+
+def _product_sum(terms: Sequence[Sequence[Sequence[int]]], m: int) -> list[int]:
+    """The m coefficients of the sum over terms of the product of each term's
+    factors (integer coefficient sequences); m is at least the length of
+    every product, and a term with an empty or all-zero factor is zero.
+
+    Kronecker substitution (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 8.4): each factor is packed at X = 2^(8 step), the packed ints
+    are multiplied and added, and the sum is read back once as m signed
+    digits.  Every coefficient of a product is at most the product of its
+    factors' L1 norms, which is below 2^(sum of the norms' bit lengths), so
+    a slot of the largest such sum over the terms, plus the bits of the term
+    count and one sign bit, rounded up to whole bytes, holds every
+    coefficient of the sum: the digits are exact by construction."""
+    width = 0
+    live = []
+    for factors in terms:
+        norms = [sum(map(abs, f)) for f in factors]
+        if all(norms):
+            live.append(factors)
+            width = max(width, sum(x.bit_length() for x in norms))
+    bits = width + len(terms).bit_length() + 1
+    step = -(-bits // 8)
+    shift = 8 * step
+    total = 0
+    for factors in live:
+        product = 1
+        for f in factors:
+            product *= _pack(f, shift)
+        total += product
+    return _unpack(total, step, m)
+
 
 def product_sum_oracle(terms, m):
     out = [0] * m

@@ -1,13 +1,14 @@
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typeii import harmonic
-from typeii.exact import ONE, S, ZERO, Polynomial, RationalFunction, _product_sum
+from typeii.exact import ONE, S, ZERO, Polynomial, RationalFunction, _make, _reduce
 from typeii.harmonic import (
     sphere_sum,
     sphere_sum_symbolic,
@@ -16,6 +17,8 @@ from typeii.harmonic import (
     zonal_sum,
 )
 from typeii.harmonic import _zonal_row
+
+from test_exact import _product_sum
 
 
 # ------------------------------------------- reference: Polynomial arithmetic
@@ -142,7 +145,7 @@ def test_numerator_slot_holds_every_coefficient(n):
     for w, a, d in _corners(n):
         num = harmonic._numerator_ints(n, w, a, d)
         assert num == numerator_product_sum(n, w, a, d)
-        assert max(map(abs, num)) < 2 ** (8 * harmonic._step(n, d) - 1)
+        assert max(map(abs, num)) < 2 ** (8 * harmonic._step(n, 0, d) - 1)
 
 
 def zonal_direct(n: int, s: int, w: int, a: int, d: int) -> Fraction:
@@ -267,8 +270,11 @@ def test_sphere_sum_symbolic_identically_zero_sample():
 
 
 def test_sphere_sum_symbolic_degree_zero_counts_sphere():
-    # Z_0 = 1: the sum is the sphere size C(n, w) for every s
-    for n in (8, 16, 24):
+    # Z_0 = 1: the sum is the sphere size C(n, w) for every s.  The packed
+    # sum is the constant w! C(n, w), which only the (2n + 1)^w factor of
+    # the slot holds; at n = 128, w = 1 it is 128, which needs the sign byte
+    # of a two-byte slot
+    for n in (8, 16, 24, 128):
         for w in range(n + 1):
             expected = RationalFunction(Polynomial([comb(n, w)]))
             assert sphere_sum_symbolic(n, w, 0) == expected
@@ -290,6 +296,34 @@ def test_sphere_sum_symbolic_partial_sums_match_polynomial_oracle(monkeypatch, n
                                    * zonal_numerator_oracle(n, w, a, d))
         assert not expected.is_zero
         assert sphere_sum_symbolic(n, w, d) == RationalFunction(expected, den)
+
+
+# ----------------------- reference: the sphere sum as one product sum
+# w! d! times the sum over a in `weights` of C(s, a) C(n-s, w-a) P_d as one
+# _product_sum of four-factor terms: the route the closed-form sphere slot
+# of typeii.harmonic replaced.
+
+def sphere_sum_product_sum(n: int, w: int, d: int, weights: range) -> RationalFunction:
+    terms = [((comb(w, a),), harmonic._falling_ints(1, 0, a),
+              harmonic._falling_ints(-1, n, w - a), harmonic._numerator_ints(n, w, a, d))
+             for a in weights]
+    total = _product_sum(terms, w + 2 * d + 1)
+    return RationalFunction(_make(*_reduce(total, factorial(w) * factorial(d))),
+                            harmonic.falling(d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sphere_sum_symbolic_matches_product_sum(data):
+    # over all of 0..w the sum vanishes for d >= 1, so most draws sum the
+    # first `top` weights only, where it does not
+    n = data.draw(st.integers(1, 48))
+    w = data.draw(st.integers(0, n))
+    d = data.draw(st.integers(0, 7))
+    top = data.draw(st.integers(0, w + 1))
+    with mock.patch.object(harmonic, "_weights", lambda *args: range(top)):
+        got = sphere_sum_symbolic(n, w, d)
+    assert got == sphere_sum_product_sum(n, w, d, range(top))
 
 
 @settings(max_examples=80, deadline=None)

@@ -66,9 +66,10 @@ MUTANTS = (
     ("design-duplicates", "gf2.py",
      "if len(set(words)) != len(words):", "if False:",
      ["tests/test_gf2.py::test_design_set_validation"]),
-    ("enumerator-a0", "gleason.py",
-     "if coefficients[0] != 1:", "if False:",
-     ["tests/test_gleason.py::test_weight_enumerator_validation"]),
+    # the solve sets A_{4r} to 1 at r = 0 and to 0 for 0 < 4r < d(n)
+    ("enumerator-solve", "gleason.py",
+     "_mul_into(enum, ((r == 0) - enum[r],), basis)", "_mul_into(enum, (1 - enum[r],), basis)",
+     ["tests/test_gleason.py::test_enumerator_small_lengths"]),
     ("split-empty-masks", "gf2.py",
      "if hi:", "if True:",
      ["tests/test_designs.py", "tests/test_gf2.py"]),
@@ -78,28 +79,25 @@ MUTANTS = (
     ("bareiss-swap-sign", "exact.py",
      "sign = -sign", "sign = sign",
      ["tests/test_exact.py", "tests/test_configuration.py"]),
-    # the L1 bound is attained: a single coefficient c has norm |c|, and
-    # three terms of 2^6 - 1 sum to 189, so 6 bits of width and 2 of term
-    # count leave no room for the sign when the slot is exactly one byte
-    ("slot-sign-bit", "exact.py",
-     "bits = width + len(terms).bit_length() + 1",
-     "bits = width + len(terms).bit_length()",
-     ["tests/test_exact.py"]),
-    ("slot-term-count", "exact.py",
-     "bits = width + len(terms).bit_length() + 1", "bits = width + 1",
-     ["tests/test_exact.py"]),
-    ("slot-l1-norm", "exact.py",
-     "norms = [sum(map(abs, f)) for f in factors]",
-     "norms = [max(map(abs, f), default=0) for f in factors]",
-     ["tests/test_exact.py"]),
     ("readback-bias", "exact.py",
      "half = 1 << (8 * step - 1)", "half = 0",
      ["tests/test_exact.py"]),
+    # one slot function serves the numerators (w = 0) and the sphere sums,
+    # and a test of each regime must catch a slot without its sign byte
     ("numerator-slot-short", "harmonic.py",
      "return bound.bit_length() // 8 + 1", "return bound.bit_length() // 8",
-     ["tests/test_harmonic.py"]),
+     ["tests/test_harmonic.py::test_numerator_slot_holds_every_coefficient"]),
+    ("sphere-slot-sign-byte", "harmonic.py",
+     "return bound.bit_length() // 8 + 1", "return bound.bit_length() // 8",
+     ["tests/test_harmonic.py::test_sphere_sum_symbolic_degree_zero_counts_sphere"]),
+    # at d = 0 the sphere sum is the constant w! C(n, w), which the slot of
+    # d! P_d alone (one byte) cannot hold
+    ("sphere-slot-w-factor", "harmonic.py",
+     "bound = (2 * n + 1) ** w * 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d",
+     "bound = 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d",
+     ["tests/test_harmonic.py::test_sphere_sum_symbolic_degree_zero_counts_sphere"]),
     ("symbolic-sum-dropped", "harmonic.py",
-     "total = _product_sum(terms, w + 2 * d + 1)", "total = [0] * (w + 2 * d + 1)",
+     "num = _unpack(total, step, w + 2 * d + 1)", "num = [0] * (w + 2 * d + 1)",
      ["tests/test_harmonic.py"]),
     ("weights-lower-end", "harmonic.py",
      "return range(max(0, w - (n - s)), min(s, w) + 1)",
