@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .designs import intersection_profile
+from .designs import intersection_profile, summed_profile
 from .exact import (
     NumeratorFactors,
     ONE,
@@ -333,8 +333,8 @@ def check_sweep(code: Code, dist: list[int], shell: DesignSet,
 
     # minimal-weight coset representatives meet every minimal word in at
     # most d/2 positions (otherwise adding the word would shorten them)
-    bound_ok = all(max(intersection_profile(shell, leader), default=0) <= d_min // 2
-                   for coset in leaders.values() for leader in coset)
+    reps = [leader for coset in leaders.values() for leader in coset]
+    bound_ok = max(summed_profile(shell, reps), default=0) <= d_min // 2
     return CodeReport(
         n=n,
         k=code.k,

@@ -237,6 +237,7 @@ def test_design_check_pair_bound_precedes_tally_and_profiles(capsys, monkeypatch
 
     monkeypatch.setattr("typeii.cli.predesign_count", refuse)
     monkeypatch.setattr("typeii.designs.intersection_profile", refuse)
+    monkeypatch.setattr("typeii.designs.summed_profile", refuse)
     argv = ["design-check", "--code", "qr48", "--w", "16", "--t", "2"]
     code, out, err = run(capsys, *argv, "--half")
     assert code == 2 and out == ""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typeii.catalog import resolve
+from typeii.catalog import CATALOG, resolve
 from typeii.designs import (
     PAIR_BOUND,
     DesignSet,
@@ -17,6 +17,7 @@ from typeii.designs import (
     intersection_profile,
     killed_degrees,
     predesign_count,
+    summed_profile,
     zonal_design_residual,
 )
 from typeii.gf2 import parse_word
@@ -438,6 +439,49 @@ def test_pair_bound(monkeypatch):
         inner_distribution(sphere(6, 3))
 
 
+# |D| on both sides of a byte boundary, so that segments with and without
+# padding bits are both counted
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0, 1, 7, 8, 9, 64, 65]), st.sampled_from([8, 64, 1000]),
+       st.sampled_from([0, 1 << 13]), st.data())
+def test_summed_profile_matches_pair_count(size, bound, segment, data):
+    # a bound of 8 bits gives one reference per chunk; 64 and 1000 give
+    # chunk boundaries and a partial last chunk; a segment bound of 0 sends
+    # every reference alone, unpadded, as a wide segment would go
+    n = data.draw(st.integers(9, 12))
+    w = n // 2  # C(9, 4) = 126 words at least
+    ball = [word(c) for c in combinations(range(n), w)]
+    dset = DesignSet(n, w, tuple(data.draw(st.permutations(ball))[:size]))
+    refs = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)),
+                              max_size=40))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("typeii.designs.SLOT_BOUND", bound)
+        mp.setattr("typeii.designs.SEGMENT_BOUND", segment)
+        summed = summed_profile(dset, refs)
+        inner = inner_distribution(dset)
+    assert summed == Counter((x & y).bit_count() for x in dset for y in refs)
+    assert list(summed) == sorted(summed)
+    assert inner == Counter((x & y).bit_count() for x in dset for y in dset)
+    assert summed_profile(dset, []) == {}
+
+
+def test_inner_distribution_sums_the_profiles_on_catalog_shells():
+    seen = 0
+    for name in CATALOG:
+        code = resolve(name)
+        dist = code.sweep()[0]
+        for w in range(1, code.n + 1):
+            if 0 < dist[w] <= 759:
+                shell = code.shell(w)
+                total = Counter()
+                for y in shell:
+                    total.update(intersection_profile(shell, y))
+                assert inner_distribution(shell) == total, (name, w)
+                seen += 1
+    # e8 2, e8e8 4, d16plus 4, golay24 3, rm32 3, qr48 1 (the all-ones word)
+    assert seen == 17
+
+
 @pytest.mark.parametrize("name, w, killed", [
     ("golay24", 8, {1, 2, 3, 4, 5, 7}),
     ("golay24", 12, {1, 2, 3, 4, 5, 7, 9, 10, 11}),
@@ -460,6 +504,8 @@ def test_catalog_shell_kill_sets(name, w, killed):
 def test_profile_rejects_word_of_wrong_length(octads):
     with pytest.raises(ValueError):
         intersection_profile(octads, 1 << 24)
+    with pytest.raises(ValueError, match="beyond the design length"):
+        summed_profile(octads, [0, 1 << 24])
 
 
 # ------------------------------------------------------------ permutations

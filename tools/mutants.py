@@ -119,8 +119,8 @@ MUTANTS = (
      "if any(a % 2 for a in profile):", "if False:",
      ["tests/test_configuration.py", "tests/test_cli.py"]),
     ("coset-bound", "configuration.py",
-     "bound_ok = all(max(intersection_profile(shell, leader), default=0) <= d_min // 2",
-     "bound_ok = all(max(intersection_profile(shell, leader), default=0) < d_min // 2",
+     "bound_ok = max(summed_profile(shell, reps), default=0) <= d_min // 2",
+     "bound_ok = max(summed_profile(shell, reps), default=0) < d_min // 2",
      ["tests/test_configuration.py"]),
     # the golay24 octads kill degree 5 but not 6, so t = 4 flips its verdict
     ("half-degree-shift", "cli.py",
@@ -139,11 +139,22 @@ MUTANTS = (
      "if code.k != k:", "if False:",
      ["tests/test_gf2.py::test_generator_file_rank_below_header",
       "tests/test_cli.py::test_rank_deficient_matrix_file_is_usage_error"]),
-    # only y itself meets y in all w coordinates, so this drops the diagonal
+    # only y itself meets y in all w coordinates, so with the words of dset
+    # as references this drops the diagonal, one pair per reference
     ("inner-diagonal", "designs.py",
-     "total[a] = total.get(a, 0) + count",
-     "total[a] = total.get(a, 0) + count - (a == dset.w)",
+     "total[a] = total.get(a, 0) + mask.bit_count()",
+     "total[a] = total.get(a, 0) + mask.bit_count() - (a == dset.w) * len(chunk)",
      ["tests/test_designs.py"]),
+    # segments are padded to whole bytes, and the padding bits count 0
+    ("padding-uncounted", "designs.py",
+     "total[0] = total.get(0, 0) - len(chunk) * (width - size)  # padding bits",
+     "total[0] = total.get(0, 0)",
+     ["tests/test_designs.py::test_summed_profile_matches_pair_count"]),
+    # the first reference of every chunk after the first is lost
+    ("chunk-boundary-skip", "designs.py",
+     "chunk = supports[lo:lo + per]",
+     "chunk = supports[lo + (lo > 0):lo + per]",
+     ["tests/test_designs.py::test_summed_profile_matches_pair_count"]),
 )
 
 
