@@ -8,12 +8,12 @@ polynomial is stored in content/primitive form (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 6): integer numerators over one positive
 integer denominator, reduced so that their gcd is 1.  Ring operations are then
 integer arithmetic plus one gcd per result, and `Fraction` coefficients are
-built only when they are read.  The integer kernels are shared with
-`harmonic`, which builds its numerators on bare integer tuples and reduces
-once per result: `_reduce` (the canonical pair), `_mul_into` (the schoolbook
-convolution, which `Polynomial.__mul__` calls too), `_horner`, and the
-Kronecker substitution pair `_pack` (a coefficient sequence at X = 2^(8 step)
-by Horner shift-adds) and `_unpack` (the signed readback of a packed sum as
+built only when they are read.  `_mul_into` (the schoolbook convolution) serves
+`Polynomial.__mul__` and `gleason`.  The integer kernels shared with
+`harmonic`, which builds its numerators as packed ints and reduces once per
+result, are `_reduce` (the canonical pair), `_horner`, and the Kronecker
+substitution pair `_pack` (a coefficient sequence at X = 2^(8 step) by
+Horner shift-adds) and `_unpack` (the signed readback of a packed sum as
 slots of step bytes).  `harmonic` sizes the slots.
 
 Polynomials and rational functions are immutable.  A rational function is a

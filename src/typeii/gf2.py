@@ -188,8 +188,15 @@ _BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j,) for bits in table
 
 def _set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of mask, ascending, found byte by byte: a
-    regex finds the nonzero bytes and a table lists the bits of each."""
+    table lists the bits of each byte.  A word of a code (at most
+    MAX_LENGTH // 8 bytes) walks all its bytes; in a wider mask a regex
+    finds the nonzero bytes."""
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    if len(data) <= MAX_LENGTH // 8:
+        for i, byte in enumerate(data):
+            for j in _BYTE_BITS[byte]:
+                yield 8 * i + j
+        return
     for m in re.finditer(b"\x01", data.translate(_NONZERO)):
         i = m.start()
         for j in _BYTE_BITS[data[i]]:

@@ -18,26 +18,28 @@ arguments rely on and the correctness gate enforced by the test suite.
 Each factor is a Krawtchouk sum K_k(x; N) = sum_i (-1)^i C(x, i) C(N-x, k-i)
 (Delsarte 1973) with N = s or N = n - s.  Z_d is kept in one form, the
 polynomial P_d = Z_d * s(s-1)...(s-d+1) (`zonal_numerator`, over the
-denominator `falling(d)`).  It is built on bare integer coefficient tuples
-from the identity
+denominator `falling(d)`).  It is built from the identity
 
     d! P_d = sum_k (-1)^k C(d, k) A_{n,d,k}(s) [k! K_k(a; s)] [(d-k)! K_{d-k}(w-a; n-s)]
 
 with A_{n,d,k} = prod_{l<k} (n-d+l+1-s) * (s-k)...(s-d+1).  A scaled factor
 j! K_j(x; N) = sum_i (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) has
-integer coefficients, so every term is an integer polynomial.  The factors
-are single products (`exact._mul_into`), cached as integer tuples by what
-they depend on and filled on first use: the falling products of affine terms
-by (alpha, beta, m), A by (n, d, k), k! K_k(a; s) by (a, 1, 0, k) and
-j! K_j(x; n-s) by (x, -1, n, j).
+integer coefficients, so every term is an integer polynomial.
 
-A build of d! P_d is Kronecker substitution on factors packed once
-(`exact._pack`) at X = 2^(8 step): the signed product
-(-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s) is cached packed by
-(n, d, k, x) (`_weighted_packed`) and k! K_k(a; s) by (a, k, step)
-(`_krawtchouk_packed`), so d! P_d is d+1 big-int products, one sum and one
-readback of 2d+1 signed slots (`exact._unpack`), cached as a tuple by
-(n, w, a, d) (`_numerator_ints`).  The slot of step = `_step(n, 0, d)` bytes
+Every factor is built as one packed int by Kronecker substitution
+(von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4): a polynomial f
+is held as f(X) at X = 2^(8 step), and the linear term alpha*s + beta - t is
+(alpha << 8 step) + beta - t.  One kernel, `_falling_packed`, multiplies
+these terms into the falling products prod_{t<m} (alpha*s + beta - t),
+cached by (alpha, beta, m, shift) and recursive in m, so one chain serves
+every m.  A is the product of two fallings and j! K_j(x; N) a sum of them.
+The factors of d! P_d sit in two cached rows of d+1 packed ints:
+`_weighted_row` holds the terms (-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s)
+by (n, d, x), on the row of signed A of `_coefficient_row` by (n, d), and
+`_krawtchouk_row` holds k! K_k(a; s) by (a, d, shift).  d! P_d is the dot
+product of the two rows at x = w - a, one sum and one readback of 2d+1
+signed slots (`exact._unpack`), cached as a tuple by (n, w, a, d)
+(`_numerator_ints`).  The slot of step = `_step(n, 0, d)` bytes
 comes from a closed-form bound, so no build reads a coefficient to size it.
 The L1 norm ||.||_1, the sum of the absolute coefficients, is
 submultiplicative, and:
@@ -54,11 +56,13 @@ submultiplicative, and:
 Hence ||d! P_d||_1 <= 2^d (max(n, d) + 1)^d (2n + d + 1)^d, which bounds
 every coefficient, and a slot of one byte more than that bound's bits holds
 each with its sign.  Only the final coefficients have to fit: packing is a
-ring homomorphism, so the products and partial sums may carry across slots.
+ring homomorphism, so the factors, their products and the partial sums
+may carry across slots.
 
 The symbolic sphere sum packs its terms the same way, at the slot
-`_step(n, w, d)`: term a is C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1)
-d! P_d, and ||C(w, a) s(s-1)...(s-a+1)||_1 <= C(w, a) a! <= w^a,
+`_step(n, w, d)`, and takes its two fallings from `_falling_packed`: term a
+is C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) d! P_d, and
+||C(w, a) s(s-1)...(s-a+1)||_1 <= C(w, a) a! <= w^a,
 ||(n-s)...(n-s-w+a+1)||_1 <= (n + 1)^(w-a) and
 sum_a w^a (n + 1)^(w-a) <= (w + n + 1)^w <= (2n + 1)^w, so every sum of
 terms has norm at most (2n + 1)^w times the numerator bound; w = 0 gives
@@ -84,11 +88,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from operator import mul
 
-from .exact import (Polynomial, RationalFunction, _horner, _make, _mul_into, _pack,
-                    _reduce, _unpack)
+from .exact import ONE, S, Polynomial, RationalFunction, _horner, _make, _pack, _reduce, _unpack
 
 
 def _weights(n: int, s: int | None, w: int) -> range:
@@ -170,34 +173,6 @@ def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fractio
 
 
 @lru_cache(maxsize=None)
-def _falling_ints(alpha: int, beta: int, m: int) -> tuple[int, ...]:
-    """The integer coefficients of prod_{t<m} (alpha*s + beta - t)."""
-    if m == 0:
-        return (1,)
-    return tuple(_mul_into([0] * (m + 1), _falling_ints(alpha, beta, m - 1),
-                           (beta - m + 1, alpha)))
-
-
-@lru_cache(maxsize=None)
-def _krawtchouk_ints(x: int, alpha: int, beta: int, j: int) -> tuple[int, ...]:
-    """j! K_j(x; N) with N = alpha*s + beta: the integer polynomial
-    sum_i (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) of degree j."""
-    out = [0] * (j + 1)
-    for i in range(min(x, j) + 1):
-        _mul_into(out, ((-1) ** i * comb(x, i) * perm(j, i),),
-                  _falling_ints(alpha, beta - x, j - i))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _coefficient_ints(n: int, d: int, k: int) -> tuple[int, ...]:
-    """A_{n,d,k} = prod_{l<k} (n-d+l+1-s) * (s-k)...(s-d+1): the coefficient of
-    Q_{d,k} over the common denominator s(s-1)...(s-d+1), of degree d."""
-    return tuple(_mul_into([0] * (d + 1), _falling_ints(-1, n - d + k, k),
-                           _falling_ints(1, -k, d - k)))
-
-
-@lru_cache(maxsize=None)
 def _step(n: int, w: int, d: int) -> int:
     """The slot in bytes that holds, with its sign, every coefficient of
     w! d! times a partial sphere sum of Z_d over weight w at length n, and
@@ -208,35 +183,60 @@ def _step(n: int, w: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weighted_packed(n: int, d: int, k: int, x: int) -> int:
-    """(-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s), the part of term k of
-    d! P_d that does not depend on a once x = w - a is fixed, packed at the
-    slot _step(n, 0, d)."""
-    product = _mul_into([0] * (2 * d - k + 1), _coefficient_ints(n, d, k),
-                        _krawtchouk_ints(x, -1, n, d - k))
-    return (-1) ** k * comb(d, k) * _pack(product, 8 * _step(n, 0, d))
+def _falling_packed(alpha: int, beta: int, m: int, shift: int) -> int:
+    """prod_{t<m} (alpha*s + beta - t) packed at X = 2^shift: the product of
+    the packed linear terms (alpha << shift) + beta - t."""
+    if m == 0:
+        return 1
+    return _falling_packed(alpha, beta, m - 1, shift) * ((alpha << shift) + beta - m + 1)
+
+
+def _krawtchouk(x: int, alpha: int, beta: int, j: int, shift: int) -> int:
+    """j! K_j(x; N) with N = alpha*s + beta packed at X = 2^shift: the sum of
+    (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) over i."""
+    return sum((-1) ** i * comb(x, i) * perm(j, i) * _falling_packed(alpha, beta - x, j - i, shift)
+               for i in range(min(x, j) + 1))
 
 
 @lru_cache(maxsize=None)
-def _krawtchouk_packed(a: int, k: int, step: int) -> int:
-    """k! K_k(a; s) packed at a slot of step bytes."""
-    return _pack(_krawtchouk_ints(a, 1, 0, k), 8 * step)
+def _coefficient_row(n: int, d: int) -> tuple[int, ...]:
+    """(-1)^k C(d, k) A_{n,d,k} for k = 0..d, packed at the slot _step(n, 0, d).
+    Read from its fixed end, each product of A is one falling chain for every
+    k: A_{n,d,k} = (-1)^d prod_{t<k} (s+d-n-1-t) prod_{t<d-k} (d-1-s-t)."""
+    shift = 8 * _step(n, 0, d)
+    return tuple((-1) ** (d + k) * comb(d, k) * _falling_packed(1, d - n - 1, k, shift)
+                 * _falling_packed(-1, d - 1, d - k, shift) for k in range(d + 1))
+
+
+@lru_cache(maxsize=None)
+def _weighted_row(n: int, d: int, x: int) -> tuple[int, ...]:
+    """The terms (-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s), k = 0..d, of
+    d! P_d that do not depend on a once x = w - a is fixed, packed at the
+    slot _step(n, 0, d)."""
+    shift = 8 * _step(n, 0, d)
+    return tuple(c * _krawtchouk(x, -1, n, d - k, shift)
+                 for k, c in enumerate(_coefficient_row(n, d)))
+
+
+@lru_cache(maxsize=None)
+def _krawtchouk_row(a: int, d: int, shift: int) -> tuple[int, ...]:
+    """k! K_k(a; s) for k = 0..d, packed at X = 2^shift."""
+    return tuple(_krawtchouk(a, 1, 0, k, shift) for k in range(d + 1))
 
 
 @lru_cache(maxsize=None)
 def _numerator_ints(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
     """The integer coefficients of d! P_d (degree at most 2d, trailing zeros
-    kept): d+1 products of packed factors, summed and read back once."""
+    kept): the dot product of two packed rows, read back once."""
     step = _step(n, 0, d)
-    weighted = [_weighted_packed(n, d, k, w - a) for k in range(d + 1)]
-    krawtchouk = [_krawtchouk_packed(a, k, step) for k in range(d + 1)]
-    return tuple(_unpack(sum(map(mul, weighted, krawtchouk)), step, 2 * d + 1))
+    total = sum(map(mul, _weighted_row(n, d, w - a), _krawtchouk_row(a, d, 8 * step)))
+    return tuple(_unpack(total, step, 2 * d + 1))
 
 
 @lru_cache(maxsize=None)
 def falling(d: int) -> Polynomial:
     """s(s-1)...(s-d+1), the common denominator of the degree-d coefficients."""
-    return Polynomial(_falling_ints(1, 0, d))
+    return prod((S - t for t in range(d)), start=ONE)
 
 
 def zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
@@ -259,13 +259,12 @@ def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
 
     The weight-w words at intersection a number C(s, a) C(n-s, w-a), and
     w! C(s, a) C(n-s, w-a) = C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) is
-    an integer polynomial.  Its product with d! P_d is three factors packed
-    at the slot _step(n, w, d); the products are summed, read back once and
-    reduced by w! d!."""
+    an integer polynomial.  Its product with d! P_d is two packed fallings and
+    the packed d! P_d at the slot _step(n, w, d); the products are summed,
+    read back once and reduced by w! d!."""
     step = _step(n, w, d)
     shift = 8 * step
-    total = sum(comb(w, a) * _pack(_falling_ints(1, 0, a), shift)
-                * _pack(_falling_ints(-1, n, w - a), shift)
+    total = sum(comb(w, a) * _falling_packed(1, 0, a, shift) * _falling_packed(-1, n, w - a, shift)
                 * _pack(_numerator_ints(n, w, a, d), shift) for a in _weights(n, None, w))
     num = _unpack(total, step, w + 2 * d + 1)
     return RationalFunction(_make(*_reduce(num, factorial(w) * factorial(d))), falling(d))

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from unittest import mock
 
 import pytest
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from typeii import harmonic
-from typeii.exact import ONE, S, ZERO, Polynomial, RationalFunction, _make, _reduce
+from typeii.exact import (ONE, S, ZERO, Polynomial, RationalFunction, _make, _mul_into,
+                          _reduce, _unpack)
 from typeii.harmonic import (
     sphere_sum,
     sphere_sum_symbolic,
@@ -111,13 +112,61 @@ def test_zonal_numerator_matches_polynomial_construction_corners(n, w, a, d):
 
 # ------------------------------ reference: one product sum of unpacked factors
 # d! P_d as one exact._product_sum over the d+1 terms, each factor an integer
-# tuple: the route the packed factors of typeii.harmonic replaced.
+# tuple built by the schoolbook convolution: the route the packed falling
+# kernel of typeii.harmonic replaced.
+
+@lru_cache(maxsize=None)
+def falling_ints(alpha: int, beta: int, m: int) -> tuple[int, ...]:
+    """The integer coefficients of prod_{t<m} (alpha*s + beta - t)."""
+    if m == 0:
+        return (1,)
+    return tuple(_mul_into([0] * (m + 1), falling_ints(alpha, beta, m - 1),
+                           (beta - m + 1, alpha)))
+
+
+@lru_cache(maxsize=None)
+def krawtchouk_ints(x: int, alpha: int, beta: int, j: int) -> tuple[int, ...]:
+    """j! K_j(x; N) with N = alpha*s + beta: the integer polynomial
+    sum_i (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) of degree j."""
+    out = [0] * (j + 1)
+    for i in range(min(x, j) + 1):
+        _mul_into(out, ((-1) ** i * comb(x, i) * perm(j, i),),
+                  falling_ints(alpha, beta - x, j - i))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def coefficient_ints(n: int, d: int, k: int) -> tuple[int, ...]:
+    """A_{n,d,k} = prod_{l<k} (n-d+l+1-s) * (s-k)...(s-d+1): the coefficient of
+    Q_{d,k} over the common denominator s(s-1)...(s-d+1), of degree d."""
+    return tuple(_mul_into([0] * (d + 1), falling_ints(-1, n - d + k, k),
+                           falling_ints(1, -k, d - k)))
+
 
 def numerator_product_sum(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
-    terms = [(((-1) ** k * comb(d, k),), harmonic._coefficient_ints(n, d, k),
-              harmonic._krawtchouk_ints(w - a, -1, n, d - k),
-              harmonic._krawtchouk_ints(a, 1, 0, k)) for k in range(d + 1)]
+    terms = [(((-1) ** k * comb(d, k),), coefficient_ints(n, d, k),
+              krawtchouk_ints(w - a, -1, n, d - k),
+              krawtchouk_ints(a, 1, 0, k)) for k in range(d + 1)]
     return tuple(_product_sum(terms, 2 * d + 1))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, -1]), st.integers(-130, 130), st.integers(0, 130))
+def test_falling_packed_matches_tuple_oracle(alpha, beta, m):
+    # the slot comes from the oracle's own L1 norm plus a sign bit, not from
+    # _step, so the packed chain is read back at the width its product needs
+    expected = falling_ints(alpha, beta, m)
+    step = -(-(sum(map(abs, expected)).bit_length() + 1) // 8)
+    try:
+        packed = harmonic._falling_packed(alpha, beta, m, 8 * step)
+        assert _unpack(packed, step, m + 1) == list(expected)
+    finally:
+        harmonic._falling_packed.cache_clear()  # one chain per drawn slot
+
+
+def test_falling_matches_tuple_oracle():
+    for d in range(65):
+        assert harmonic.falling(d) == Polynomial(falling_ints(1, 0, d))
 
 
 @settings(max_examples=100, deadline=None)
@@ -304,8 +353,8 @@ def test_sphere_sum_symbolic_partial_sums_match_polynomial_oracle(monkeypatch, n
 # of typeii.harmonic replaced.
 
 def sphere_sum_product_sum(n: int, w: int, d: int, weights: range) -> RationalFunction:
-    terms = [((comb(w, a),), harmonic._falling_ints(1, 0, a),
-              harmonic._falling_ints(-1, n, w - a), harmonic._numerator_ints(n, w, a, d))
+    terms = [((comb(w, a),), falling_ints(1, 0, a),
+              falling_ints(-1, n, w - a), harmonic._numerator_ints(n, w, a, d))
              for a in weights]
     total = _product_sum(terms, w + 2 * d + 1)
     return RationalFunction(_make(*_reduce(total, factorial(w) * factorial(d))),

@@ -96,6 +96,16 @@ MUTANTS = (
      "bound = (2 * n + 1) ** w * 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d",
      "bound = 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d",
      ["tests/test_harmonic.py::test_sphere_sum_symbolic_degree_zero_counts_sphere"]),
+    # every packed factor of d! P_d comes from the one falling kernel
+    ("falling-term-shift", "harmonic.py",
+     "return _falling_packed(alpha, beta, m - 1, shift) * ((alpha << shift) + beta - m + 1)",
+     "return _falling_packed(alpha, beta, m - 1, shift) * ((alpha << shift) + beta - m)",
+     ["tests/test_harmonic.py::test_falling_packed_matches_tuple_oracle",
+      "tests/test_harmonic.py::test_numerator_ints_match_product_sum"]),
+    ("krawtchouk-sign", "harmonic.py",
+     "return sum((-1) ** i * comb(x, i) * perm(j, i) * _falling_packed(alpha, beta - x, j - i, shift)",
+     "return sum(1 * comb(x, i) * perm(j, i) * _falling_packed(alpha, beta - x, j - i, shift)",
+     ["tests/test_harmonic.py::test_numerator_ints_match_product_sum"]),
     ("symbolic-sum-dropped", "harmonic.py",
      "num = _unpack(total, step, w + 2 * d + 1)", "num = [0] * (w + 2 * d + 1)",
      ["tests/test_harmonic.py"]),
