@@ -14,7 +14,8 @@ built only when they are read.  `_mul_into` (the schoolbook convolution) serves
 result, are `_reduce` (the canonical pair), `_horner`, and the Kronecker
 substitution pair `_pack` (a coefficient sequence at X = 2^(8 step) by
 Horner shift-adds) and `_unpack` (the signed readback of a packed sum as
-slots of step bytes).  `harmonic` sizes the slots.
+slots of step bytes, which raises OverflowError rather than drop a nonzero
+digit past the last slot).  `harmonic` sizes the slots.
 
 Polynomials and rational functions are immutable.  A rational function is a
 value type with no arithmetic: it is normalized so that the denominator is
@@ -69,9 +70,13 @@ def _pack(f: Sequence[int], shift: int) -> int:
 
 
 def _unpack(total: int, step: int, m: int) -> list[int]:
-    """The m signed base-2^(8 step) digits of total, every one of absolute
-    value below 2^(8 step - 1).  Half a slot is added to each digit, so that
-    every slot is nonnegative, and subtracted again per slice."""
+    """The m signed base-2^(8 step) digits of total, every one in
+    [-2^(8 step - 1), 2^(8 step - 1)).  Half a slot is added to each digit, so
+    that every slot is nonnegative, and subtracted again per slice.
+
+    The readback checks itself: when a digit of total at slot m or above is
+    nonzero, total plus the bias is negative or does not fit in m slots, and
+    int.to_bytes raises OverflowError, so no digit is dropped silently."""
     half = 1 << (8 * step - 1)
     raw = (total + int.from_bytes(half.to_bytes(step, "little") * m, "little")
            ).to_bytes(step * m, "little")

@@ -24,22 +24,31 @@ denominator `falling(d)`).  It is built from the identity
 
 with A_{n,d,k} = prod_{l<k} (n-d+l+1-s) * (s-k)...(s-d+1).  A scaled factor
 j! K_j(x; N) = sum_i (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) has
-integer coefficients, so every term is an integer polynomial.
+integer coefficients, so every term is an integer polynomial.  The terms have
+degree 2d, but their top d coefficients cancel: d! P_d has degree at most d.
 
 Every factor is built as one packed int by Kronecker substitution
 (von zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4): a polynomial f
 is held as f(X) at X = 2^(8 step), and the linear term alpha*s + beta - t is
-(alpha << 8 step) + beta - t.  One kernel, `_falling_packed`, multiplies
-these terms into the falling products prod_{t<m} (alpha*s + beta - t),
-cached by (alpha, beta, m, shift) and recursive in m, so one chain serves
-every m.  A is the product of two fallings and j! K_j(x; N) a sum of them.
-The factors of d! P_d sit in two cached rows of d+1 packed ints:
-`_weighted_row` holds the terms (-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s)
-by (n, d, x), on the row of signed A of `_coefficient_row` by (n, d), and
-`_krawtchouk_row` holds k! K_k(a; s) by (a, d, shift).  d! P_d is the dot
-product of the two rows at x = w - a, one sum and one readback of 2d+1
-signed slots (`exact._unpack`), cached as a tuple by (n, w, a, d)
-(`_numerator_ints`).  The slot of step = `_step(n, 0, d)` bytes
+(alpha << 8 step) + beta - t.  `_fallings` multiplies these terms into the
+running falling products prod_{t<j} (alpha*s + beta - t), j = 0..m, and A
+is the product of two of them.  The whole chain j! K_j(x; N), j = 0..d,
+comes from the three-term recurrence of the Krawtchouk polynomials
+(MacWilliams & Sloane, *The Theory of Error-Correcting Codes*, ch. 5)
+
+    k_{j+1} = (N - 2x) k_j - j (N - j + 1) k_{j-1},   k_0 = 1,  k_1 = N - 2x,
+
+two products by a packed linear term per step (`_krawtchouk_chain`); it is a
+polynomial identity in N, so it holds for the packed N too.  The factors of
+d! P_d sit in two cached rows of d+1 packed ints: `_weighted_row` holds the
+terms (-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s) by (n, d, x), on the
+row of signed A of `_coefficient_row` by (n, d), and `_krawtchouk_row` holds
+k! K_k(a; s) by (a, d, shift).  d! P_d is the dot product of the two rows at
+x = w - a, one sum and one readback of d+1 signed slots (`exact._unpack`),
+cached as a tuple by (n, w, a, d) (`_numerator_ints`).  The readback checks
+the degree on every build: a nonzero coefficient above s^d is a nonzero
+digit past the last slot, and `_unpack` raises OverflowError for it, so
+none is dropped silently.  The slot of step = `_step(n, 0, d)` bytes
 comes from a closed-form bound, so no build reads a coefficient to size it.
 The L1 norm ||.||_1, the sum of the absolute coefficients, is
 submultiplicative, and:
@@ -60,7 +69,7 @@ ring homomorphism, so the factors, their products and the partial sums
 may carry across slots.
 
 The symbolic sphere sum packs its terms the same way, at the slot
-`_step(n, w, d)`, and takes its two fallings from `_falling_packed`: term a
+`_step(n, w, d)`, and takes its two falling chains from `_fallings`: term a
 is C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) d! P_d, and
 ||C(w, a) s(s-1)...(s-a+1)||_1 <= C(w, a) a! <= w^a,
 ||(n-s)...(n-s-w+a+1)||_1 <= (n + 1)^(w-a) and
@@ -68,6 +77,8 @@ sum_a w^a (n + 1)^(w-a) <= (w + n + 1)^w <= (2n + 1)^w, so every sum of
 terms has norm at most (2n + 1)^w times the numerator bound; w = 0 gives
 the numerator slot back.  This holds for any range of a, and at d = 0 the
 sum is the constant w! C(n, w), which the (2n + 1)^w factor must hold.
+Each term has degree at most w + d, so the sum is read back as w + d + 1
+slots, under the same check.
 
 `zonal_numerator` reduces d! P_d by d! once, to the canonical Polynomial.
 For an integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact
@@ -182,20 +193,25 @@ def _step(n: int, w: int, d: int) -> int:
     return bound.bit_length() // 8 + 1
 
 
-@lru_cache(maxsize=None)
-def _falling_packed(alpha: int, beta: int, m: int, shift: int) -> int:
-    """prod_{t<m} (alpha*s + beta - t) packed at X = 2^shift: the product of
-    the packed linear terms (alpha << shift) + beta - t."""
-    if m == 0:
-        return 1
-    return _falling_packed(alpha, beta, m - 1, shift) * ((alpha << shift) + beta - m + 1)
+def _fallings(alpha: int, beta: int, m: int, shift: int) -> list[int]:
+    """prod_{t<j} (alpha*s + beta - t) for j = 0..m, packed at X = 2^shift:
+    the running products of the packed linear terms (alpha << shift) + beta - t."""
+    lin = (alpha << shift) + beta
+    out = [1]
+    for t in range(m):
+        out.append(out[-1] * (lin - t))
+    return out
 
 
-def _krawtchouk(x: int, alpha: int, beta: int, j: int, shift: int) -> int:
-    """j! K_j(x; N) with N = alpha*s + beta packed at X = 2^shift: the sum of
-    (-1)^i C(x, i) j!/(j-i)! (N-x)(N-x-1)...(N-x-j+i+1) over i."""
-    return sum((-1) ** i * comb(x, i) * perm(j, i) * _falling_packed(alpha, beta - x, j - i, shift)
-               for i in range(min(x, j) + 1))
+def _krawtchouk_chain(x: int, alpha: int, beta: int, d: int, shift: int) -> list[int]:
+    """j! K_j(x; N) for j = 0..d with N = alpha*s + beta, packed at X = 2^shift,
+    by the three-term recurrence k_{j+1} = (N - 2x) k_j - j (N - j + 1) k_{j-1}
+    from k_0 = 1 and k_1 = N - 2x."""
+    lin = (alpha << shift) + beta
+    out = [1, lin - 2 * x]
+    for j in range(1, d):
+        out.append((lin - 2 * x) * out[j] - j * (lin - j + 1) * out[j - 1])
+    return out[:d + 1]
 
 
 @lru_cache(maxsize=None)
@@ -204,8 +220,9 @@ def _coefficient_row(n: int, d: int) -> tuple[int, ...]:
     Read from its fixed end, each product of A is one falling chain for every
     k: A_{n,d,k} = (-1)^d prod_{t<k} (s+d-n-1-t) prod_{t<d-k} (d-1-s-t)."""
     shift = 8 * _step(n, 0, d)
-    return tuple((-1) ** (d + k) * comb(d, k) * _falling_packed(1, d - n - 1, k, shift)
-                 * _falling_packed(-1, d - 1, d - k, shift) for k in range(d + 1))
+    up = _fallings(1, d - n - 1, d, shift)
+    down = _fallings(-1, d - 1, d, shift)
+    return tuple((-1) ** (d + k) * comb(d, k) * up[k] * down[d - k] for k in range(d + 1))
 
 
 @lru_cache(maxsize=None)
@@ -213,24 +230,24 @@ def _weighted_row(n: int, d: int, x: int) -> tuple[int, ...]:
     """The terms (-1)^k C(d, k) A_{n,d,k} (d-k)! K_{d-k}(x; n-s), k = 0..d, of
     d! P_d that do not depend on a once x = w - a is fixed, packed at the
     slot _step(n, 0, d)."""
-    shift = 8 * _step(n, 0, d)
-    return tuple(c * _krawtchouk(x, -1, n, d - k, shift)
-                 for k, c in enumerate(_coefficient_row(n, d)))
+    chain = _krawtchouk_chain(x, -1, n, d, 8 * _step(n, 0, d))
+    return tuple(c * chain[d - k] for k, c in enumerate(_coefficient_row(n, d)))
 
 
 @lru_cache(maxsize=None)
 def _krawtchouk_row(a: int, d: int, shift: int) -> tuple[int, ...]:
     """k! K_k(a; s) for k = 0..d, packed at X = 2^shift."""
-    return tuple(_krawtchouk(a, 1, 0, k, shift) for k in range(d + 1))
+    return tuple(_krawtchouk_chain(a, 1, 0, d, shift))
 
 
 @lru_cache(maxsize=None)
 def _numerator_ints(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
-    """The integer coefficients of d! P_d (degree at most 2d, trailing zeros
-    kept): the dot product of two packed rows, read back once."""
+    """The d+1 integer coefficients of d! P_d (degree at most d, trailing
+    zeros kept): the dot product of two packed rows, read back once.  The
+    readback raises OverflowError if a coefficient above s^d is nonzero."""
     step = _step(n, 0, d)
     total = sum(map(mul, _weighted_row(n, d, w - a), _krawtchouk_row(a, d, 8 * step)))
-    return tuple(_unpack(total, step, 2 * d + 1))
+    return tuple(_unpack(total, step, d + 1))
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +278,13 @@ def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
     w! C(s, a) C(n-s, w-a) = C(w, a) s(s-1)...(s-a+1) (n-s)...(n-s-w+a+1) is
     an integer polynomial.  Its product with d! P_d is two packed fallings and
     the packed d! P_d at the slot _step(n, w, d); the products are summed,
-    read back once and reduced by w! d!."""
+    read back once as the w + d + 1 coefficients of degree at most w + d and
+    reduced by w! d!."""
     step = _step(n, w, d)
     shift = 8 * step
-    total = sum(comb(w, a) * _falling_packed(1, 0, a, shift) * _falling_packed(-1, n, w - a, shift)
-                * _pack(_numerator_ints(n, w, a, d), shift) for a in _weights(n, None, w))
-    num = _unpack(total, step, w + 2 * d + 1)
+    ups = _fallings(1, 0, w, shift)
+    downs = _fallings(-1, n, w, shift)
+    total = sum(comb(w, a) * ups[a] * downs[w - a] * _pack(_numerator_ints(n, w, a, d), shift)
+                for a in _weights(n, None, w))
+    num = _unpack(total, step, w + d + 1)
     return RationalFunction(_make(*_reduce(num, factorial(w) * factorial(d))), falling(d))

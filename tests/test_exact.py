@@ -493,3 +493,35 @@ def test_integer_roots_multiplicative_union(rs, qs):
     for r in qs:
         q = q * (S - r)
     assert integer_roots(p * q) == set(rs) | set(qs)
+
+
+# ------------------------------------------------------- the readback contract
+#
+# _unpack reads m signed digits and checks itself: a nonzero digit at slot m
+# or above leaves total plus the bias negative or too wide for m slots, so
+# int.to_bytes raises OverflowError and no digit is dropped silently.
+
+def test_unpack_raises_on_a_digit_past_the_last_slot():
+    step, m = 2, 3
+    shift = 8 * step
+    half = 1 << (shift - 1)
+    fits = [half - 1, -half, 7]  # the extreme digits, which carry nothing
+    assert _unpack(_pack(fits, shift), step, m) == fits
+    assert _unpack(_pack(fits, shift), step, m + 2) == fits + [0, 0]
+    for top in ([1], [-1], [half - 1], [-half], [0] * 40 + [1], [0] * 40 + [-3]):
+        with pytest.raises(OverflowError):
+            _unpack(_pack(fits + top, shift), step, m)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_unpack_reads_back_or_raises(step, data):
+    half = 1 << (8 * step - 1)
+    digits = st.lists(st.integers(-half, half - 1), max_size=6)
+    low, high = data.draw(digits), data.draw(digits)
+    total = _pack(low + high, 8 * step)
+    if any(high):
+        with pytest.raises(OverflowError):
+            _unpack(total, step, len(low))
+    else:
+        assert _unpack(total, step, len(low)) == low

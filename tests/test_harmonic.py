@@ -150,18 +150,36 @@ def numerator_product_sum(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
     return tuple(_product_sum(terms, 2 * d + 1))
 
 
+def _oracle_step(polys) -> int:
+    """The slot in bytes, from the oracle's own L1 norms plus a sign bit, not
+    from _step, that holds every coefficient of every polynomial in polys."""
+    norm = max(sum(map(abs, p)) for p in polys)
+    return -(-(norm.bit_length() + 1) // 8)
+
+
 @settings(deadline=None)
 @given(st.sampled_from([1, -1]), st.integers(-130, 130), st.integers(0, 130))
-def test_falling_packed_matches_tuple_oracle(alpha, beta, m):
-    # the slot comes from the oracle's own L1 norm plus a sign bit, not from
-    # _step, so the packed chain is read back at the width its product needs
-    expected = falling_ints(alpha, beta, m)
-    step = -(-(sum(map(abs, expected)).bit_length() + 1) // 8)
-    try:
-        packed = harmonic._falling_packed(alpha, beta, m, 8 * step)
-        assert _unpack(packed, step, m + 1) == list(expected)
-    finally:
-        harmonic._falling_packed.cache_clear()  # one chain per drawn slot
+def test_fallings_match_tuple_oracle(alpha, beta, m):
+    # every running product j <= m is read back at the width the widest needs
+    expected = [falling_ints(alpha, beta, j) for j in range(m + 1)]
+    step = _oracle_step(expected)
+    packed = harmonic._fallings(alpha, beta, m, 8 * step)
+    assert len(packed) == m + 1
+    for j, (got, want) in enumerate(zip(packed, expected)):
+        assert _unpack(got, step, j + 1) == list(want)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, -1]), st.integers(-130, 130), st.integers(0, 130),
+       st.integers(0, 64))
+def test_krawtchouk_chain_matches_tuple_oracle(alpha, beta, x, d):
+    # the recurrence against the alternating sum, for every j <= d
+    expected = [krawtchouk_ints(x, alpha, beta, j) for j in range(d + 1)]
+    step = _oracle_step(expected)
+    chain = harmonic._krawtchouk_chain(x, alpha, beta, d, 8 * step)
+    assert len(chain) == d + 1
+    for j, (got, want) in enumerate(zip(chain, expected)):
+        assert _unpack(got, step, j + 1) == list(want)
 
 
 def test_falling_matches_tuple_oracle():
@@ -176,7 +194,10 @@ def test_numerator_ints_match_product_sum(data):
     d = data.draw(st.integers(0, n // 2))
     w = data.draw(st.integers(0, n))
     a = data.draw(st.integers(0, w))
-    assert harmonic._numerator_ints(n, w, a, d) == numerator_product_sum(n, w, a, d)
+    expected = numerator_product_sum(n, w, a, d)
+    # d! P_d has degree at most d: the oracle's top d coefficients vanish
+    assert harmonic._numerator_ints(n, w, a, d) == expected[:d + 1]
+    assert not any(expected[d + 1:])
 
 
 def _corners(n: int):
@@ -193,7 +214,9 @@ def test_numerator_slot_holds_every_coefficient(n):
     # whole slot, so a slot one byte narrower fails there
     for w, a, d in _corners(n):
         num = harmonic._numerator_ints(n, w, a, d)
-        assert num == numerator_product_sum(n, w, a, d)
+        expected = numerator_product_sum(n, w, a, d)
+        assert num == expected[:d + 1]
+        assert not any(expected[d + 1:])
         assert max(map(abs, num)) < 2 ** (8 * harmonic._step(n, 0, d) - 1)
 
 

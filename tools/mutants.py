@@ -1,7 +1,7 @@
 """Mutation smoke test: each mutant below changes one line of `src/typeii`,
 and the tests named with it must fail on the changed copy.
 
-    python3 tools/mutants.py        # two to three minutes
+    python3 tools/mutants.py        # about three minutes
 
 `src/` and `tests/` are copied to a temporary directory once; each mutant is
 written into that copy, its tests run with `pytest -x`, and the line is put
@@ -96,18 +96,31 @@ MUTANTS = (
      "bound = (2 * n + 1) ** w * 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d",
      "bound = 2 ** d * (max(n, d) + 1) ** d * (2 * n + d + 1) ** d",
      ["tests/test_harmonic.py::test_sphere_sum_symbolic_degree_zero_counts_sphere"]),
-    # every packed factor of d! P_d comes from the one falling kernel
+    # the running falling products build A and the sphere-sum factors
     ("falling-term-shift", "harmonic.py",
-     "return _falling_packed(alpha, beta, m - 1, shift) * ((alpha << shift) + beta - m + 1)",
-     "return _falling_packed(alpha, beta, m - 1, shift) * ((alpha << shift) + beta - m)",
-     ["tests/test_harmonic.py::test_falling_packed_matches_tuple_oracle",
+     "out.append(out[-1] * (lin - t))",
+     "out.append(out[-1] * (lin - t - 1))",
+     ["tests/test_harmonic.py::test_fallings_match_tuple_oracle",
       "tests/test_harmonic.py::test_numerator_ints_match_product_sum"]),
+    # the three-term recurrence builds every Krawtchouk factor of d! P_d
     ("krawtchouk-sign", "harmonic.py",
-     "return sum((-1) ** i * comb(x, i) * perm(j, i) * _falling_packed(alpha, beta - x, j - i, shift)",
-     "return sum(1 * comb(x, i) * perm(j, i) * _falling_packed(alpha, beta - x, j - i, shift)",
+     "out.append((lin - 2 * x) * out[j] - j * (lin - j + 1) * out[j - 1])",
+     "out.append((lin - 2 * x) * out[j] + j * (lin - j + 1) * out[j - 1])",
+     ["tests/test_harmonic.py::test_krawtchouk_chain_matches_tuple_oracle",
+      "tests/test_harmonic.py::test_numerator_ints_match_product_sum"]),
+    ("krawtchouk-recurrence-term", "harmonic.py",
+     "out.append((lin - 2 * x) * out[j] - j * (lin - j + 1) * out[j - 1])",
+     "out.append((lin - 2 * x) * out[j] - j * (lin - j) * out[j - 1])",
+     ["tests/test_harmonic.py::test_krawtchouk_chain_matches_tuple_oracle",
+      "tests/test_harmonic.py::test_numerator_ints_match_product_sum"]),
+    # d! P_d has degree d: one slot short drops its top coefficient, which
+    # the readback must refuse rather than lose
+    ("numerator-degree-slots", "harmonic.py",
+     "return tuple(_unpack(total, step, d + 1))",
+     "return tuple(_unpack(total, step, d))",
      ["tests/test_harmonic.py::test_numerator_ints_match_product_sum"]),
     ("symbolic-sum-dropped", "harmonic.py",
-     "num = _unpack(total, step, w + 2 * d + 1)", "num = [0] * (w + 2 * d + 1)",
+     "num = _unpack(total, step, w + d + 1)", "num = [0] * (w + d + 1)",
      ["tests/test_harmonic.py"]),
     ("weights-lower-end", "harmonic.py",
      "return range(max(0, w - (n - s)), min(s, w) + 1)",
@@ -212,7 +225,7 @@ def main() -> int:
                 killed = not run_tests(copy, tests)
             finally:
                 target.write_text(original, encoding="utf-8")
-            print(f"{name:<24} {'killed' if killed else 'SURVIVED'}", flush=True)
+            print(f"{name:<26} {'killed' if killed else 'SURVIVED'}", flush=True)
             if not killed:
                 survivors.append(name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
