@@ -15,15 +15,21 @@ result, are `_reduce` (the canonical pair), `_horner`, and the Kronecker
 substitution pair `_pack` (a coefficient sequence at X = 2^(8 step) by
 Horner shift-adds) and `_unpack` (the signed readback of a packed sum as
 slots of step bytes, which raises OverflowError rather than drop a nonzero
-digit past the last slot).  `harmonic` sizes the slots.
+digit past the last slot).  `harmonic` sizes its slots, `det_ratfun` its own.
 
 Polynomials and rational functions are immutable.  A rational function is a
 value type with no arithmetic: it is normalized so that the denominator is
 monic and coprime to the numerator, which gives every value a canonical
 form, and it is built only at the edge, once a result in Q(s) is complete.
 A determinant of a matrix whose rows share one denominator each is
-fraction-free Bareiss elimination on the polynomial numerators followed by
-one division by the product of the row denominators.
+fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) on ints:
+row i of the numerators N is scaled to integers by L_i, the lcm of its
+entries' denominators, and each entry of M = (L_i N_ij) is packed at one
+X = 2^(8 step).  Evaluation at X is a ring homomorphism, so this gives
+(det M)(X) exactly.  B = prod_i sum_j |M_ij|_1 bounds |det M|_1 (each
+permutation term is a term of the expanded product of the row sums), so a
+slot of B.bit_length() // 8 + 1 bytes makes the one signed readback unique,
+and a zero int is a zero determinant.
 """
 
 from __future__ import annotations
@@ -408,42 +414,50 @@ def det_ratfun(rows: Sequence[Sequence[Polynomial]],
                dens: Sequence[Polynomial]) -> RationalFunction:
     """Exact determinant of the square matrix whose row i is rows[i] / dens[i].
 
-    Fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) runs on
-    the polynomial numerators, where every division is exact; the determinant
-    over Q(s) is then one RationalFunction over the product of the dens.
+    Integer Bareiss at one Kronecker point (see the module docstring): det M
+    is read back once at degree sum_i max_j deg N_ij, divided by prod L_i,
+    and returned as one RationalFunction over the product of the dens.
     """
     n = len(rows)
     if len(dens) != n or any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    den = ONE
-    for d in dens:
+    ints, scale, bound, degree, den = [], 1, 1, 0, ONE
+    for row, d in zip(rows, dens):
         den = den * d
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = ONE
+        big = lcm(*(e._den for e in row))
+        ints.append([[x * (big // e._den) for x in e._num] for e in row])
+        scale *= big
+        bound *= sum(abs(x) for f in ints[-1] for x in f)
+        degree += max(map(len, ints[-1])) - 1
+    step = bound.bit_length() // 8 + 1
+    m = [[_pack(f, 8 * step) for f in row] for row in ints]
+    sign = prev = 1
     for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+        if not m[k][k]:
+            pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
                 return RationalFunction(ZERO, den)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return RationalFunction(sign * m[n - 1][n - 1] if n else ONE, den)
+    total = sign * m[n - 1][n - 1] if n else 1
+    num = _unpack(total, step, degree + 1) if total else []  # a zero row may make degree + 1 < 0
+    return RationalFunction(_make(*_reduce(num, scale)), den)
 
 
 def _divisors(m: int) -> list[int]:
     """All positive divisors of |m| (m != 0) via trial-division factorization."""
     m = abs(m)
     factors: dict[int, int] = {}
-    d = 2
-    while d <= isqrt(m):
+    d, root = 2, isqrt(m)
+    while d <= root:
         while m % d == 0:
             factors[d] = factors.get(d, 0) + 1
             m //= d
+            root = isqrt(m)
         d += 1 if d == 2 else 2
     if m > 1:
         factors[m] = factors.get(m, 0) + 1
@@ -457,8 +471,8 @@ def integer_roots(p: Polynomial) -> set[int]:
     """Exactly the integers r with p(r) = 0.
 
     Strips s^k factors (contributing the root 0), reduces to coprime integer
-    coefficients, and tests the divisors of the constant term; any integer
-    root of an integer polynomial must divide its constant term.
+    coefficients, and tests the divisors of the constant term by Horner; any
+    integer root of an integer polynomial must divide its constant term.
     """
     if p.is_zero:
         raise ValueError("integer_roots of the zero polynomial")
@@ -468,11 +482,11 @@ def integer_roots(p: Polynomial) -> set[int]:
         k += 1
     if k > 0:
         roots.add(0)
-    q = _make(p._num[k:], 1).primitive()
-    for d in _divisors(q._num[0]):
-        if q(d) == 0:
+    q = _make(p._num[k:], 1).primitive()._num
+    for d in _divisors(q[0]):
+        if not _horner(q, d):
             roots.add(d)
-        if q(-d) == 0:
+        if not _horner(q, -d):
             roots.add(-d)
     return roots
 
@@ -538,17 +552,20 @@ def factor_numerator(p: Polynomial) -> NumeratorFactors:
     leading term."""
     if p.is_zero:
         raise ValueError("zero numerator cannot be factored")
-    prim = p.primitive()
+    num = p.primitive()._num
     content = p.content() if p.leading() > 0 else -p.content()
     linear: list[tuple[int, int]] = []
-    for r in sorted(integer_roots(prim)):
+    for r in sorted(integer_roots(p)):
         mult = 0
-        lin = S - r
-        while lin.divides(prim):
-            prim = prim.exact_div(lin)
+        while not _horner(num, r):
+            acc, quo = 0, []
+            for c in reversed(num):
+                acc = acc * r + c
+                quo.append(acc)
+            num = tuple(reversed(quo[:-1]))  # synthetic division by s - r; the remainder 0 dropped
             mult += 1
         linear.append((r, mult))
-    return NumeratorFactors(content, tuple(linear), prim)
+    return NumeratorFactors(content, tuple(linear), _make(num, 1))
 
 
 def factored_str(p: Polynomial) -> str:

@@ -13,6 +13,7 @@ from typeii.exact import (
     Polynomial,
     RationalFunction,
     det_ratfun,
+    factor_numerator,
     factored_str,
     format_poly,
     integer_roots,
@@ -450,6 +451,81 @@ def test_det_bareiss_agrees_with_cofactor(system):
     assert det_ratfun(rows, dens) == expected
 
 
+def det_bareiss_poly(rows: list[list[Polynomial]]) -> Polynomial:
+    """Determinant by fraction-free Bareiss elimination on the Polynomial
+    entries, each update one product and one exact pseudo-division
+    (reference oracle for the packed integer Bareiss of det_ratfun)."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if m[k][k].is_zero:
+            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
+            if pivot is None:
+                return ZERO
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else ONE
+
+
+FACTORIALS = (1, 2, 6, 24, 120, 720, 5040)  # entry denominators up to 7!
+
+
+@st.composite
+def packed_systems(draw):
+    """(rows, dens) of size 1..7 with entries of degree <= 8, coefficients up
+    to 2^64 in absolute value over denominators up to 7!, a quarter of them
+    zero, and half the time a zero first pivot, a zero column or a repeated row."""
+    n = draw(st.integers(1, 7))
+    nonzero = st.builds(lambda cs, q: Polynomial([Fraction(c, q) for c in cs]),
+                        st.lists(st.integers(-2**64, 2**64), min_size=1, max_size=9),
+                        st.sampled_from(FACTORIALS)).filter(lambda e: not e.is_zero)
+    entry = st.one_of(st.just(ZERO), nonzero, nonzero, nonzero)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(("plain", "plain", "plain", "zero pivot",
+                                  "zero column", "repeated row")))
+    if shape == "zero pivot":
+        rows[0][0] = ZERO
+    elif shape == "zero column":
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = ZERO
+    elif shape == "repeated row" and n > 1:
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.fractions(min_value=-7, max_value=7, max_denominator=7))
+        rows[k] = [e * c for e in rows[i]]
+    return rows, [draw(row_denominators) for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_systems())
+def test_packed_det_matches_polynomial_bareiss(system):
+    rows, dens = system
+    expected = RationalFunction(det_bareiss_poly(rows), product(dens))
+    assert det_ratfun(rows, dens) == expected
+
+
+def test_packed_det_where_the_norm_meets_the_bound():
+    # Coefficients of one sign on a permutation pattern: the determinant is
+    # +-prod of the entries, so its L1 norm equals the row-sum bound B.
+    full = Polynomial([2**64] * 9)
+    for perm in ((0, 1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1, 0), (1, 0, 2, 3, 4, 5, 6)):
+        rows = [[full if j == perm[i] else ZERO for j in range(7)] for i in range(7)]
+        det = det_ratfun(rows, [ONE] * 7)
+        assert det == RationalFunction(det_bareiss_poly(rows))
+        assert sum(abs(c) for c in det.num.coeffs) == (9 * 2**64) ** 7
+    # B = 2^128 - 1 fills 128 bits, so its one coefficient needs the sign
+    # byte of the slot, as the negative one does after a row swap
+    lo, hi = Polynomial([2**64 - 1]), Polynomial([2**64 + 1])
+    assert det_ratfun([[lo, ZERO], [ZERO, hi]], [ONE, ONE]) == RationalFunction(lo * hi)
+    assert det_ratfun([[ZERO, lo], [hi, ZERO]], [ONE, ONE]) == RationalFunction(-lo * hi)
+
+
 def test_det_multilinear_in_a_row():
     one = Polynomial([1])
     base = [[S, one, ZERO], [2 * one, S - 1, one], [ZERO, 3 * one, S + 2]]
@@ -493,6 +569,30 @@ def test_integer_roots_multiplicative_union(rs, qs):
     for r in qs:
         q = q * (S - r)
     assert integer_roots(p * q) == set(rs) | set(qs)
+
+
+# ---------------------------------------------------------- linear factors
+
+RESIDUALS = (ONE, Polynomial([-10, 3]), Polynomial([2, 0, 1]),
+             Polynomial([-5120, 1368, -112, 3]), Polynomial([-10, 3]) * Polynomial([2, 0, 1]))
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.integers(-30, 30), st.integers(1, 3), max_size=4),
+       st.sampled_from(RESIDUALS),
+       st.fractions(max_denominator=50).filter(bool))
+def test_factor_numerator_splits_planted_roots(mults, residual, c):
+    p = residual * c
+    for r, m in mults.items():
+        p = p * (S - r) ** m
+    f = factor_numerator(p)
+    assert f.content == c
+    assert f.linear == tuple(sorted(mults.items()))
+    assert f.residual == residual
+    rebuilt = f.residual * f.content
+    for r, m in f.linear:
+        rebuilt = rebuilt * (S - r) ** m
+    assert rebuilt == p
 
 
 # ------------------------------------------------------- the readback contract

@@ -74,11 +74,24 @@ MUTANTS = (
      "if hi:", "if True:",
      ["tests/test_designs.py", "tests/test_gf2.py"]),
     ("negative-roots", "exact.py",
-     "if q(-d) == 0:", "if False:",
+     "if not _horner(q, -d):", "if False:",
      ["tests/test_exact.py"]),
     ("bareiss-swap-sign", "exact.py",
      "sign = -sign", "sign = sign",
      ["tests/test_exact.py", "tests/test_configuration.py"]),
+    # the determinant's slot must hold B = prod of the row L1 sums with its
+    # sign, and every row must be brought to integers by its own lcm
+    ("det-slot-sign-byte", "exact.py",
+     "step = bound.bit_length() // 8 + 1", "step = bound.bit_length() // 8",
+     ["tests/test_exact.py::test_packed_det_where_the_norm_meets_the_bound"]),
+    ("det-row-scale", "exact.py",
+     "ints.append([[x * (big // e._den) for x in e._num] for e in row])",
+     "ints.append([list(e._num) for e in row])",
+     ["tests/test_exact.py::test_packed_det_matches_polynomial_bareiss"]),
+    # each planted root is stripped by synthetic division by s - r
+    ("deflate-root-sign", "exact.py",
+     "acc = acc * r + c", "acc = acc * -r + c",
+     ["tests/test_exact.py::test_factor_numerator_splits_planted_roots"]),
     ("readback-bias", "exact.py",
      "half = 1 << (8 * step - 1)", "half = 0",
      ["tests/test_exact.py"]),
