@@ -33,14 +33,13 @@ from .exact import (
     ONE,
     Polynomial,
     RationalFunction,
-    S,
     ZERO,
     det_ratfun,
     factor_numerator,
 )
 from .gf2 import Code, DesignSet
 from .gleason import extremal_min_weight, extremal_weight_enumerator, sigma
-from .harmonic import falling, zonal_numerator, zonal_sum
+from .harmonic import zonal_numerator, zonal_sum
 
 QUOTIENT_OF_CODE = "quotient_of_code"
 DUAL_OF_SPAN = "dual_of_span"
@@ -80,8 +79,9 @@ class ConfigRow(namedtuple("ConfigRow", "tag degree coefficients rhs denominator
     """One equation of the lambda-system: (coefficients . lambda = rhs) with
     every entry a numerator over the row's one denominator.  `tag` is "sum"
     or "zonal" and `degree` the zonal degree, None for the sum row;
-    `coefficients` is a tuple of Polynomials, `rhs` and `denominator` are
-    Polynomials."""
+    `coefficients` is a tuple of Polynomials and `rhs` a Polynomial;
+    `denominator` is the tuple of integer roots r of the denominator
+    prod (s - r), () for 1."""
 
     __slots__ = ()
 
@@ -99,17 +99,17 @@ def build_system(n: int) -> ConfigSystem:
     unknowns lambda_{2j'} for 0 <= j' <= d(n)/4.  The sum row has every
     coefficient 1 and right-hand side A_d, over 1; the degree-d zonal row has
     the coefficients P_d(n, d(n), a, d) at the kept weights a and right-hand
-    side 0, over s(s-1)...(s-d+1)."""
+    side 0, over s(s-1)...(s-d+1), whose roots are 0..d-1."""
     _check_supported(n)
     d_min = extremal_min_weight(n)
     weights = list(range(0, d_min // 2 + 1, 2))
     variables = tuple(f"lambda_{j}" for j in weights)
     a_d = extremal_weight_enumerator(n)[d_min]
-    rows = [ConfigRow("sum", None, (ONE,) * len(weights), Polynomial([a_d]), ONE)]
+    rows = [ConfigRow("sum", None, (ONE,) * len(weights), Polynomial([a_d]), ())]
     degrees = kept_degree_set(n)
     for d in degrees:
         coeffs = tuple(zonal_numerator(n, d_min, a, d) for a in weights)
-        rows.append(ConfigRow("zonal", d, coeffs, ZERO, falling(d)))
+        rows.append(ConfigRow("zonal", d, coeffs, ZERO, tuple(range(d))))
     return ConfigSystem(n, scenario_for(n), variables, tuple(rows), tuple(degrees))
 
 
@@ -200,20 +200,15 @@ class ReferenceResult(namedtuple("ReferenceResult",
                                  "factor constant denominator_root_powers conclusion")):
     """A reference analysis result the tool is expected to reproduce: the
     required polynomial factor of the determinant numerator, the published
-    integer prefactor, and the published denominator as (root, power) pairs
-    (the latter two are informational)."""
+    integer prefactor, and the published denominator as (root, power) pairs,
+    prod (s - root)^power (the latter two are informational)."""
 
     __slots__ = ()
 
-    def denominator(self) -> Polynomial:
-        out = Polynomial([1])
-        for root, power in self.denominator_root_powers:
-            out = out * (S - root) ** power
-        return out
-
     def published(self) -> RationalFunction:
         """The full published determinant: constant * factor / denominator."""
-        return RationalFunction(self.factor * self.constant, self.denominator())
+        roots = [root for root, power in self.denominator_root_powers for _ in range(power)]
+        return RationalFunction(self.factor * self.constant, roots)
 
 
 def _poly(*coeffs_desc: int) -> Polynomial:
@@ -261,9 +256,13 @@ REFERENCE: dict[int, ReferenceResult] = {
 
 def reference_ratio(n: int) -> RationalFunction:
     """Computed determinant divided by the full reference value; a constant
-    +-1 means the conventions match the published computation exactly."""
+    +-1 means the conventions match the published computation exactly.
+
+    The published numerator must divide the determinant's: the quotient q
+    is exact, and the ratio is q times the published denominator over the
+    determinant's.  Raises ArithmeticError when the division is inexact."""
     det, ref = extended_determinant(n), REFERENCE[n].published()
-    return RationalFunction(det.num * ref.den, det.den * ref.num)
+    return RationalFunction(det.num.exact_div(ref.num) * ref.den, det.roots)
 
 
 # ------------------------------------------------------------ concrete codes

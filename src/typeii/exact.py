@@ -18,9 +18,18 @@ slots of step bytes, which raises OverflowError rather than drop a nonzero
 digit past the last slot).  `harmonic` sizes its slots, `det_ratfun` its own.
 
 Polynomials and rational functions are immutable.  A rational function is a
-value type with no arithmetic: it is normalized so that the denominator is
-monic and coprime to the numerator, which gives every value a canonical
-form, and it is built only at the edge, once a result in Q(s) is complete.
+value type with no arithmetic, built only at the edge, once a result in Q(s)
+is complete.  Every denominator in this package is a product of linear
+factors s - r with integer r (the zonal rows sit over s(s-1)...(s-d+1)), so
+a rational function is given as a numerator over a multiset of integer
+roots.  It is normalized so that the denominator is monic and coprime to the
+numerator, which gives every value a canonical form: the only irreducible
+factors of the denominator are the s - r, so for each distinct root r of
+multiplicity m the numerator is divided by s - r while r is one of its roots,
+at most m times (`_deflate`, synthetic division on the integer numerators,
+the same linear-factor stripper `factor_numerator` uses), and the roots left
+over make the denominator, one product of packed linear terms read back
+once.  No polynomial gcd is needed.
 A determinant of a matrix whose rows share one denominator each is
 fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) on ints:
 row i of the numerators N is scaled to integers by L_i, the lcm of its
@@ -37,7 +46,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import groupby
+from math import gcd, isqrt, lcm, prod
 
 Scalar = int | Fraction
 
@@ -96,6 +106,23 @@ def _horner(num: Sequence[int], x: int) -> int:
     for c in reversed(num):
         acc = acc * x + c
     return acc
+
+
+def _deflate(num: tuple[int, ...], r: int, most: int) -> tuple[tuple[int, ...], int]:
+    """(num / (s - r)^m, m) for the nonzero integer coefficient tuple num,
+    where m is the multiplicity of the root r of num capped at most: one
+    synthetic division by s - r per step, while the remainder num(r) is 0."""
+    m = 0
+    while m < most:
+        acc, quo = 0, []
+        for c in reversed(num):
+            acc = acc * r + c
+            quo.append(acc)
+        if acc:
+            break
+        num = tuple(reversed(quo[:-1]))  # the remainder 0 dropped
+        m += 1
+    return num, m
 
 
 def _make(num: Sequence[int], den: int) -> "Polynomial":
@@ -280,16 +307,6 @@ class Polynomial:
 
     # -- normal forms -------------------------------------------------------
 
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            return self
-        lead = self._num[-1]
-        if lead == self._den:
-            return self
-        if lead < 0:
-            return _make(*_reduce([-x for x in self._num], -lead))
-        return _make(*_reduce(list(self._num), lead))
-
     def content(self) -> Fraction:
         """Rational c > 0 with self = c * primitive(self); 0 for the zero polynomial."""
         if self.is_zero:
@@ -344,41 +361,41 @@ def _coerce_poly(x) -> "Polynomial":
     return NotImplemented
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in Q[s]; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, a % b
-        if not b.is_zero:
-            b = b.monic()
-    return a.monic() if not a.is_zero else a
-
-
 class RationalFunction:
-    """Quotient num/den of polynomials in s, normalized: gcd(num, den) = 1 and
-    den monic (the overall sign and scale live in the numerator)."""
+    """Quotient of a polynomial num in s by prod_{r in roots} (s - r) for a
+    multiset of integer roots, normalized: every root shared with num is
+    cancelled up to its multiplicity, so gcd(num, den) = 1 and den is monic
+    (the overall sign and scale live in the numerator).  `roots` is the
+    sorted tuple of the roots left and `den` their product, a Polynomial."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "roots")
 
-    def __init__(self, num, den=ONE):
+    def __init__(self, num, roots: Iterable[int] = ()):
         num = _coerce_poly(num)
-        den = _coerce_poly(den)
-        if num is NotImplemented or den is NotImplemented:
-            raise TypeError("RationalFunction parts must be polynomials or scalars")
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = ZERO, ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.leading()
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
+        if num is NotImplemented:
+            raise TypeError("RationalFunction numerator must be a polynomial or scalar")
+        den, rest = ONE, []
+        if not num.is_zero:  # zero over anything is 0 over 1
+            roots = sorted(roots)
+            if not all(isinstance(r, int) for r in roots):
+                raise TypeError("RationalFunction roots must be integers")
+            ints = num._num
+            for r, run in groupby(roots):
+                m = len(list(run))
+                ints, k = _deflate(ints, r, m)
+                rest += [r] * (m - k)
+            if ints is not num._num:
+                # dividing by the primitive s - r keeps the integer numerators' gcd
+                num = _make(ints, num._den)
+        if rest:
+            # prod (s - r) packed at one Kronecker point: its L1 norm is at most
+            # prod (|r| + 1), and a byte more than that bound's bits holds the sign
+            step = prod(abs(r) + 1 for r in rest).bit_length() // 8 + 1
+            den = _make(tuple(_unpack(prod((1 << 8 * step) - r for r in rest),
+                                      step, len(rest) + 1)), 1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "roots", tuple(rest))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -402,28 +419,28 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"RationalFunction({self.num!r}, {self.den!r})"
+        return f"RationalFunction({self.num!r}, {self.roots!r})"
 
     def __str__(self) -> str:
-        if self.den == ONE:
+        if not self.roots:
             return format_poly(self.num)
         return f"({format_poly(self.num)})/({format_poly(self.den)})"
 
 
 def det_ratfun(rows: Sequence[Sequence[Polynomial]],
-               dens: Sequence[Polynomial]) -> RationalFunction:
-    """Exact determinant of the square matrix whose row i is rows[i] / dens[i].
+               roots: Sequence[Sequence[int]]) -> RationalFunction:
+    """Exact determinant of the square matrix whose row i is rows[i] divided
+    by prod_{r in roots[i]} (s - r).
 
     Integer Bareiss at one Kronecker point (see the module docstring): det M
     is read back once at degree sum_i max_j deg N_ij, divided by prod L_i,
-    and returned as one RationalFunction over the product of the dens.
+    and returned as one RationalFunction over all the rows' roots.
     """
     n = len(rows)
-    if len(dens) != n or any(len(row) != n for row in rows):
+    if len(roots) != n or any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    ints, scale, bound, degree, den = [], 1, 1, 0, ONE
-    for row, d in zip(rows, dens):
-        den = den * d
+    ints, scale, bound, degree = [], 1, 1, 0
+    for row in rows:
         big = lcm(*(e._den for e in row))
         ints.append([[x * (big // e._den) for x in e._num] for e in row])
         scale *= big
@@ -436,7 +453,7 @@ def det_ratfun(rows: Sequence[Sequence[Polynomial]],
         if not m[k][k]:
             pivot = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot is None:
-                return RationalFunction(ZERO, den)
+                return RationalFunction(ZERO)
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -445,7 +462,7 @@ def det_ratfun(rows: Sequence[Sequence[Polynomial]],
         prev = m[k][k]
     total = sign * m[n - 1][n - 1] if n else 1
     num = _unpack(total, step, degree + 1) if total else []  # a zero row may make degree + 1 < 0
-    return RationalFunction(_make(*_reduce(num, scale)), den)
+    return RationalFunction(_make(*_reduce(num, scale)), [r for rs in roots for r in rs])
 
 
 def _divisors(m: int) -> list[int]:
@@ -556,14 +573,7 @@ def factor_numerator(p: Polynomial) -> NumeratorFactors:
     content = p.content() if p.leading() > 0 else -p.content()
     linear: list[tuple[int, int]] = []
     for r in sorted(integer_roots(p)):
-        mult = 0
-        while not _horner(num, r):
-            acc, quo = 0, []
-            for c in reversed(num):
-                acc = acc * r + c
-                quo.append(acc)
-            num = tuple(reversed(quo[:-1]))  # synthetic division by s - r; the remainder 0 dropped
-            mult += 1
+        num, mult = _deflate(num, r, len(num))
         linear.append((r, mult))
     return NumeratorFactors(content, tuple(linear), _make(num, 1))
 

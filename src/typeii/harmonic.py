@@ -18,7 +18,7 @@ arguments rely on and the correctness gate enforced by the test suite.
 Each factor is a Krawtchouk sum K_k(x; N) = sum_i (-1)^i C(x, i) C(N-x, k-i)
 (Delsarte 1973) with N = s or N = n - s.  Z_d is kept in one form, the
 polynomial P_d = Z_d * s(s-1)...(s-d+1) (`zonal_numerator`, over the
-denominator `falling(d)`).  It is built from the identity
+denominator with the integer roots 0..d-1).  It is built from the identity
 
     d! P_d = sum_k (-1)^k C(d, k) A_{n,d,k}(s) [k! K_k(a; s)] [(d-k)! K_{d-k}(w-a; n-s)]
 
@@ -82,27 +82,28 @@ slots, under the same check.
 
 `zonal_numerator` reduces d! P_d by d! once, to the canonical Polynomial.
 For an integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact
-Fraction.  The lambda-systems take P_d and falling(d) as they are, one
-numerator row over one denominator, and a RationalFunction is built only
-where a formal Z_d or sphere sum leaves the module.  Sums over intersection
-profiles read one cached integer row per (n, s, w, d), the integer
-numerators d! P_d evaluated by Horner at s for every feasible a, over the
-one denominator d! s(s-1)...(s-d+1), so a sum is one integer dot product and
-one Fraction; `sphere_sum` builds the same row uncached, since it reads each
-row once, and weights it by the sphere counts C(s, a) C(n-s, w-a).  The
-symbolic sphere sum is one readback of the packed terms above.  The feasible
-intersection weights are stated once, in `_weights`; `zonal_eval`,
-`zonal_sum` and the sphere sums all take them from there.
+Fraction.  The lambda-systems take P_d as it is, one numerator row over one
+denominator, given by its integer roots 0..d-1, and a RationalFunction, P_d
+over the roots range(d), is built only where a formal Z_d or sphere sum
+leaves the module.  Sums over intersection profiles read one cached integer
+row per (n, s, w, d), the integer numerators d! P_d evaluated by Horner at s
+for every feasible a, over the one denominator d! s(s-1)...(s-d+1), so a sum
+is one integer dot product and one Fraction; `sphere_sum` builds the same row
+uncached, since it reads each row once, and weights it by the sphere counts
+C(s, a) C(n-s, w-a).  The symbolic sphere sum is one readback of the packed
+terms above.  The feasible intersection weights are stated once, in
+`_weights`; `zonal_eval`, `zonal_sum` and the sphere sums all take them from
+there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm, prod
+from math import comb, factorial, perm
 from operator import mul
 
-from .exact import ONE, S, Polynomial, RationalFunction, _horner, _make, _pack, _reduce, _unpack
+from .exact import Polynomial, RationalFunction, _horner, _make, _pack, _reduce, _unpack
 
 
 def _weights(n: int, s: int | None, w: int) -> range:
@@ -132,8 +133,8 @@ def zonal_eval(n: int, s: int | None, w: int, a: int, d: int
         raise _no_such_weight(n, s, w, a)
     _check_degree(s, d)
     if s is None:
-        return RationalFunction(zonal_numerator(n, w, a, d), falling(d))
-    # perm(s, d) = falling(d)(s)
+        return RationalFunction(zonal_numerator(n, w, a, d), range(d))
+    # perm(s, d) = s(s-1)...(s-d+1)
     return Fraction(_horner(_numerator_ints(n, w, a, d), s), factorial(d) * perm(s, d))
 
 
@@ -250,12 +251,6 @@ def _numerator_ints(n: int, w: int, a: int, d: int) -> tuple[int, ...]:
     return tuple(_unpack(total, step, d + 1))
 
 
-@lru_cache(maxsize=None)
-def falling(d: int) -> Polynomial:
-    """s(s-1)...(s-d+1), the common denominator of the degree-d coefficients."""
-    return prod((S - t for t in range(d)), start=ONE)
-
-
 def zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
     """P_d = Z_d * s(s-1)...(s-d+1): d! P_d reduced once by d!.  Over that
     common denominator the coefficient of Q_{d,k} is
@@ -287,4 +282,4 @@ def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:
     total = sum(comb(w, a) * ups[a] * downs[w - a] * _pack(_numerator_ints(n, w, a, d), shift)
                 for a in _weights(n, None, w))
     num = _unpack(total, step, w + d + 1)
-    return RationalFunction(_make(*_reduce(num, factorial(w) * factorial(d))), falling(d))
+    return RationalFunction(_make(*_reduce(num, factorial(w) * factorial(d))), range(d))

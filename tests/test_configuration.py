@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import islice
+from math import perm
 
 import pytest
 
@@ -23,7 +24,6 @@ from typeii.configuration import (
 )
 from typeii.designs import intersection_profile
 from typeii.exact import (
-    ONE,
     ZERO,
     Polynomial,
     RationalFunction,
@@ -79,15 +79,16 @@ def test_zonal_rows_match_zonal_eval(n):
     sys_ = build_system(n)
     d_min = extremal_min_weight(n)
     weights = range(0, d_min // 2 + 1, 2)
-    assert sys_.rows[0].denominator == ONE
+    assert sys_.rows[0].denominator == ()
     for row in sys_.rows[1:]:
         d = row.degree
         assert row.rhs == ZERO
+        assert row.denominator == tuple(range(d))
         # Z_d needs s >= d, and every kept weight a <= d(n)/2 needs s >= a
         for s in (max(d, d_min // 2), d_min + 1):
             for coeff, a in zip(row.coefficients, weights, strict=True):
                 expected = zonal_eval(n, None, d_min, a, d)(s)
-                assert coeff(s) / row.denominator(s) == expected, (n, d, s, a)
+                assert coeff(s) / perm(s, d) == expected, (n, d, s, a)
                 # the numeric Z_d exists where a weight-s word can meet a
                 # weight-d_min word in a positions
                 if d_min - a <= n - s:
@@ -120,6 +121,14 @@ def test_determinant_proportional_to_reference(n):
     assert not ratio.is_zero
     # informational: 1 means the published constants are reproduced exactly
     print(f"n={n} determinant ratio to reference: {ratio}")
+
+
+def test_reference_ratio_needs_a_dividing_factor(monkeypatch):
+    # the published numerator must divide the determinant's: s - 9 does not
+    # divide the n = 16 numerator, whose only integer root is 8
+    monkeypatch.setitem(REFERENCE, 16, REFERENCE[16]._replace(factor=Polynomial([-9, 1])))
+    with pytest.raises(ArithmeticError):
+        reference_ratio(16)
 
 
 def test_factor_numerator_structure():
@@ -166,7 +175,7 @@ def test_analyze_n56_n96_multiples_of_four():
 ])
 def test_analyze_root_boundaries(monkeypatch, n, numerator, relevant, conclusion):
     monkeypatch.setattr(configuration, "extended_determinant",
-                        lambda n: RationalFunction(numerator, S + 1))
+                        lambda n: RationalFunction(numerator, (-1,)))
     v = analyze(n)
     assert v.integer_roots == integer_roots(numerator)
     assert v.relevant_roots == relevant and v.conclusion == conclusion

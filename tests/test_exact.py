@@ -17,9 +17,8 @@ from typeii.exact import (
     factored_str,
     format_poly,
     integer_roots,
-    poly_gcd,
 )
-from typeii.exact import _mul_into, _pack, _unpack
+from typeii.exact import _horner, _mul_into, _pack, _unpack
 
 
 # ---------------------------------------------------------------- rationals
@@ -62,6 +61,34 @@ def test_polynomial_divmod_exact():
     assert rem.is_zero and quo == S + 1
     with pytest.raises(ArithmeticError):
         q.exact_div(S - 2)
+
+
+# ------------------------------------- reference: the Euclidean normal form
+#
+# RationalFunction once normalized num/den for any polynomial den by the
+# monic Euclidean gcd over Q, two exact divisions and a monic denominator.
+# It is kept here as the oracle of the root-stripping constructor.
+
+def monic(p: Polynomial) -> Polynomial:
+    """p scaled to leading coefficient 1; the zero polynomial as it is."""
+    return p if p.is_zero else p * (1 / p.leading())
+
+
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd in Q[s]; gcd(0, 0) = 0."""
+    while not b.is_zero:
+        a, b = b, monic(a % b)
+    return monic(a)
+
+
+def ratfun_euclid(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(num, den) divided by their gcd, den monic and the scale in num;
+    (0, 1) for a zero num."""
+    if num.is_zero:
+        return ZERO, ONE
+    g = poly_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return num * (1 / den.leading()), monic(den)
 
 
 def test_poly_gcd_and_primitive():
@@ -195,7 +222,7 @@ def test_ring_operations_match_reference(xs, ys, k, c):
 def test_division_matches_reference(xs, ys):
     a, b = ref(xs), ref(ys)
     p, q = Polynomial(xs), Polynomial(ys)
-    for divisor, db in ((q, b), (q.monic(), ref_monic(b))):
+    for divisor, db in ((q, b), (monic(q), ref_monic(b))):
         quo, rem = divmod(p, divisor)
         ref_quo, ref_rem = ref_divmod(a, db)
         assert_stored_form(quo, ref_quo)
@@ -223,7 +250,7 @@ def test_normal_forms_match_reference(xs, ys, zs):
     p, a = Polynomial(xs), ref(xs)
     assert p.content() == ref_content(a)
     assert_stored_form(p.primitive(), ref_primitive(a))
-    assert_stored_form(p.monic(), ref_monic(a))
+    assert_stored_form(monic(p), ref_monic(a))
     # a common factor makes the gcd nontrivial more often than chance would
     common = Polynomial(zs)
     lhs, rhs = p * common, Polynomial(ys) * common
@@ -363,24 +390,69 @@ def test_product_sum_l1_width_edge_cases():
 # -------------------------------------------------------- rational functions
 
 def test_ratfun_normalization_and_arith():
-    assert RationalFunction(S * (S - 1), (S - 1) * S) == RationalFunction(ONE)
-    cancelled = RationalFunction(S * S - 1, S - 1)
+    assert RationalFunction(S * (S - 1), (1, 0)) == RationalFunction(ONE)
+    cancelled = RationalFunction(S * S - 1, (1,))
     assert cancelled == RationalFunction(S + 1)
-    assert cancelled.den == ONE
-    assert RationalFunction(ZERO, S) == RationalFunction(0)
+    assert cancelled.den == ONE and cancelled.roots == ()
+    assert RationalFunction(ZERO, (0,)) == RationalFunction(0)
+    assert RationalFunction(ZERO, (0,)).roots == ()
 
 
 def test_ratfun_monic_denominator():
-    r = RationalFunction(ONE, 2 * S - 4)
-    assert r.den == S - 2
+    # the content lives in the numerator: 1/(2s - 4) is (1/2)/(s - 2)
+    r = RationalFunction(Fraction(1, 2), (2,))
+    assert r.den == S - 2 and r.roots == (2,)
     assert r.num == Polynomial([Fraction(1, 2)])
+    # a shared root cancels up to its multiplicity in the denominator
+    r = RationalFunction((6 * S - 12) * (S + 3), (2, -3, 2, 5))
+    assert r.num == Polynomial([6]) and r.roots == (2, 5)
+    assert r.den == (S - 2) * (S - 5)
 
 
 def test_ratfun_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(ONE, ZERO)
+        RationalFunction(ONE, (0,))(0)
+    # the pole stays where the numerator's root has a lower multiplicity
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(ONE, S)(0)
+        RationalFunction(S - 3, (3, 3))(3)
+    assert RationalFunction(S - 3, (3,))(3) == 1
+    with pytest.raises(TypeError):
+        RationalFunction(ONE, (Fraction(1, 2),))
+
+
+def test_ratfun_denominator_where_the_norm_meets_the_bound():
+    # roots of one sign: the coefficients of prod (s - r) share one sign, so
+    # its L1 norm is the slot's bound prod (|r| + 1), and with s + 128 the
+    # top of a bound's byte needs the sign byte of the slot
+    for r, k in ((128, 1), (1, 8), (255, 2), (2**64, 3)):
+        for root in (r, -r):
+            assert RationalFunction(ONE, [root] * k).den == (S - root) ** k
+
+
+# num = c * prod (s - r)^m * R: planted roots, among them 0 and negative ones,
+# shared with the denominator's roots at lower, equal and higher multiplicity
+planted_roots = st.dictionaries(st.integers(-6, 6), st.integers(1, 3), max_size=4)
+cofactors = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Polynomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_roots, cofactors, st.fractions(max_denominator=12), st.data())
+def test_ratfun_matches_euclidean_normal_form(mults, cofactor, c, data):
+    num = cofactor * c
+    for r, m in mults.items():
+        num = num * (S - r) ** m
+    shared = {r: data.draw(st.integers(0, m + 2)) for r, m in mults.items()}
+    extra = data.draw(st.lists(st.integers(-6, 6), max_size=3))
+    roots = data.draw(st.permutations(
+        [r for r, m in shared.items() for _ in range(m)] + extra))
+    den = ONE
+    for r in roots:
+        den = den * (S - r)
+    got = RationalFunction(num, roots)
+    assert (got.num, got.den) == ratfun_euclid(num, den)
+    assert got.den.leading() == 1
+    assert got.den == product(S - r for r in got.roots)
+    assert all(_horner(got.num._num, r) for r in got.roots)
 
 
 # -------------------------------------------------------------- determinants
@@ -407,26 +479,26 @@ def product(polys) -> Polynomial:
 
 def test_det_trivial_cases():
     ident = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
-    assert det_ratfun(ident, [ONE] * 3) == RationalFunction(ONE)
+    assert det_ratfun(ident, [()] * 3) == RationalFunction(ONE)
     assert det_ratfun([], []) == RationalFunction(ONE)
     one = Polynomial([1])
     repeated = [[S, one, 2 * one], [S, one, 2 * one], [one, S, ZERO]]
-    assert det_ratfun(repeated, [ONE, S, S - 1]).is_zero
+    assert det_ratfun(repeated, [(), (0,), (1,)]).is_zero
     # rows (s, 1) and (1, 1/s): the second is the first over s
-    assert det_ratfun([[S, ONE], [S, ONE]], [ONE, S]).is_zero
+    assert det_ratfun([[S, ONE], [S, ONE]], [(), (0,)]).is_zero
     # every entry under a zero pivot is zero: no swap can help
-    assert det_ratfun([[ZERO, S], [ZERO, ONE]], [ONE, ONE]).is_zero
+    assert det_ratfun([[ZERO, S], [ZERO, ONE]], [(), ()]).is_zero
 
 
 def test_det_rejects_non_square():
     one = Polynomial([1])
     with pytest.raises(ValueError):
-        det_ratfun([[one, one, one], [one, one, one]], [ONE, ONE])
+        det_ratfun([[one, one, one], [one, one, one]], [(), ()])
     with pytest.raises(ValueError):
-        det_ratfun([[one, ZERO], [ZERO, one]], [ONE])
+        det_ratfun([[one, ZERO], [ZERO, one]], [()])
 
 
-row_denominators = st.sampled_from([ONE, S, S - 1, S * (S - 1)])
+row_denominators = st.sampled_from([(), (0,), (1,), (0, 1)])
 
 
 @st.composite
@@ -447,7 +519,7 @@ def numerator_systems(draw):
 @given(numerator_systems())
 def test_det_bareiss_agrees_with_cofactor(system):
     rows, dens = system
-    expected = RationalFunction(det_cofactor(rows), product(dens))
+    expected = RationalFunction(det_cofactor(rows), [r for rs in dens for r in rs])
     assert det_ratfun(rows, dens) == expected
 
 
@@ -506,7 +578,7 @@ def packed_systems(draw):
 @given(packed_systems())
 def test_packed_det_matches_polynomial_bareiss(system):
     rows, dens = system
-    expected = RationalFunction(det_bareiss_poly(rows), product(dens))
+    expected = RationalFunction(det_bareiss_poly(rows), [r for rs in dens for r in rs])
     assert det_ratfun(rows, dens) == expected
 
 
@@ -516,26 +588,28 @@ def test_packed_det_where_the_norm_meets_the_bound():
     full = Polynomial([2**64] * 9)
     for perm in ((0, 1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1, 0), (1, 0, 2, 3, 4, 5, 6)):
         rows = [[full if j == perm[i] else ZERO for j in range(7)] for i in range(7)]
-        det = det_ratfun(rows, [ONE] * 7)
+        det = det_ratfun(rows, [()] * 7)
         assert det == RationalFunction(det_bareiss_poly(rows))
         assert sum(abs(c) for c in det.num.coeffs) == (9 * 2**64) ** 7
     # B = 2^128 - 1 fills 128 bits, so its one coefficient needs the sign
     # byte of the slot, as the negative one does after a row swap
     lo, hi = Polynomial([2**64 - 1]), Polynomial([2**64 + 1])
-    assert det_ratfun([[lo, ZERO], [ZERO, hi]], [ONE, ONE]) == RationalFunction(lo * hi)
-    assert det_ratfun([[ZERO, lo], [hi, ZERO]], [ONE, ONE]) == RationalFunction(-lo * hi)
+    assert det_ratfun([[lo, ZERO], [ZERO, hi]], [(), ()]) == RationalFunction(lo * hi)
+    assert det_ratfun([[ZERO, lo], [hi, ZERO]], [(), ()]) == RationalFunction(-lo * hi)
 
 
 def test_det_multilinear_in_a_row():
     one = Polynomial([1])
     base = [[S, one, ZERO], [2 * one, S - 1, one], [ZERO, 3 * one, S + 2]]
-    dens = [ONE, S, S - 1]
+    dens = [(), (0,), (1,)]
     scaled = [row[:] for row in base]
     scaled[1] = [e * 5 for e in base[1]]
     det = det_ratfun(base, dens)
-    assert det_ratfun(scaled, dens) == RationalFunction(det.num * 5, det.den)
-    # dividing the row by 5 through its denominator undoes the scaling
-    assert det_ratfun(scaled, [ONE, S * 5, S - 1]) == det
+    assert det_ratfun(scaled, dens) == RationalFunction(det.num * 5, det.roots)
+    # a 1/5 through the row's entries scales the row's lcm L_i = 5 back out
+    fifths = [row[:] for row in base]
+    fifths[1] = [e * Fraction(1, 5) for e in base[1]]
+    assert det_ratfun(fifths, dens) == RationalFunction(det.num * Fraction(1, 5), det.roots)
 
 
 # -------------------------------------------------------------- integer roots

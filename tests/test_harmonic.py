@@ -183,8 +183,9 @@ def test_krawtchouk_chain_matches_tuple_oracle(alpha, beta, x, d):
 
 
 def test_falling_matches_tuple_oracle():
+    # the denominator of Z_d, built from its roots 0..d-1
     for d in range(65):
-        assert harmonic.falling(d) == Polynomial(falling_ints(1, 0, d))
+        assert RationalFunction(ONE, range(d)).den == Polynomial(falling_ints(1, 0, d))
 
 
 @settings(max_examples=100, deadline=None)
@@ -357,9 +358,6 @@ def test_sphere_sum_symbolic_partial_sums_match_polynomial_oracle(monkeypatch, n
     # over every a the sum vanishes for d >= 1; over the first `top` weights
     # it does not, and must equal sum_a C(s, a) C(n-s, w-a) P_d over the
     # common denominator s(s-1)...(s-d+1)
-    den = ONE
-    for l in range(d):
-        den = den * (S - l)
     for top in range(1, w + 1):
         monkeypatch.setattr(harmonic, "_weights", lambda *args, top=top: range(top))
         expected = ZERO
@@ -367,7 +365,7 @@ def test_sphere_sum_symbolic_partial_sums_match_polynomial_oracle(monkeypatch, n
             expected = expected + (binom_poly(S, a) * binom_poly(affine(-1, n), w - a)
                                    * zonal_numerator_oracle(n, w, a, d))
         assert not expected.is_zero
-        assert sphere_sum_symbolic(n, w, d) == RationalFunction(expected, den)
+        assert sphere_sum_symbolic(n, w, d) == RationalFunction(expected, range(d))
 
 
 # ----------------------- reference: the sphere sum as one product sum
@@ -380,8 +378,7 @@ def sphere_sum_product_sum(n: int, w: int, d: int, weights: range) -> RationalFu
               falling_ints(-1, n, w - a), harmonic._numerator_ints(n, w, a, d))
              for a in weights]
     total = _product_sum(terms, w + 2 * d + 1)
-    return RationalFunction(_make(*_reduce(total, factorial(w) * factorial(d))),
-                            harmonic.falling(d))
+    return RationalFunction(_make(*_reduce(total, factorial(w) * factorial(d))), range(d))
 
 
 @settings(max_examples=150, deadline=None)

@@ -88,10 +88,25 @@ MUTANTS = (
      "ints.append([[x * (big // e._den) for x in e._num] for e in row])",
      "ints.append([list(e._num) for e in row])",
      ["tests/test_exact.py::test_packed_det_matches_polynomial_bareiss"]),
-    # each planted root is stripped by synthetic division by s - r
+    # one synthetic-division stripper serves factor_numerator and the
+    # RationalFunction constructor: each planted root is stripped by s - r,
+    # a denominator root no more often than it occurs, and every distinct
+    # denominator root is tried
     ("deflate-root-sign", "exact.py",
      "acc = acc * r + c", "acc = acc * -r + c",
-     ["tests/test_exact.py::test_factor_numerator_splits_planted_roots"]),
+     ["tests/test_exact.py::test_factor_numerator_splits_planted_roots",
+      "tests/test_exact.py::test_ratfun_matches_euclidean_normal_form"]),
+    ("ratfun-strip-past-multiplicity", "exact.py",
+     "while m < most:", "while True:",
+     ["tests/test_exact.py::test_ratfun_matches_euclidean_normal_form"]),
+    ("ratfun-root-skip", "exact.py",
+     "ints, k = _deflate(ints, r, m)",
+     "ints, k = _deflate(ints, r, m) if r == roots[0] else (ints, 0)",
+     ["tests/test_exact.py::test_ratfun_matches_euclidean_normal_form"]),
+    ("ratfun-den-slot-sign-byte", "exact.py",
+     "step = prod(abs(r) + 1 for r in rest).bit_length() // 8 + 1",
+     "step = prod(abs(r) + 1 for r in rest).bit_length() // 8",
+     ["tests/test_exact.py::test_ratfun_denominator_where_the_norm_meets_the_bound"]),
     ("readback-bias", "exact.py",
      "half = 1 << (8 * step - 1)", "half = 0",
      ["tests/test_exact.py"]),
@@ -238,7 +253,7 @@ def main() -> int:
                 killed = not run_tests(copy, tests)
             finally:
                 target.write_text(original, encoding="utf-8")
-            print(f"{name:<26} {'killed' if killed else 'SURVIVED'}", flush=True)
+            print(f"{name:<30} {'killed' if killed else 'SURVIVED'}", flush=True)
             if not killed:
                 survivors.append(name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
