@@ -35,10 +35,69 @@ from .designs import (
     killed_degrees,
     predesign_count,
 )
-from .exact import factor_numerator, factored_str, format_poly
+from .exact import factor_numerator, format_poly
 from .gf2 import MAX_LENGTH, EnumerationCapError
 from .gleason import extremal_weight_enumerator
 from .harmonic import zonal_eval
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, choices=SUPPORTED_LENGTHS)
+    p.add_argument("--json", action="store_true")
+
+
+def _verify_code_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--code", required=True,
+                   help=f"catalog name ({', '.join(sorted(CATALOG))}) or matrix file")
+    p.add_argument("--json", action="store_true")
+
+
+def _determinant_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, choices=SUPPORTED_LENGTHS)
+    p.add_argument("--format", choices=("factored", "json", "latex"),
+                   default="factored")
+
+
+def _enumerator_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+
+
+def _design_check_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--code", required=True)
+    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--half", action="store_true",
+                   help="also check that the shell kills degree t+2")
+    p.add_argument("--json", action="store_true")
+
+
+def _zonal_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--s", type=int, default=None,
+                   help="weight of the reference word; omit for a symbolic result")
+    p.add_argument("--w", type=int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+
+
+def _paper_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--deep", action="store_true",
+                   help="include the qr48 check (2^24 codewords, under a second)")
+    p.add_argument("--timings", action="store_true")
+    p.add_argument("--json", action="store_true")
+
+
+# subcommand name -> (help line, function adding its arguments), in help order
+_COMMANDS = {
+    "verify": ("determinant analysis and verdict for a length", _verify_args),
+    "verify-code": ("end-to-end checks on a constructed code", _verify_code_args),
+    "determinant": ("extended determinant for a length", _determinant_args),
+    "enumerator": ("extremal weight enumerator coefficients", _enumerator_args),
+    "design-check": ("t-design certification of a code shell", _design_check_args),
+    "zonal": ("evaluate a zonal harmonic polynomial", _zonal_args),
+    "paper": ("run every length analysis and catalog check", _paper_args),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,48 +107,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"typeii {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="determinant analysis and verdict for a length")
-    p.add_argument("--n", type=int, required=True, choices=SUPPORTED_LENGTHS)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify-code", help="end-to-end checks on a constructed code")
-    p.add_argument("--code", required=True,
-                   help=f"catalog name ({', '.join(sorted(CATALOG))}) or matrix file")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("determinant", help="extended determinant for a length")
-    p.add_argument("--n", type=int, required=True, choices=SUPPORTED_LENGTHS)
-    p.add_argument("--format", choices=("factored", "json", "latex"),
-                   default="factored")
-
-    p = sub.add_parser("enumerator", help="extremal weight enumerator coefficients")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("design-check", help="t-design certification of a code shell")
-    p.add_argument("--code", required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--half", action="store_true",
-                   help="also check that the shell kills degree t+2")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("zonal", help="evaluate a zonal harmonic polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, default=None,
-                   help="weight of the reference word; omit for a symbolic result")
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-
-    p = sub.add_parser("paper", help="run every length analysis and catalog check")
-    p.add_argument("--deep", action="store_true",
-                   help="include the qr48 check (2^24 codewords, under a second)")
-    p.add_argument("--timings", action="store_true")
-    p.add_argument("--json", action="store_true")
-
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """One subcommand's parser that raises its usage errors, not prints them,
+    so that the full parser reports each: it alone also checks the whole argv
+    against the top-level options (`--=x` could match --help and --version)."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building only the parser of the
+    subcommand argv[0] names.  The full parser hands the rest of argv to an
+    identical parser under the same prog, so when that parser alone accepts
+    the rest and leaves nothing over, the result is the same.  Usage errors
+    and leftovers go to the full parser, which reports them."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = _SubcommandParser(prog=f"typeii {name}")
+        _COMMANDS[name][1](parser)
+        try:
+            args, extra = parser.parse_known_args(argv[1:])
+        except argparse.ArgumentError:
+            pass
+        else:
+            if not extra:
+                args.command = name
+                return args
+    return build_parser().parse_args(argv)
 
 
 def _emit_json(payload: dict) -> None:
@@ -120,7 +170,7 @@ def _cmd_verify(args) -> int:
     else:
         print(f"n = {args.n}  scenario = {verdict.scenario}")
         print(f"determinant = {verdict.factors} / "
-              f"{factored_str(verdict.determinant.den)}")
+              f"{verdict.determinant.den_factors()}")
         print(f"integer roots = {sorted(verdict.integer_roots)}  "
               f"relevant = {sorted(verdict.relevant_roots)}")
         print(f"conclusion = {verdict.conclusion}"
@@ -158,7 +208,7 @@ def _cmd_determinant(args) -> int:
             "content": str(factors.content),
             "linear_factors": [list(f) for f in factors.linear],
             "residual": factors.residual.to_json(),
-            "factored": f"{factors} / {factored_str(det.den)}",
+            "factored": f"{factors} / {det.den_factors()}",
         }))
     elif args.format == "latex":
         print(f"\\frac{{{format_poly(det.num.primitive())}}}"
@@ -168,7 +218,7 @@ def _cmd_determinant(args) -> int:
         print(f"content:  {factors.content}")
         print(f"linear:   {factors.linear_str(' * ') or '1'}")
         print(f"residual: {format_poly(factors.residual)}")
-        print(f"denominator: {factored_str(det.den)}")
+        print(f"denominator: {det.den_factors()}")
     return 0
 
 
@@ -329,8 +379,7 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _DISPATCH[args.command](args)
     except (OSError, EnumerationCapError, ValueError) as err:

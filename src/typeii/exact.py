@@ -426,6 +426,12 @@ class RationalFunction:
             return format_poly(self.num)
         return f"({format_poly(self.num)})/({format_poly(self.den)})"
 
+    def den_factors(self) -> "NumeratorFactors":
+        """The monic den split into its linear factors, read from `roots`
+        with no root search: content 1, residual 1."""
+        linear = tuple((r, len(list(run))) for r, run in groupby(self.roots))
+        return NumeratorFactors(Fraction(1), linear, ONE)
+
 
 def det_ratfun(rows: Sequence[Sequence[Polynomial]],
                roots: Sequence[Sequence[int]]) -> RationalFunction:
@@ -576,8 +582,3 @@ def factor_numerator(p: Polynomial) -> NumeratorFactors:
         num, mult = _deflate(num, r, len(num))
         linear.append((r, mult))
     return NumeratorFactors(content, tuple(linear), _make(num, 1))
-
-
-def factored_str(p: Polynomial) -> str:
-    """Factored display of p (see NumeratorFactors); '0' for the zero polynomial."""
-    return "0" if p.is_zero else str(factor_numerator(p))

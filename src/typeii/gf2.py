@@ -485,7 +485,7 @@ class Code:
                 if need <= 0:
                     break
                 picks[w] += decode(base, _xor_positions(mask, alt_lo, patterns), need)
-        shell = None if target is None else DesignSet(n, target, tuple(sorted(hits)))
+        shell = None if target is None else DesignSet(n, target, tuple(hits))
         return dist, shell, tuple(b for w in sorted(picks) for b in picks[w])
 
     def weight_distribution(self) -> list[int]:

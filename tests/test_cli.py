@@ -1,11 +1,14 @@
+import argparse
 import json
 import random
 import re
 
 import pytest
 
+from test_golden import CASES
+from typeii import cli
 from typeii.catalog import resolve
-from typeii.cli import main
+from typeii.cli import build_parser, main
 from typeii.designs import PAIR_BOUND
 from typeii.gf2 import MAX_FILE_BYTES, Code
 
@@ -317,6 +320,62 @@ def test_threads_flag_rejected(capsys, value):
         main(["paper", "--threads", value])
     assert exc.value.code == 2
     assert "error: unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+ZONAL = ["zonal", "--n", "8", "--w", "4", "--a", "2", "--d", "1"]
+EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["--version"], ["bogus"], ["pap"], ["--json", "paper"],
+    *([name, "-h"] for name in cli._COMMANDS),
+    ["verify"], ["verify", "--n"], ["verify", "--n", "40"], ["verify", "--n", "x"],
+    ["verify", "--n=8"], ["verify", "--j", "--n", "8"], ["verify", "--n", "8", "--n", "16"],
+    ["verify", "--n", "7", "--bogus"], ["verify", "--n", "8", "extra"],
+    ["verify", "-h", "--n", "x"], ["verify", "--n", "x", "-h"], ["verify", "-h", "--bogus"],
+    ["paper", "--js"], ["paper", "--", "--json"], ["paper", "--threads", "2"],
+    ["paper", "--version"], ["paper", "--json", "--=x"],
+    [*ZONAL, "--s", "-1"], [*ZONAL, "--s=-1"],
+]
+
+
+@pytest.mark.parametrize("argv", [*CASES.values(), *EDGE_ARGVS], ids=repr)
+def test_one_parser_route_matches_full_parser(capsys, monkeypatch, argv):
+    """main against an oracle that always parses with build_parser(): the same
+    exit code or SystemExit code, stdout and stderr.  The commands are stubbed
+    by one that prints the namespace, which is all a command reads; the
+    goldens pin what the commands print for it."""
+    monkeypatch.setattr(cli, "_DISPATCH", {
+        name: lambda args: print(sorted(vars(args).items())) or 0
+        for name in cli._COMMANDS})
+
+    def outcome():
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        return (code, *capsys.readouterr())
+
+    got = outcome()
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert got == outcome()
+
+
+def test_one_parser_per_launch(capsys, monkeypatch):
+    # a launch naming a subcommand builds only that subcommand's parser;
+    # top-level options still build the full one
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["paper", "--json"]) == 0
+    assert built == ["typeii paper"]
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert built == ["typeii", *(f"typeii {name}" for name in cli._COMMANDS)]
 
 
 @pytest.mark.parametrize("t", [0, 5, 40])

@@ -14,7 +14,6 @@ from typeii.exact import (
     RationalFunction,
     det_ratfun,
     factor_numerator,
-    factored_str,
     format_poly,
     integer_roots,
 )
@@ -104,9 +103,9 @@ def test_poly_gcd_and_primitive():
 def test_format_and_factored():
     p = Polynomial([-10, 3])
     assert format_poly(p) == "3*s - 10"
-    assert factored_str((S - 16) * Polynomial([-5120, 1368, -112, 3])) == \
+    assert str(factor_numerator((S - 16) * Polynomial([-5120, 1368, -112, 3]))) == \
         "(s-16)*(3*s^3-112*s^2+1368*s-5120)"
-    assert factored_str(Polynomial([0, -2, 2])) == "2*s*(s-1)"
+    assert str(factor_numerator(Polynomial([0, -2, 2]))) == "2*s*(s-1)"
     assert Polynomial(Fraction(c) for c in p.to_json()) == p
 
 
@@ -407,6 +406,13 @@ def test_ratfun_monic_denominator():
     r = RationalFunction((6 * S - 12) * (S + 3), (2, -3, 2, 5))
     assert r.num == Polynomial([6]) and r.roots == (2, 5)
     assert r.den == (S - 2) * (S - 5)
+
+
+@given(st.lists(st.integers(-6, 6), max_size=6), st.integers(1, 3))
+def test_ratfun_den_factors_match_root_search(roots, c):
+    # the display read from the roots is the one the divisor search finds
+    r = RationalFunction(Polynomial([c, 0, 1]), roots)
+    assert r.den_factors() == factor_numerator(r.den)
 
 
 def test_ratfun_division_by_zero():

@@ -1,7 +1,7 @@
 """Mutation smoke test: each mutant below changes one line of `src/typeii`,
 and the tests named with it must fail on the changed copy.
 
-    python3 tools/mutants.py        # about three minutes
+    python3 tools/mutants.py        # about six minutes
 
 `src/` and `tests/` are copied to a temporary directory once; each mutant is
 written into that copy, its tests run with `pytest -x`, and the line is put
@@ -180,6 +180,21 @@ MUTANTS = (
     ("pair-bound-skip", "designs.py",
      "if size > PAIR_BOUND:", "if False:",
      ["tests/test_cli.py::test_design_check_pair_bound_precedes_tally_and_profiles"]),
+    # a launch naming a subcommand parses with that subcommand's parser alone,
+    # which must leave nothing over and carry the full parser's prog for it
+    ("one-parser-leftovers", "cli.py",
+     "if not extra:", "if True:",
+     ["tests/test_cli.py::test_one_parser_route_matches_full_parser"]),
+    ("one-parser-prog", "cli.py",
+     'parser = _SubcommandParser(prog=f"typeii {name}")',
+     'parser = _SubcommandParser(prog="typeii")',
+     ["tests/test_cli.py::test_one_parser_route_matches_full_parser"]),
+    # its usage errors go to the full parser, which alone finds the top-level
+    # ambiguity of `--=x` (it could match --help and --version)
+    ("one-parser-error-printed", "cli.py",
+     "raise argparse.ArgumentError(None, message)",
+     "argparse.ArgumentParser.error(self, message)",
+     ["tests/test_cli.py::test_one_parser_route_matches_full_parser"]),
     ("design-check-w-bound", "cli.py",
      "if not 0 <= args.w <= code.n:", "if False:",
      ["tests/test_cli.py::test_design_check_w_bound_precedes_tallies"]),
