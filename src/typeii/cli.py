@@ -88,18 +88,6 @@ def _paper_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true")
 
 
-# subcommand name -> (help line, function adding its arguments), in help order
-_COMMANDS = {
-    "verify": ("determinant analysis and verdict for a length", _verify_args),
-    "verify-code": ("end-to-end checks on a constructed code", _verify_code_args),
-    "determinant": ("extended determinant for a length", _determinant_args),
-    "enumerator": ("extremal weight enumerator coefficients", _enumerator_args),
-    "design-check": ("t-design certification of a code shell", _design_check_args),
-    "zonal": ("evaluate a zonal harmonic polynomial", _zonal_args),
-    "paper": ("run every length analysis and catalog check", _paper_args),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="typeii",
@@ -107,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"typeii {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -307,7 +295,7 @@ def _cmd_paper(args) -> int:
         t0 = time.perf_counter()
         verdict = analyze(n)
         ref = REFERENCE[n]
-        divisible = ref.factor.divides(verdict.determinant.num.primitive())
+        divisible = ref.factor.divides(verdict.determinant.num)
         ok = divisible and verdict.conclusion == ref.conclusion
         exact = verdict.determinant == ref.published()
         detail = (f"{verdict.conclusion}, roots {sorted(verdict.relevant_roots)}, "
@@ -367,21 +355,25 @@ def _cmd_paper(args) -> int:
     return 0 if all_ok else 1
 
 
-_DISPATCH = {
-    "verify": _cmd_verify,
-    "verify-code": _cmd_verify_code,
-    "determinant": _cmd_determinant,
-    "enumerator": _cmd_enumerator,
-    "design-check": _cmd_design_check,
-    "zonal": _cmd_zonal,
-    "paper": _cmd_paper,
+# subcommand name -> (help line, function adding its arguments, handler), in help order
+_COMMANDS = {
+    "verify": ("determinant analysis and verdict for a length", _verify_args, _cmd_verify),
+    "verify-code": ("end-to-end checks on a constructed code", _verify_code_args,
+                    _cmd_verify_code),
+    "determinant": ("extended determinant for a length", _determinant_args, _cmd_determinant),
+    "enumerator": ("extremal weight enumerator coefficients", _enumerator_args,
+                   _cmd_enumerator),
+    "design-check": ("t-design certification of a code shell", _design_check_args,
+                     _cmd_design_check),
+    "zonal": ("evaluate a zonal harmonic polynomial", _zonal_args, _cmd_zonal),
+    "paper": ("run every length analysis and catalog check", _paper_args, _cmd_paper),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (OSError, EnumerationCapError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

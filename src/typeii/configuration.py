@@ -34,6 +34,7 @@ from .exact import (
     Polynomial,
     RationalFunction,
     ZERO,
+    _quotient,
     det_ratfun,
     factor_numerator,
 )
@@ -258,11 +259,17 @@ def reference_ratio(n: int) -> RationalFunction:
     """Computed determinant divided by the full reference value; a constant
     +-1 means the conventions match the published computation exactly.
 
-    The published numerator must divide the determinant's: the quotient q
-    is exact, and the ratio is q times the published denominator over the
-    determinant's.  Raises ArithmeticError when the division is inexact."""
+    The published numerator must divide the determinant's: their primitive
+    parts have an integer quotient q, the numerators' quotient is q scaled to
+    their leading coefficients' ratio, and the ratio is that times the
+    published denominator over the determinant's.  Raises ArithmeticError
+    when the division is inexact."""
     det, ref = extended_determinant(n), REFERENCE[n].published()
-    return RationalFunction(det.num.exact_div(ref.num) * ref.den, det.roots)
+    q = _quotient(det.num.primitive()._num, ref.num.primitive()._num)
+    if q is None:
+        raise ArithmeticError(f"the published numerator does not divide the n = {n} determinant's")
+    scale = det.num.leading() / ref.num.leading() / q[-1]
+    return RationalFunction(Polynomial(q) * scale * ref.den, det.roots)
 
 
 # ------------------------------------------------------------ concrete codes

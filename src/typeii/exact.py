@@ -6,30 +6,33 @@ Everything here is exact.  Scalars are `fractions.Fraction`, which keeps
 numerator and denominator gcd-reduced with a positive denominator.  A
 polynomial is stored in content/primitive form (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, ch. 6): integer numerators over one positive
-integer denominator, reduced so that their gcd is 1.  Ring operations are then
-integer arithmetic plus one gcd per result, and `Fraction` coefficients are
-built only when they are read.  `_mul_into` (the schoolbook convolution) serves
-`Polynomial.__mul__` and `gleason`.  The integer kernels shared with
-`harmonic`, which builds its numerators as packed ints and reduces once per
-result, are `_reduce` (the canonical pair), `_horner`, and the Kronecker
-substitution pair `_pack` (a coefficient sequence at X = 2^(8 step) by
-Horner shift-adds) and `_unpack` (the signed readback of a packed sum as
-slots of step bytes, which raises OverflowError rather than drop a nonzero
-digit past the last slot).  `harmonic` sizes its slots, `det_ratfun` its own.
+integer denominator, reduced so that their gcd is 1, and `Fraction`
+coefficients are built only when they are read.  `Polynomial` is a value type:
+its one operation is the product, on `_mul_into` (the schoolbook convolution,
+shared with `gleason`), and commands take it only for a scalar times a
+polynomial (`ReferenceResult.published`) and the products in `REFERENCE`.
+Divisibility is `_quotient`, integer long division of primitive parts, exact
+by Gauss's lemma with no pseudo-division scale.  The integer kernels shared
+with `harmonic`, which builds its numerators as packed ints and reduces once
+per result, are `_reduce` (the canonical pair), `_horner`, and the Kronecker
+substitution pair `_pack` (a coefficient sequence at X = 2^(8 step) by Horner
+shift-adds) and `_unpack` (the signed readback of a packed sum as slots of
+step bytes, which raises OverflowError rather than drop a nonzero digit past
+the last slot).  `harmonic` sizes its slots, `det_ratfun` its own.
 
 Polynomials and rational functions are immutable.  A rational function is a
-value type with no arithmetic, built only at the edge, once a result in Q(s)
-is complete.  Every denominator in this package is a product of linear
-factors s - r with integer r (the zonal rows sit over s(s-1)...(s-d+1)), so
-a rational function is given as a numerator over a multiset of integer
-roots.  It is normalized so that the denominator is monic and coprime to the
+value type with no arithmetic at all, built only at the edge, once a result in
+Q(s) is complete.  Every denominator in this package is a product of linear
+factors s - r with integer r (the zonal rows sit over s(s-1)...(s-d+1)), so a
+rational function is given as a numerator over a multiset of integer roots.
+It is normalized so that the denominator is monic and coprime to the
 numerator, which gives every value a canonical form: the only irreducible
 factors of the denominator are the s - r, so for each distinct root r of
 multiplicity m the numerator is divided by s - r while r is one of its roots,
-at most m times (`_deflate`, synthetic division on the integer numerators,
-the same linear-factor stripper `factor_numerator` uses), and the roots left
-over make the denominator, one product of packed linear terms read back
-once.  No polynomial gcd is needed.
+at most m times (`_deflate`, synthetic division on the integer numerators, the
+same linear-factor stripper `factor_numerator` uses), and the roots left over
+make the denominator, one product of packed linear terms read back once.  No
+polynomial gcd is needed.
 A determinant of a matrix whose rows share one denominator each is
 fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) on ints:
 row i of the numerators N is scaled to integers by L_i, the lcm of its
@@ -125,6 +128,24 @@ def _deflate(num: tuple[int, ...], r: int, most: int) -> tuple[tuple[int, ...], 
     return num, m
 
 
+def _quotient(g: Sequence[int], f: Sequence[int]) -> tuple[int, ...] | None:
+    """g / f for primitive integer coefficient sequences g and f, f nonzero,
+    or None when f does not divide g.  By Gauss's lemma a primitive f divides
+    g over Q exactly when the quotient is integral, so integer long division
+    decides it: None as soon as a leading coefficient leaves a remainder, or
+    when the remainder left below deg f is nonzero."""
+    rem, m, lead = list(g), len(f) - 1, f[-1]
+    quo = [0] * max(len(g) - m, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[i + m], lead)
+        if r:
+            return None
+        quo[i] = q
+        for j, y in enumerate(f, i):
+            rem[j] -= q * y
+    return None if any(rem[:m]) else tuple(quo)
+
+
 def _make(num: Sequence[int], den: int) -> "Polynomial":
     """A Polynomial from a pair that is already canonical."""
     p = object.__new__(Polynomial)
@@ -181,40 +202,7 @@ class Polynomial:
     def coefficient(self, i: int) -> Fraction:
         return Fraction(self._num[i], self._den) if 0 <= i < len(self._num) else Fraction(0)
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, den = self._num, other._num, self._den
-        if den != other._den:
-            den = lcm(den, other._den)
-            a = [x * (den // self._den) for x in a]
-            b = [x * (den // other._den) for x in b]
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return _make(*_reduce(out, den))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return _make(tuple(-x for x in self._num), self._den)
-
-    def __sub__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+    # -- products ------------------------------------------------------------
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -227,83 +215,6 @@ class Polynomial:
             return ZERO
         out = _mul_into([0] * (len(a) + len(b) - 1), a, b)
         return _make(*_reduce(out, self._den * other._den))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        divisor = other._num
-        m = len(divisor) - 1
-        dq = len(self._num) - 1 - m
-        if dq < 0:
-            return ZERO, self
-        # pseudo-division in Z[s]: scale = f with f*num = quo*divisor + rem,
-        # grown only at the steps where the leading coefficient does not divide
-        lead = divisor[-1]
-        rem = list(self._num)
-        quo = [0] * (dq + 1)
-        scale = 1
-        for i in range(dq, -1, -1):
-            top = rem[i + m]
-            if not top:
-                continue
-            q, r = divmod(top, lead)
-            if r:
-                k = abs(lead) // gcd(top, lead)
-                rem = [x * k for x in rem]
-                quo = [x * k for x in quo]
-                scale *= k
-                q = top * k // lead
-            quo[i] = q
-            for j, y in enumerate(divisor, i):
-                rem[j] -= q * y
-        den = scale * self._den
-        return (_make(*_reduce([x * other._den for x in quo], den)),
-                _make(*_reduce(rem[:m], den)))
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ArithmeticError(f"inexact polynomial division: ({self}) / ({other})")
-        return q
-
-    def __call__(self, x: Scalar) -> Fraction:
-        """The value at x = p/q: sum c_i p^i q^(deg-i) over _den * q^deg."""
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-        p, q = x.numerator, x.denominator
-        if q == 1:
-            return Fraction(_horner(self._num, p), self._den)
-        if self.is_zero:
-            return Fraction(0)
-        acc = 0
-        qpow = 1
-        for c in reversed(self._num):
-            acc = acc * p + c * qpow
-            qpow *= q
-        return Fraction(acc, self._den * q ** self.degree)
 
     # -- normal forms -------------------------------------------------------
 
@@ -323,9 +234,10 @@ class Polynomial:
         return _make(tuple(x // g for x in self._num), 1)
 
     def divides(self, other: "Polynomial") -> bool:
+        """Whether other = self * q for a polynomial q over Q."""
         if self.is_zero:
             return other.is_zero
-        return (other % self).is_zero
+        return _quotient(other.primitive()._num, self.primitive()._num) is not None
 
     # -- misc ----------------------------------------------------------------
 
@@ -350,7 +262,6 @@ class Polynomial:
 
 ZERO = Polynomial()
 ONE = Polynomial([1])
-S = Polynomial([0, 1])
 
 
 def _coerce_poly(x) -> "Polynomial":
@@ -403,12 +314,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def __call__(self, x: Scalar) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole of rational function at s = {x}")
-        return self.num(x) / d
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):

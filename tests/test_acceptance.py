@@ -20,12 +20,13 @@ from typeii.configuration import (
     verify_on_code,
 )
 from typeii.designs import predesign_count, zonal_design_residual
-from typeii.exact import Polynomial, RationalFunction, S, integer_roots
+from typeii.exact import integer_roots
 from typeii.gf2 import Code
 from typeii.gleason import extremal_min_weight, extremal_weight_enumerator
 from typeii.harmonic import sphere_sum, sphere_sum_symbolic
 
 from test_designs import default_cbar_sample, is_t_design
+from test_exact import S
 from test_gf2 import gray_walk
 
 

@@ -342,9 +342,9 @@ def test_one_parser_route_matches_full_parser(capsys, monkeypatch, argv):
     exit code or SystemExit code, stdout and stderr.  The commands are stubbed
     by one that prints the namespace, which is all a command reads; the
     goldens pin what the commands print for it."""
-    monkeypatch.setattr(cli, "_DISPATCH", {
-        name: lambda args: print(sorted(vars(args).items())) or 0
-        for name in cli._COMMANDS})
+    monkeypatch.setattr(cli, "_COMMANDS", {
+        name: (help_text, add_arguments, lambda args: print(sorted(vars(args).items())) or 0)
+        for name, (help_text, add_arguments, _) in cli._COMMANDS.items()})
 
     def outcome():
         try:

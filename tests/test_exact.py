@@ -3,13 +3,10 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from typeii.exact import (
-    ONE,
-    S,
-    ZERO,
     Polynomial,
     RationalFunction,
     det_ratfun,
@@ -17,7 +14,7 @@ from typeii.exact import (
     format_poly,
     integer_roots,
 )
-from typeii.exact import _horner, _mul_into, _pack, _unpack
+from typeii.exact import _horner, _mul_into, _pack, _quotient, _unpack
 
 
 # ---------------------------------------------------------------- rationals
@@ -45,21 +42,13 @@ def test_rational_normalization_idempotent(a, b):
 # -------------------------------------------------------------- polynomials
 
 def test_polynomial_basic_ops():
-    p = Polynomial([1, 2])        # 2s + 1
-    q = Polynomial([-1, 0, 1])    # s^2 - 1
+    p = Poly([1, 2])        # 2s + 1
+    q = Poly([-1, 0, 1])    # s^2 - 1
     assert (p + q).coeffs == (0, 2, 1)
     assert (p * q).coeffs == (-1, -2, 1, 2)
     assert q(3) == 8
     assert (q - q).is_zero
     assert q.degree == 2 and ZERO.degree == -1
-
-
-def test_polynomial_divmod_exact():
-    q = Polynomial([-1, 0, 1])  # (s-1)(s+1)
-    quo, rem = divmod(q, S - 1)
-    assert rem.is_zero and quo == S + 1
-    with pytest.raises(ArithmeticError):
-        q.exact_div(S - 2)
 
 
 # ------------------------------------- reference: the Euclidean normal form
@@ -75,9 +64,7 @@ def monic(p: Polynomial) -> Polynomial:
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd in Q[s]; gcd(0, 0) = 0."""
-    while not b.is_zero:
-        a, b = b, monic(a % b)
-    return monic(a)
+    return Poly(ref_gcd(a.coeffs, b.coeffs))
 
 
 def ratfun_euclid(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -194,6 +181,65 @@ def assert_stored_form(p: Polynomial, expected) -> None:
     assert gcd(p._den, *p._num) == 1
 
 
+# ------------------------------------------------------- the test-side ring
+#
+# Polynomial is a value type whose one operation is the product.  The tests
+# build their inputs with sums, powers, values and exact quotients as well:
+# Poly adds these on the Fraction-tuple oracles above, and lifts the plain
+# Polynomial that Polynomial.__mul__ returns back to a Poly.
+
+class Poly(Polynomial):
+    """A Polynomial with the ring operations of the oracles above."""
+
+    __slots__ = ()
+
+    def __add__(self, other) -> "Poly":
+        return Poly(ref_add(self.coeffs, lift(other).coeffs))
+
+    def __neg__(self) -> "Poly":
+        return Poly(ref_neg(self.coeffs))
+
+    def __sub__(self, other) -> "Poly":
+        return self + -lift(other)
+
+    def __mul__(self, other) -> "Poly":
+        return lift(Polynomial.__mul__(self, other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Poly":
+        out = ONE
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __call__(self, x) -> Fraction:
+        return ref_eval(self.coeffs, x)
+
+    def exact_div(self, other) -> "Poly":
+        quo, rem = ref_divmod(self.coeffs, lift(other).coeffs)
+        if rem:
+            raise ArithmeticError(f"inexact polynomial division: ({self}) / ({other})")
+        return Poly(quo)
+
+
+def lift(x) -> Poly:
+    """A Polynomial or a scalar as a Poly of the same stored form."""
+    p = x if isinstance(x, Polynomial) else Polynomial([x])
+    out = object.__new__(Poly)
+    object.__setattr__(out, "_num", p._num)
+    object.__setattr__(out, "_den", p._den)
+    return out
+
+
+def ratfun_value(r: RationalFunction, x) -> Fraction:
+    """r at x; ZeroDivisionError at a pole."""
+    return lift(r.num)(x) / lift(r.den)(x)
+
+
+ZERO, ONE, S = Poly(), Poly([1]), Poly([0, 1])
+
+
 small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 coefficient_lists = st.lists(st.one_of(small_fractions, st.integers(-9, 9)), max_size=6)
 
@@ -204,43 +250,10 @@ def test_ring_operations_match_reference(xs, ys, k, c):
     a, b = ref(xs), ref(ys)
     p, q = Polynomial(xs), Polynomial(ys)
     assert_stored_form(p, a)
-    assert_stored_form(p + q, ref_add(a, b))
-    assert_stored_form(p - q, ref_add(a, ref_neg(b)))
-    assert_stored_form(-p, ref_neg(a))
     assert_stored_form(p * q, ref_mul(a, b))
     for scalar in (k, c):
         assert_stored_form(p * scalar, ref_mul(a, ref([scalar])))
-        assert_stored_form(scalar * p, ref_mul(a, ref([scalar])))
-        assert_stored_form(p + scalar, ref_add(a, ref([scalar])))
-        assert_stored_form(scalar - p, ref_add(ref([scalar]), ref_neg(a)))
     assert p.to_json() == [str(x) for x in a]
-
-
-@settings(deadline=None)
-@given(coefficient_lists, coefficient_lists.filter(lambda ys: any(ys)))
-def test_division_matches_reference(xs, ys):
-    a, b = ref(xs), ref(ys)
-    p, q = Polynomial(xs), Polynomial(ys)
-    for divisor, db in ((q, b), (monic(q), ref_monic(b))):
-        quo, rem = divmod(p, divisor)
-        ref_quo, ref_rem = ref_divmod(a, db)
-        assert_stored_form(quo, ref_quo)
-        assert_stored_form(rem, ref_rem)
-        assert_stored_form(p // divisor, ref_quo)
-        assert_stored_form(p % divisor, ref_rem)
-        assert_stored_form((p * divisor).exact_div(divisor), a)
-    if ref_divmod(a, b)[1]:
-        with pytest.raises(ArithmeticError):
-            p.exact_div(q)
-
-
-@settings(deadline=None)
-@given(coefficient_lists, st.integers(-20, 20), small_fractions)
-def test_evaluation_matches_reference(xs, k, x):
-    p, a = Polynomial(xs), ref(xs)
-    for point in (k, x):
-        value = p(point)
-        assert type(value) is Fraction and value == ref_eval(a, point)
 
 
 @settings(deadline=None)
@@ -255,6 +268,44 @@ def test_normal_forms_match_reference(xs, ys, zs):
     lhs, rhs = p * common, Polynomial(ys) * common
     expected = ref_gcd(ref_mul(a, ref(zs)), ref_mul(ref(ys), ref(zs)))
     assert_stored_form(poly_gcd(lhs, rhs), expected)
+
+
+# f = 2s + 1 does not divide 3s + 1, though its leading coefficient leaves a
+# remainder whose tail is 0; s divides the leading term of s^2 + 1 alone; a
+# constant divides every g, 0 included; s^2 + 1 divides no nonzero g of
+# lower degree
+@settings(deadline=None)
+@example([1, 2], [], [1, 3])
+@example([0, 1], [], [1, 0, 1])
+@example([Fraction(2, 3)], [Fraction(1, 2), 3], [])
+@example([1, 0, 1], [Fraction(1, 2), 3], [0, 6])
+@given(coefficient_lists, coefficient_lists, coefficient_lists)
+def test_divides_matches_reference(xs, ys, zs):
+    # f divides g over Q exactly when the oracle leaves no remainder, and
+    # then the integer quotient of the primitive parts is the oracle's
+    # quotient made primitive; the product h * f divides by construction
+    f, h = Polynomial(xs), Polynomial(ys)
+    for g in (Polynomial(zs), h * f):
+        if f.is_zero:
+            assert f.divides(g) == g.is_zero
+            continue
+        quo, rem = ref_divmod(g.coeffs, f.coeffs)
+        assert f.divides(g) == (not rem)
+        got = _quotient(g.primitive()._num, f.primitive()._num)
+        assert got == (None if rem else ref_primitive(quo))
+
+
+def test_polynomial_is_a_value_type():
+    # the ring arithmetic lives in the tests' Poly; Polynomial keeps *
+    p = Polynomial([1, 2])
+    for name in ("__add__", "__radd__", "__neg__", "__sub__", "__rsub__", "__rmul__",
+                 "__pow__", "__divmod__", "__floordiv__", "__mod__", "exact_div", "__call__"):
+        assert not hasattr(p, name), name
+    assert not callable(RationalFunction(p, (0,)))
+    with pytest.raises(TypeError):
+        p + p
+    with pytest.raises(TypeError):
+        2 * p
 
 
 def test_equal_polynomials_hash_equal():
@@ -417,11 +468,11 @@ def test_ratfun_den_factors_match_root_search(roots, c):
 
 def test_ratfun_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(ONE, (0,))(0)
+        ratfun_value(RationalFunction(ONE, (0,)), 0)
     # the pole stays where the numerator's root has a lower multiplicity
     with pytest.raises(ZeroDivisionError):
-        RationalFunction(S - 3, (3, 3))(3)
-    assert RationalFunction(S - 3, (3,))(3) == 1
+        ratfun_value(RationalFunction(S - 3, (3, 3)), 3)
+    assert ratfun_value(RationalFunction(S - 3, (3,)), 3) == 1
     with pytest.raises(TypeError):
         RationalFunction(ONE, (Fraction(1, 2),))
 
@@ -438,7 +489,7 @@ def test_ratfun_denominator_where_the_norm_meets_the_bound():
 # num = c * prod (s - r)^m * R: planted roots, among them 0 and negative ones,
 # shared with the denominator's roots at lower, equal and higher multiplicity
 planted_roots = st.dictionaries(st.integers(-6, 6), st.integers(1, 3), max_size=4)
-cofactors = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Polynomial)
+cofactors = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Poly)
 
 
 @settings(max_examples=200, deadline=None)
@@ -487,7 +538,7 @@ def test_det_trivial_cases():
     ident = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
     assert det_ratfun(ident, [()] * 3) == RationalFunction(ONE)
     assert det_ratfun([], []) == RationalFunction(ONE)
-    one = Polynomial([1])
+    one = Poly([1])
     repeated = [[S, one, 2 * one], [S, one, 2 * one], [one, S, ZERO]]
     assert det_ratfun(repeated, [(), (0,), (1,)]).is_zero
     # rows (s, 1) and (1, 1/s): the second is the first over s
@@ -497,7 +548,7 @@ def test_det_trivial_cases():
 
 
 def test_det_rejects_non_square():
-    one = Polynomial([1])
+    one = Poly([1])
     with pytest.raises(ValueError):
         det_ratfun([[one, one, one], [one, one, one]], [(), ()])
     with pytest.raises(ValueError):
@@ -560,7 +611,7 @@ def packed_systems(draw):
     to 2^64 in absolute value over denominators up to 7!, a quarter of them
     zero, and half the time a zero first pivot, a zero column or a repeated row."""
     n = draw(st.integers(1, 7))
-    nonzero = st.builds(lambda cs, q: Polynomial([Fraction(c, q) for c in cs]),
+    nonzero = st.builds(lambda cs, q: Poly([Fraction(c, q) for c in cs]),
                         st.lists(st.integers(-2**64, 2**64), min_size=1, max_size=9),
                         st.sampled_from(FACTORIALS)).filter(lambda e: not e.is_zero)
     entry = st.one_of(st.just(ZERO), nonzero, nonzero, nonzero)
@@ -591,7 +642,7 @@ def test_packed_det_matches_polynomial_bareiss(system):
 def test_packed_det_where_the_norm_meets_the_bound():
     # Coefficients of one sign on a permutation pattern: the determinant is
     # +-prod of the entries, so its L1 norm equals the row-sum bound B.
-    full = Polynomial([2**64] * 9)
+    full = Poly([2**64] * 9)
     for perm in ((0, 1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1, 0), (1, 0, 2, 3, 4, 5, 6)):
         rows = [[full if j == perm[i] else ZERO for j in range(7)] for i in range(7)]
         det = det_ratfun(rows, [()] * 7)
@@ -599,13 +650,13 @@ def test_packed_det_where_the_norm_meets_the_bound():
         assert sum(abs(c) for c in det.num.coeffs) == (9 * 2**64) ** 7
     # B = 2^128 - 1 fills 128 bits, so its one coefficient needs the sign
     # byte of the slot, as the negative one does after a row swap
-    lo, hi = Polynomial([2**64 - 1]), Polynomial([2**64 + 1])
+    lo, hi = Poly([2**64 - 1]), Poly([2**64 + 1])
     assert det_ratfun([[lo, ZERO], [ZERO, hi]], [(), ()]) == RationalFunction(lo * hi)
     assert det_ratfun([[ZERO, lo], [hi, ZERO]], [(), ()]) == RationalFunction(-lo * hi)
 
 
 def test_det_multilinear_in_a_row():
-    one = Polynomial([1])
+    one = Poly([1])
     base = [[S, one, ZERO], [2 * one, S - 1, one], [ZERO, 3 * one, S + 2]]
     dens = [(), (0,), (1,)]
     scaled = [row[:] for row in base]
@@ -628,7 +679,7 @@ def test_integer_roots_paper_linear_factors():
 def test_integer_roots_cubic_by_exhaustive_scan():
     # Independent oracle: any integer root of the cubic divides 5120, so a
     # full scan of [-5120, 5120] is exhaustive.
-    cubic = Polynomial([-5120, 1368, -112, 3])
+    cubic = Poly([-5120, 1368, -112, 3])
     scanned = {r for r in range(-5120, 5121) if cubic(r) == 0}
     assert scanned == set()
     assert integer_roots(cubic) == scanned

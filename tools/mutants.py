@@ -110,6 +110,15 @@ MUTANTS = (
     ("readback-bias", "exact.py",
      "half = 1 << (8 * step - 1)", "half = 0",
      ["tests/test_exact.py"]),
+    # divisibility is integer long division of primitive parts: a leading
+    # division that leaves a remainder, or a remainder left below deg f,
+    # means f does not divide g
+    ("quotient-inexact-lead", "exact.py",
+     "q, r = divmod(rem[i + m], lead)", "q, r = rem[i + m] // lead, 0",
+     ["tests/test_exact.py::test_divides_matches_reference"]),
+    ("quotient-tail-skip", "exact.py",
+     "return None if any(rem[:m]) else tuple(quo)", "return tuple(quo)",
+     ["tests/test_exact.py::test_divides_matches_reference"]),
     # one slot function serves the numerators (w = 0) and the sphere sums,
     # and a test of each regime must catch a slot without its sign byte
     ("numerator-slot-short", "harmonic.py",
