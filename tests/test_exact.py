@@ -51,6 +51,15 @@ def test_polynomial_basic_ops():
     assert q.degree == 2 and ZERO.degree == -1
 
 
+def test_polynomial_divmod_exact():
+    # exact division is decided by divides and carried out by _quotient
+    q = Polynomial([-1, 0, 1])  # (s-1)(s+1)
+    assert Polynomial([-1, 1]).divides(q)
+    assert _quotient(q._num, (-1, 1)) == (1, 1)
+    assert not Polynomial([-2, 1]).divides(q)
+    assert _quotient(q._num, (-2, 1)) is None
+
+
 # ------------------------------------- reference: the Euclidean normal form
 #
 # RationalFunction once normalized num/den for any polynomial den by the
@@ -254,6 +263,29 @@ def test_ring_operations_match_reference(xs, ys, k, c):
     for scalar in (k, c):
         assert_stored_form(p * scalar, ref_mul(a, ref([scalar])))
     assert p.to_json() == [str(x) for x in a]
+
+
+@settings(deadline=None)
+@given(coefficient_lists, coefficient_lists.filter(lambda ys: any(ys)))
+def test_division_matches_reference(xs, ys):
+    # divides and _quotient see only primitive parts, so a divisor and its
+    # monic form give one answer, the oracle's, for p and for p * divisor
+    a, b = ref(xs), ref(ys)
+    p, q = Polynomial(xs), Polynomial(ys)
+    for divisor, db in ((q, b), (monic(q), ref_monic(b))):
+        rem = ref_divmod(a, db)[1]
+        assert divisor.divides(p) == (not rem)
+        got = _quotient((p * divisor).primitive()._num, divisor.primitive()._num)
+        assert got == p.primitive()._num
+
+
+@settings(deadline=None)
+@given(coefficient_lists, st.integers(-20, 20))
+def test_evaluation_matches_reference(xs, k):
+    # evaluation lives in _horner on the integer numerators over the common
+    # denominator
+    p, a = Polynomial(xs), ref(xs)
+    assert Fraction(_horner(p._num, k), p._den) == ref_eval(a, k)
 
 
 @settings(deadline=None)
