@@ -134,7 +134,7 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-SAMPLE_SEED = 0x5EED  # no check samples any more; kept as every report's "seed"
+SAMPLE_SEED = 0x5EED  # fixed report field; the samples are deterministic (sweep order)
 
 
 def _report(command: str, inputs: dict, results) -> dict:

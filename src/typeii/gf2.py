@@ -18,10 +18,10 @@ the block by two XOR tables over the Gray basis rows[i] ^ rows[i - 1], indexed
 by t itself; the positions are the set bits of the weight mask, read through a
 byte table.
 
-A code holding the all-ones word 1 is swept over half its words: the Gray
-walk's second half is its first half complemented, so each weight-w class of
-the first half is also the weight-(n - w) class of its complement block, and
-the distribution, the shells and the samples are read from the first half.
+A code holding the all-ones word 1 is swept over half its words: its walk is
+the Gray walk over all rows but the last, then those words plus 1 in the same
+order, so each weight-w class of the first half is also the weight-(n - w)
+class of its complement block, and the samples are taken in this walk's order.
 
 The span of a set of words is the dual of the linear relations among its
 column bitmaps (`Code.spanned_by`): elimination on n ints, not on one row per
@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from bisect import insort
 from collections.abc import Iterable, Iterator, Sequence
 from functools import reduce
 from itertools import islice
@@ -274,16 +273,6 @@ def _bit_patterns(m: int) -> list[int]:
     return patterns
 
 
-def _xor_positions(mask: int, x: int, patterns: Sequence[int]) -> int:
-    """mask with bit t moved to bit t ^ x, where patterns are _bit_patterns(m)
-    and x is below 2^m: per set bit r of x, the bits with bit r of t set move
-    down 2^r and the others up."""
-    for r in _set_bits(x):
-        down = mask & patterns[r]
-        mask = down >> (1 << r) | (mask ^ down) << (1 << r)
-    return mask
-
-
 def _weight_classes(rows: Sequence[int], n: int,
                     offset: int = 0) -> Iterator[tuple[int, dict[int, int]]]:
     """Bit-sliced Gray walk over offset + span(rows), 2^m words per block;
@@ -420,17 +409,10 @@ class Code:
         `target` (None: no words; LOWEST: the lowest weight present) and the
         first `per_weight` nonzero words of each weight in Gray-walk order,
         where step i is the XOR of the rows picked by the bits of i ^ i >> 1.
-
-        When the all-ones word 1 is in the code (it is the XOR of all RREF
-        rows), only the first half of the walk is swept, over rows[:-1]: the
-        word at step i ^ alt is the word at step i plus 1, where gray(alt) =
-        2^k - 1 has its top bit set, so each class of weight w in a block
-        also gives the class of weight n - w of the complement block.  The
-        samples short of `per_weight` in the first half are topped up from the
-        second half in walk order: while a weight is short, the sweep keeps
-        the `per_weight` complement blocks holding it that come first, at
-        block ^ alt >> m, and reads their positions permuted by
-        t -> t ^ (alt mod 2^m).
+        If the code holds the all-ones word 1 (the XOR of all RREF rows), the
+        walk is the one over rows[:-1], then its words plus 1 in the same
+        order, and only its first half is swept: each class of weight w in a
+        block also gives the class of weight n - w of the block plus 1.
 
         Only the returned words are decoded, each as base ^ lo[t & 255] ^
         hi[t >> 8] from its block position t, with lo and hi the XOR tables
@@ -442,51 +424,34 @@ class Code:
         ones = (1 << n) - 1
         half = reduce(xor, rows, 0) == ones
         walk = rows[:-1] if half else rows
-        m = min(len(walk), LOW_BITS)
-        basis = [r ^ s for r, s in zip(walk[:m], (0, *walk))]
+        basis = [r ^ s for r, s in zip(walk[:LOW_BITS], (0, *walk))]
         lo, hi = _xor_table(basis[:8]), _xor_table(basis[8:])
-        alt = (2 << len(rows)) // 3  # bits k-1, k-3, ...: gray(alt) = 2^k - 1
-        alt_hi, alt_lo = alt >> m, alt & ((1 << m) - 1)
-        # block b complemented is block b ^ alt_hi of the second half, with
-        # position t moved to t ^ alt_lo; that block's position 0 is base ^ flip
-        flip = ones ^ lo[alt_lo & 255] ^ hi[alt_lo >> 8]
-        dist, hits, picks, tails = [0] * (n + 1), [], {}, {}
+        dist, hits, first, mirror = [0] * (n + 1), [], {}, {}
         lowest = target == LOWEST
 
         def decode(base: int, mask: int, limit: int | None = None) -> list[int]:
             return [base ^ lo[t & 255] ^ hi[t >> 8]
                     for t in islice(_set_bits(mask), limit)]
 
-        for block, (base, classes) in enumerate(_weight_classes(walk, n, offset)):
+        for base, classes in _weight_classes(walk, n, offset):
             for w, mask in classes.items():
                 dist[w] += mask.bit_count()
-                if w and len(picks.setdefault(w, [])) < per_weight:
-                    picks[w] += decode(base, mask, per_weight - len(picks[w]))
-            sides = [(base, classes)]
+            sides = [(base, classes, first)]
             if half:
-                mirror = {n - w: mask for w, mask in classes.items()}
-                sides.append((base ^ ones, mirror))
-                for w, mask in mirror.items():
-                    if w and len(picks.get(w, ())) < per_weight:
-                        kept = tails.setdefault(w, [])
-                        insort(kept, (block ^ alt_hi, base ^ flip, mask))
-                        del kept[per_weight:]
-            for side_base, side in sides:
+                sides.append((base ^ ones, {n - w: x for w, x in classes.items()}, mirror))
+            for side_base, side, picks in sides:
+                for w, mask in side.items():
+                    if w and len(picks.setdefault(w, [])) < per_weight:
+                        picks[w] += decode(side_base, mask, per_weight - len(picks[w]))
                 if lowest and (target < 0 or min(side) < target):
                     target, hits = min(side), []
                 if target in side:
                     hits += decode(side_base, side[target])
         if half:
             dist = [a + b for a, b in zip(dist, reversed(dist))]
-        patterns = _bit_patterns(m) if tails else []
-        for w, kept in tails.items():
-            for _, base, mask in kept:
-                need = per_weight - len(picks.setdefault(w, []))
-                if need <= 0:
-                    break
-                picks[w] += decode(base, _xor_positions(mask, alt_lo, patterns), need)
         shell = None if target is None else DesignSet(n, target, tuple(hits))
-        return dist, shell, tuple(b for w in sorted(picks) for b in picks[w])
+        return dist, shell, tuple(b for w in sorted(first.keys() | mirror.keys())
+                                  for b in (first.get(w, []) + mirror.get(w, []))[:per_weight])
 
     def weight_distribution(self) -> list[int]:
         return self.sweep()[0]

@@ -1,7 +1,11 @@
 import argparse
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_m_typeii_runs_the_cli():
+    """`python -m typeii` is the command line of `python -m typeii.cli`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def launch(module, *argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    package = launch("typeii", "verify", "--n", "8", "--json")
+    module = launch("typeii.cli", "verify", "--n", "8", "--json")
+    assert package.returncode == module.returncode == 0
+    assert package.stdout == module.stdout and package.stdout
+    unknown = launch("typeii", "--no-such-option", "verify", "--n", "8")
+    assert unknown.returncode == 2
+    assert "unrecognized arguments: --no-such-option" in unknown.stderr
 
 
 def test_verify_exit_codes(capsys):

@@ -19,6 +19,7 @@ from typeii.configuration import (
     build_system,
     extended_determinant,
     kept_degree_set,
+    minimal_sweep,
     reference_ratio,
     verify_on_code,
 )
@@ -211,6 +212,20 @@ def test_verify_on_d16plus():
     assert r.span_dimension == 7
     assert r.coset_min_weights == (0, 8)
     assert r.all_checks_pass  # consistency checks hold even without generation
+
+
+@pytest.mark.parametrize("name", ["e8", "e8e8", "d16plus", "golay24", "rm32"])
+def test_catalog_samples_are_first_words_of_full_gray_walk(name):
+    # each catalog code holds 1, so the sweep takes its samples from the half
+    # walk and then its complements; on these codes they are still the first
+    # three words of each weight in the full walk, the words behind the
+    # lambda-row checks of the goldens
+    code = resolve(name)
+    picks: dict[int, list[int]] = {}
+    for word in gray_walk(code):
+        if word and len(picks.setdefault(word.bit_count(), [])) < 3:
+            picks[word.bit_count()].append(word)
+    assert minimal_sweep(code)[2] == tuple(b for w in sorted(picks) for b in picks[w])
 
 
 @pytest.mark.parametrize("make, field", [

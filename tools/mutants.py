@@ -49,15 +49,20 @@ MUTANTS = (
      "_BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j + 1,) for bits in table),",
      ["tests/test_gf2.py"]),
     # a code holding 1 is swept over the first half of its Gray walk: the
-    # mirrored counts give the second half, and alt = gray^-1(2^k - 1) orders
-    # the complement blocks and positions that top up the samples
+    # mirrored counts give the second half, and a weight's samples are the
+    # half walk's picks, then those of its complements, in that order
     ("half-mirror-drop", "gf2.py",
      "dist = [a + b for a, b in zip(dist, reversed(dist))]", "dist = dist",
      ["tests/test_gf2.py::test_half_sweep_matches_gray_walk",
       "tests/test_gf2.py::test_half_sweep_across_blocks_matches_gray_walk"]),
-    ("half-alt-parity", "gf2.py",
-     "alt = (2 << len(rows)) // 3  # bits k-1, k-3, ...: gray(alt) = 2^k - 1",
-     "alt = (1 << len(rows)) // 3",
+    ("half-mirror-picks-first", "gf2.py",
+     "for b in (first.get(w, []) + mirror.get(w, []))[:per_weight])",
+     "for b in (mirror.get(w, []) + first.get(w, []))[:per_weight])",
+     ["tests/test_gf2.py::test_half_sweep_matches_gray_walk",
+      "tests/test_gf2.py::test_half_sweep_across_blocks_matches_gray_walk"]),
+    ("half-mirror-picks-dropped", "gf2.py",
+     "for b in (first.get(w, []) + mirror.get(w, []))[:per_weight])",
+     "for b in first.get(w, [])[:per_weight])",
      ["tests/test_gf2.py::test_half_sweep_matches_gray_walk",
       "tests/test_gf2.py::test_half_sweep_across_blocks_matches_gray_walk"]),
     ("design-bits-bound", "gf2.py",
