@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from math import comb
 
 from . import __version__
 from .catalog import CATALOG, resolve
@@ -32,6 +31,7 @@ from .configuration import (
 from .designs import (
     check_pair_bound,
     check_predesign_bound,
+    design_counts,
     killed_degrees,
     predesign_count,
 )
@@ -225,7 +225,7 @@ def _cmd_design_check(args) -> int:
     if not 1 <= args.t <= args.w:
         raise ValueError(f"--t must lie in 1..w, got t = {args.t} with w = {args.w}")
     code = resolve(args.code)
-    # --w bounds --t, and every tally below is bounded before the sweep
+    # --w bounds --t, and the tally is bounded before the sweep, --half or not
     if not 0 <= args.w <= code.n:
         raise ValueError(f"shell weight {args.w} outside 0..{code.n}")
     for t in range(1, args.t + 1):
@@ -238,14 +238,17 @@ def _cmd_design_check(args) -> int:
         print(f"empty shell: {args.code} has no words of weight {args.w}",
               file=sys.stderr)
         return 1
-    counts = {t: predesign_count(shell, t) for t in range(1, args.t + 1)}
-    verdict = all(c is not None for c in counts.values())
-    half_verdict = None
+    deg = args.t + 2
     if args.half:
-        # exact (see designs); above min(w, n - w) no nonzero harmonic lives on B_w
-        deg = args.t + 2
-        half_verdict = verdict and (deg > min(shell.w, code.n - shell.w)
-                                    or deg in killed_degrees(shell, deg))
+        # exact (see designs): one certificate gives every N_t and the half verdict
+        killed = killed_degrees(shell, deg)
+        counts = design_counts(shell, killed, args.t)
+    else:
+        counts = {t: predesign_count(shell, t) for t in range(1, args.t + 1)}
+    verdict = all(c is not None for c in counts.values())
+    # above min(w, n - w) no nonzero harmonic lives on B_w
+    half_verdict = (verdict and (deg > min(shell.w, code.n - shell.w) or deg in killed)
+                    if args.half else None)
     payload = {
         "code": args.code,
         "w": args.w,
@@ -276,12 +279,7 @@ def _cmd_zonal(args) -> int:
         raise ValueError(f"--n must lie in 1..{MAX_LENGTH}, got {args.n}")
     if not 0 <= args.d <= args.n // 2:
         raise ValueError(f"--d must lie in 0..n/2 = {args.n // 2}, got {args.d}")
-    try:
-        value = zonal_eval(args.n, args.s, args.w, args.a, args.d)
-    except (ValueError, ZeroDivisionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    print(value)
+    print(zonal_eval(args.n, args.s, args.w, args.a, args.d))
     return 0
 
 
@@ -325,10 +323,8 @@ def _cmd_paper(args) -> int:
     # exact (see designs): a t-design kills every degree 1..t, and one
     # inner distribution decides every degree through 7
     killed = killed_degrees(octads, 7)
-    strength = next(t for t in range(8) if t + 1 not in killed)
-    counts = {t: len(octads) * comb(8, t) // comb(24, t) if t <= strength else None
-              for t in range(1, 6)}
-    fails_at_6 = strength < 6
+    counts = design_counts(octads, killed, 6)
+    fails_at_6 = counts.pop(6) is None
     ok = counts == {1: 253, 2: 77, 3: 21, 4: 5, 5: 1} and fails_at_6
     record("golay octads 5-design", ok, f"N = {counts}, fails at 6: {fails_at_6}",
            time.perf_counter() - t0)
@@ -374,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _COMMANDS[args.command][2](args)
-    except (OSError, EnumerationCapError, ValueError) as err:
+    except (OSError, EnumerationCapError, ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

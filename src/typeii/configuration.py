@@ -167,23 +167,17 @@ def analyze(n: int) -> Verdict:
         raise ArithmeticError(f"extended determinant for n={n} vanished identically")
     factors = factor_numerator(det.num)
     roots = frozenset(r for r, _ in factors.linear)
-    d_min = extremal_min_weight(n)
     scenario = scenario_for(n)
-    if scenario == QUOTIENT_OF_CODE:
-        relevant = frozenset(r for r in roots if r > d_min)
-        if not relevant:
-            conclusion, generated, cw = GENERATED, True, None
-        else:
-            cw = min(relevant)
-            conclusion, generated = COUNTEREXAMPLE, False
+    quotient = scenario == QUOTIENT_OF_CODE
+    relevant = frozenset(r for r in roots if r > (extremal_min_weight(n) if quotient else 0))
+    if not relevant:
+        conclusion = GENERATED
+    elif quotient:
+        conclusion = COUNTEREXAMPLE
+    elif all(r % 4 == 0 for r in relevant):
+        conclusion = ROOTS_MULT_4
     else:
-        relevant = frozenset(r for r in roots if r > 0)
-        if relevant and all(r % 4 == 0 for r in relevant):
-            conclusion, generated, cw = ROOTS_MULT_4, True, None
-        elif not relevant:
-            conclusion, generated, cw = GENERATED, True, None
-        else:
-            conclusion, generated, cw = INDETERMINATE, False, None
+        conclusion = INDETERMINATE
     return Verdict(
         n=n,
         scenario=scenario,
@@ -192,8 +186,8 @@ def analyze(n: int) -> Verdict:
         integer_roots=roots,
         relevant_roots=relevant,
         conclusion=conclusion,
-        generated_by_minimal=generated,
-        counterexample_weight=cw,
+        generated_by_minimal=conclusion in (GENERATED, ROOTS_MULT_4),
+        counterexample_weight=min(relevant) if conclusion == COUNTEREXAMPLE else None,
     )
 
 

@@ -16,12 +16,13 @@ degrees where it vanishes.  D is a t-design iff it kills every degree
 1..min(t, w, n - w); then N_t = |D| C(w, t) / C(n, t).  A t-half-design is a
 t-design that also kills degree t + 2.
 
-`design-check` counts N_t with the tally (`predesign_count`), which reaches
-shells far too large for pair work, and decides `--half` from the
+`design-check --half` reads N_t (`design_counts`) and both verdicts from the
 certificate: degree t + 2 is killed, or lies above min(w, n - w), where no
-nonzero harmonic lives on B_w.  The certificate counts all |D|^2 pairs, so
-`check_pair_bound` refuses more than PAIR_BOUND words before any pair is
-counted.
+nonzero harmonic lives on B_w.  It counts all |D|^2 pairs, so
+`check_pair_bound` refuses more than PAIR_BOUND words first.  Plain runs
+count N_t with the tally (`predesign_count`) alone, which reaches shells far
+too large for pair work and takes milliseconds where the certificate takes
+half a second (qr48 or rm32 weight 12).
 
 Every computation runs on one bit-sliced engine (Biham, FSE 1997), the
 transpose of the codeword sweep in `gf2`: the column bitmaps of a set
@@ -67,6 +68,7 @@ __all__ = [
     "DesignSet",
     "check_pair_bound",
     "check_predesign_bound",
+    "design_counts",
     "inner_distribution",
     "intersection_profile",
     "killed_degrees",
@@ -174,6 +176,16 @@ def killed_degrees(dset: DesignSet, top: int) -> set[int]:
     inner = inner_distribution(dset)
     return {d for d in range(1, min(top, w, n - w) + 1)
             if zonal_sum(n, w, w, inner, d) == 0}
+
+
+def design_counts(dset: DesignSet, killed: set[int], top: int) -> dict[int, int | None]:
+    """N_t for t in 1..top from the degrees dset kills (`killed_degrees` to top
+    or beyond): |D| C(w, t) / C(n, t) while every degree 1..min(t, w, n - w)
+    is killed, and None from the first t where one is not."""
+    n, w = dset.n, dset.w
+    strength = next((d - 1 for d in range(1, min(w, n - w) + 1) if d not in killed), top)
+    return {t: len(dset) * comb(w, t) // comb(n, t) if t <= strength else None
+            for t in range(1, top + 1)}
 
 
 def zonal_design_residual(dset: DesignSet, deg: int, cbar: int) -> Fraction:

@@ -31,7 +31,7 @@ factors of the denominator are the s - r, so for each distinct root r of
 multiplicity m the numerator is divided by s - r while r is one of its roots,
 at most m times (`_deflate`, synthetic division on the integer numerators, the
 same linear-factor stripper `factor_numerator` uses), and the roots left over
-make the denominator, one product of packed linear terms read back once.  No
+make the denominator, multiplied out by `_mul_into` whenever it is read.  No
 polynomial gcd is needed.
 A determinant of a matrix whose rows share one denominator each is
 fraction-free Bareiss elimination (Bareiss, Math. Comp. 22, 1968) on ints:
@@ -50,7 +50,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import groupby
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 Scalar = int | Fraction
 
@@ -277,15 +277,15 @@ class RationalFunction:
     multiset of integer roots, normalized: every root shared with num is
     cancelled up to its multiplicity, so gcd(num, den) = 1 and den is monic
     (the overall sign and scale live in the numerator).  `roots` is the
-    sorted tuple of the roots left and `den` their product, a Polynomial."""
+    sorted tuple of the roots left and `den` their product, built when read."""
 
-    __slots__ = ("num", "den", "roots")
+    __slots__ = ("num", "roots")
 
     def __init__(self, num, roots: Iterable[int] = ()):
         num = _coerce_poly(num)
         if num is NotImplemented:
             raise TypeError("RationalFunction numerator must be a polynomial or scalar")
-        den, rest = ONE, []
+        rest = []
         if not num.is_zero:  # zero over anything is 0 over 1
             roots = sorted(roots)
             if not all(isinstance(r, int) for r in roots):
@@ -298,14 +298,7 @@ class RationalFunction:
             if ints is not num._num:
                 # dividing by the primitive s - r keeps the integer numerators' gcd
                 num = _make(ints, num._den)
-        if rest:
-            # prod (s - r) packed at one Kronecker point: its L1 norm is at most
-            # prod (|r| + 1), and a byte more than that bound's bits holds the sign
-            step = prod(abs(r) + 1 for r in rest).bit_length() // 8 + 1
-            den = _make(tuple(_unpack(prod((1 << 8 * step) - r for r in rest),
-                                      step, len(rest) + 1)), 1)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
         object.__setattr__(self, "roots", tuple(rest))
 
     def __setattr__(self, name, value):
@@ -315,13 +308,20 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
+    def den(self) -> Polynomial:
+        den = [1]
+        for r in self.roots:
+            den = _mul_into([0] * (len(den) + 1), den, (-r, 1))
+        return _make(tuple(den), 1)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.roots == other.roots
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.roots))
 
     def __repr__(self) -> str:
         return f"RationalFunction({self.num!r}, {self.roots!r})"

@@ -161,17 +161,9 @@ def _rref(rows: Sequence[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(work[i] for i in order), tuple(pivots[i] for i in order)
 
 
-def _combine(rows: Sequence[int], g: int) -> int:
-    """XOR of the rows selected by the set bits of g."""
-    acc = 0
-    for i in range(g.bit_length()):
-        if g >> i & 1:
-            acc ^= rows[i]
-    return acc
-
-
 def _xor_table(rows: Sequence[int]) -> list[int]:
-    """_combine(rows, g) for every g below 2^len(rows), indexed by g."""
+    """The XOR of the rows selected by the set bits of g, for every g below
+    2^len(rows), indexed by g."""
     table = [0]
     for r in rows:
         table += [x ^ r for x in table]
@@ -279,11 +271,11 @@ def _weight_classes(rows: Sequence[int], n: int,
     rows are RREF rows, each with its pivot at its lowest set bit.
 
     Bit t of the plane of coordinate j is coordinate j of the word at block
-    position t, base ^ _combine(rows, gray(t)) with gray(t) = t ^ t >> 1 and
-    m = min(k, LOW_BITS).  Blocks walk the high message bits in Gray order;
-    count_planes adds the planes (complemented where base has a 1), and
-    splitting on its bits gives the mask of each weight.  Yields
-    (base, {weight: mask}) per block.
+    position t, base XOR the rows picked by the bits of gray(t), with
+    gray(t) = t ^ t >> 1 and m = min(k, LOW_BITS).  Blocks walk the high
+    message bits in Gray order; count_planes adds the planes (complemented
+    where base has a 1), and splitting on its bits gives the mask of each
+    weight.  Yields (base, {weight: mask}) per block.
 
     Low row r is the only row with a 1 at its pivot p_r, so the plane of p_r
     is the Gray pattern of bit r, and on the low pivots base is the offset or
@@ -467,7 +459,8 @@ class Code:
     def coset_leaders(self, sub: "Code") -> dict[int, DesignSet]:
         """The minimal-weight words of each coset of `sub` in this code, keyed
         by the coset label (bit i of the label selects the i-th extension
-        basis row).  Label 0 is `sub` itself, led by the zero word alone."""
+        basis row).  Label 0 is `sub` itself, led by the zero word alone; the
+        rest are walked in Gray order, one basis row XORed in per coset."""
         if not sub.is_subcode_of(self):
             raise ValueError("coset quotient requires sub to be a subcode")
         # XORs of residues mod sub stay residues: their RREF spans the quotient
@@ -476,10 +469,11 @@ class Code:
         if q > 20:
             raise EnumerationCapError(f"quotient dimension {q} exceeds 20")
         sub._check_cap()
-        out = {0: DesignSet(self.n, 0, (0,))}
-        for label in range(1, 1 << q):
-            out[label] = sub.sweep(LOWEST, offset=_combine(ext, label))[1]
-        return out
+        out, offset = [DesignSet(self.n, 0, (0,))] * (1 << q), 0
+        for i in range(1, 1 << q):
+            offset ^= ext[(i & -i).bit_length() - 1]
+            out[i ^ i >> 1] = sub.sweep(LOWEST, offset=offset)[1]
+        return dict(enumerate(out))
 
 
 # -- generator-matrix files ------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 from typeii import cli
 from typeii.catalog import resolve
 from typeii.cli import build_parser, main
@@ -102,6 +102,10 @@ def test_zonal_numeric_and_symbolic(capsys):
                          "--a", "0", "--d", "1")
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    # s < d past the --d bound: zonal_eval's ZeroDivisionError is a usage error
+    assert run(capsys, "zonal", "--n", "8", "--s", "2", "--w", "4", "--a", "0",
+               "--d", "3") == (2, "", "error: zonal coefficient divides by s-l for "
+                               "l < 3; s = 2 is too small\n")
 
 
 def test_verify_code_catalog_and_file(capsys, tmp_path):
@@ -139,6 +143,10 @@ def test_enumeration_cap_is_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--code", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    # s < d past the --d bound: zonal_eval's ZeroDivisionError is a usage error
+    assert run(capsys, "zonal", "--n", "8", "--s", "2", "--w", "4", "--a", "0",
+               "--d", "3") == (2, "", "error: zonal coefficient divides by s-l for "
+                               "l < 3; s = 2 is too small\n")
     assert "exceed the enumeration cap 2^26" in err
 
 
@@ -271,6 +279,17 @@ def test_design_check_pair_bound_precedes_tally_and_profiles(capsys, monkeypatch
     monkeypatch.undo()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "is_2_design = True" in out
+
+
+def test_design_check_half_runs_no_tally(capsys, monkeypatch):
+    # with --half the certificate alone gives every N_t and both verdicts
+    def refuse(*args):
+        raise AssertionError("tally beside the certificate")
+
+    monkeypatch.setattr("typeii.cli.predesign_count", refuse)
+    name = "design-check-golay24-half.json"
+    assert run(capsys, *CASES[name]) == (
+        0, (GOLDEN / name).read_text(encoding="utf-8"), "")
 
 
 def test_design_check_failing_t(capsys):

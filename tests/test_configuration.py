@@ -173,6 +173,7 @@ def test_analyze_n56_n96_multiples_of_four():
     (16, (S - 4) * (S - 5), {5}, COUNTEREXAMPLE),
     (56, S * (S + 2), set(), GENERATED),                 # s > 0, not s >= 0
     (56, S * (S - 3), {3}, INDETERMINATE),
+    (56, S * (S - 4), {4}, ROOTS_MULT_4),
 ])
 def test_analyze_root_boundaries(monkeypatch, n, numerator, relevant, conclusion):
     monkeypatch.setattr(configuration, "extended_determinant",
@@ -182,6 +183,7 @@ def test_analyze_root_boundaries(monkeypatch, n, numerator, relevant, conclusion
     assert v.relevant_roots == relevant and v.conclusion == conclusion
     assert v.counterexample_weight == (min(relevant) if conclusion == COUNTEREXAMPLE
                                        else None)
+    assert v.generated_by_minimal == (conclusion in (GENERATED, ROOTS_MULT_4))
 
 
 @pytest.mark.parametrize("n", SUPPORTED_LENGTHS)

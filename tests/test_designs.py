@@ -13,6 +13,7 @@ from typeii.designs import (
     PAIR_BOUND,
     DesignSet,
     check_pair_bound,
+    design_counts,
     inner_distribution,
     intersection_profile,
     killed_degrees,
@@ -406,12 +407,14 @@ def test_killed_degrees_match_tally(dset):
     killed = killed_degrees(dset, n)
     assert killed <= set(range(1, top + 1))
     assert killed_degrees(dset, 2) == killed & {1, 2}
+    counts = design_counts(dset, killed, w)
     for t in range(1, w + 1):
         certified = set(range(1, min(t, top) + 1)) <= killed
         n_t = predesign_count(dset, t)
         assert (n_t is not None) == certified
         if certified:
             assert n_t * comb(n, t) == len(dset) * comb(w, t)
+        assert counts[t] == n_t
 
 
 @settings(max_examples=150, deadline=None)

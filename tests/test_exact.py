@@ -511,8 +511,8 @@ def test_ratfun_division_by_zero():
 
 def test_ratfun_denominator_where_the_norm_meets_the_bound():
     # roots of one sign: the coefficients of prod (s - r) share one sign, so
-    # its L1 norm is the slot's bound prod (|r| + 1), and with s + 128 the
-    # top of a bound's byte needs the sign byte of the slot
+    # its L1 norm reaches the bound prod (|r| + 1); large roots, byte
+    # boundaries and a root past 64 bits, multiplied out from the roots
     for r, k in ((128, 1), (1, 8), (255, 2), (2**64, 3)):
         for root in (r, -r):
             assert RationalFunction(ONE, [root] * k).den == (S - root) ** k

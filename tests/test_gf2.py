@@ -17,6 +17,7 @@ from typeii.gf2 import (
     DesignSet,
     EnumerationCapError,
     _bit_patterns,
+    _rref,
     _set_bits,
     _transpose,
     count_planes,
@@ -349,6 +350,15 @@ def test_coset_leaders_match_residue_classes(n, data):
     leaders = code.coset_leaders(sub)
     got = {sub.reduce(c.words[0]): (c.w, sorted(c)) for c in leaders.values()}
     assert got == {key: (w, sorted(b)) for key, (w, b) in expected.items()}
+    # the label contract: bit i of a label selects row i of the quotient basis
+    ext = _rref([sub.reduce(r) for r in code.rref_rows], n)[0]
+    assert list(leaders) == list(range(1 << len(ext)))
+    for label, coset in leaders.items():
+        residue = 0
+        for i, row in enumerate(ext):
+            if label >> i & 1:
+                residue ^= row
+        assert all(sub.reduce(word) == residue for word in coset)
 
 
 # ---------------------------------------------------------------- design sets

@@ -68,6 +68,11 @@ MUTANTS = (
     ("design-bits-bound", "gf2.py",
      "if words and (min(words) < 0 or max(words) >> n):", "if words and min(words) < 0:",
      ["tests/test_gf2.py::test_design_set_validation"]),
+    # coset labels are walked in Gray order: step i reaches label gray(i)
+    ("coset-gray-label", "gf2.py",
+     "out[i ^ i >> 1] = sub.sweep(LOWEST, offset=offset)[1]",
+     "out[i] = sub.sweep(LOWEST, offset=offset)[1]",
+     ["tests/test_gf2.py::test_coset_leaders_match_residue_classes"]),
     ("design-duplicates", "gf2.py",
      "if len(set(words)) != len(words):", "if False:",
      ["tests/test_gf2.py::test_design_set_validation"]),
@@ -108,10 +113,11 @@ MUTANTS = (
      "ints, k = _deflate(ints, r, m)",
      "ints, k = _deflate(ints, r, m) if r == roots[0] else (ints, 0)",
      ["tests/test_exact.py::test_ratfun_matches_euclidean_normal_form"]),
-    ("ratfun-den-slot-sign-byte", "exact.py",
-     "step = prod(abs(r) + 1 for r in rest).bit_length() // 8 + 1",
-     "step = prod(abs(r) + 1 for r in rest).bit_length() // 8",
-     ["tests/test_exact.py::test_ratfun_denominator_where_the_norm_meets_the_bound"]),
+    # the denominator is multiplied out from its roots when read
+    ("ratfun-den-root-sign", "exact.py",
+     "den = _mul_into([0] * (len(den) + 1), den, (-r, 1))",
+     "den = _mul_into([0] * (len(den) + 1), den, (r, 1))",
+     ["tests/test_exact.py::test_ratfun_monic_denominator"]),
     ("readback-bias", "exact.py",
      "half = 1 << (8 * step - 1)", "half = 0",
      ["tests/test_exact.py"]),
@@ -168,14 +174,19 @@ MUTANTS = (
      "return range(max(0, w - (n - s)), min(s, w) + 1)",
      "return range(max(0, w - (n - s) - 1), min(s, w) + 1)",
      ["tests/test_harmonic.py"]),
+    # one ladder over the relevant roots, s > d(n) or s > 0 by scenario, sets
+    # every verdict field
     ("quotient-root-boundary", "configuration.py",
-     "relevant = frozenset(r for r in roots if r > d_min)",
-     "relevant = frozenset(r for r in roots if r >= d_min)",
+     "relevant = frozenset(r for r in roots if r > (extremal_min_weight(n) if quotient else 0))",
+     "relevant = frozenset(r for r in roots if r > (extremal_min_weight(n) - 1 if quotient else 0))",
      ["tests/test_configuration.py"]),
     ("dual-root-boundary", "configuration.py",
-     "relevant = frozenset(r for r in roots if r > 0)",
-     "relevant = frozenset(r for r in roots if r >= 0)",
+     "relevant = frozenset(r for r in roots if r > (extremal_min_weight(n) if quotient else 0))",
+     "relevant = frozenset(r for r in roots if r > (extremal_min_weight(n) if quotient else -1))",
      ["tests/test_configuration.py"]),
+    ("ladder-quotient-skip", "configuration.py",
+     "elif quotient:", "elif False:",
+     ["tests/test_configuration.py::test_analyze_root_boundaries"]),
     ("lambda-row-boundary", "configuration.py",
      "if s >= d and zonal_sum(n, s, d_min, profile, d) != 0:",
      "if s > d and zonal_sum(n, s, d_min, profile, d) != 0:",
@@ -187,6 +198,11 @@ MUTANTS = (
      "bound_ok = max(summed_profile(shell, reps), default=0) <= d_min // 2",
      "bound_ok = max(summed_profile(shell, reps), default=0) < d_min // 2",
      ["tests/test_configuration.py"]),
+    # N_t holds through the strength, the last t whose degrees are all killed
+    ("design-counts-strength-cut", "designs.py",
+     "return {t: len(dset) * comb(w, t) // comb(n, t) if t <= strength else None",
+     "return {t: len(dset) * comb(w, t) // comb(n, t) if t < strength else None",
+     ["tests/test_designs.py::test_killed_degrees_match_tally"]),
     # the golay24 octads kill degree 5 but not 6, so t = 4 flips its verdict
     ("half-degree-shift", "cli.py",
      "deg = args.t + 2", "deg = args.t + 1",
