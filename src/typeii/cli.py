@@ -13,7 +13,6 @@ seconds to the human-readable output of `paper`.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -131,6 +130,8 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def _emit_json(payload: dict) -> None:
+    import json  # loaded only by a command that emits JSON
+
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 

@@ -12,11 +12,15 @@ Software", FSE 1997): one 2^16-bit int per coordinate holds that coordinate of
 2^16 codewords, and a carry-save adder tree over the n ints weighs them all
 at once.  A coset sweep is the same pass with an offset.  The planes of the low
 pivot coordinates take one of two patterns, so their count is made once per
-pattern and each block of 2^16 adds only the other planes.  The patterns are
-bytes repeated and read as one int.  A word is decoded from its position t in
-the block by two XOR tables over the Gray basis rows[i] ^ rows[i - 1], indexed
-by t itself; the positions are the set bits of the weight mask, read through a
-byte table.
+pattern.  The other planes are counted by triples: a block complements the
+planes where its first word has a 1, so a triple's planes take at most 8
+patterns, and each triple's sum and carry are made once per pattern.  A block
+adds the pivot count, the triples' counts and the one or two planes left over
+in one carry-save pass.
+The low planes' Gray patterns are bytes repeated and read as one int.  A word
+is decoded from its position t in the block by two XOR tables over the Gray
+basis rows[i] ^ rows[i - 1], indexed by t itself; the positions are the set
+bits of the weight mask, read through a byte table.
 
 A code holding the all-ones word 1 is swept over half its words: its walk is
 the Gray walk over all rows but the last, then those words plus 1 in the same
@@ -194,14 +198,16 @@ def _set_bits(mask: int) -> Iterator[int]:
             yield 8 * i + j
 
 
-def count_planes(columns: Iterable[int], start: Sequence[int] = ()) -> list[int]:
+def count_planes(columns: Iterable[int], starts: Iterable[Sequence[int]] = ()) -> list[int]:
     """Bit-sliced population count: bit t of plane i is bit i of the number
-    of `columns` with bit t set, plus the count whose planes are `start`;
+    of `columns` with bit t set, plus the counts whose planes are `starts`;
     the top plane is nonzero.  A carry-save adder tree (Biham, FSE 1997;
     Warren, Hacker's Delight, 2nd ed., 5-1) keeps the ints pending at each
     bit level and turns three of them into a sum and a carry by one full
-    adder, so a column costs about one full adder wherever it lands."""
-    levels = [[p] for p in start]
+    adder, so a column costs about one full adder wherever it lands.  Plane
+    i of each start count enters at level i, so one start count costs no
+    adder and several are summed in the same pass as the columns."""
+    levels: list[list[int]] = []
 
     def add(i: int, x: int):
         while True:
@@ -218,6 +224,9 @@ def count_planes(columns: Iterable[int], start: Sequence[int] = ()) -> list[int]
             x = a & b | u & c
             i += 1
 
+    for count in starts:
+        for i, p in enumerate(count):
+            add(i, p)
     for x in columns:
         add(0, x)
     # a level left with two ints takes a half adder; the carry may fill the
@@ -280,7 +289,11 @@ def _weight_classes(rows: Sequence[int], n: int,
     Low row r is the only row with a 1 at its pivot p_r, so the plane of p_r
     is the Gray pattern of bit r, and on the low pivots base is the offset or
     the offset with p_{m-1} flipped: the counter of the pivot planes is built
-    once per pattern, and each block adds only the other planes to it."""
+    once per pattern.  The other sliced planes are taken three at a time, in
+    column order: a triple's planes take at most 8 patterns of base's bits
+    on its columns, and its count is built once per pattern, keyed by those
+    bits.  A block adds the pivot count, the triples' counts and the one or
+    two planes left over in one carry-save pass."""
     m = min(len(rows), LOW_BITS)
     full = (1 << (1 << m)) - 1
     # bit t of lows[r] is bit r of t; of lows[r] ^ lows[r + 1], bit r of gray(t)
@@ -296,19 +309,25 @@ def _weight_classes(rows: Sequence[int], n: int,
     rest = [(j, p) for j, p in sliced if not pivot_mask >> j & 1]
     fixed = sum(1 << j for j, p in enumerate(planes) if not p)
     high = rows[m:]
+    cut = len(rest) - len(rest) % 3
+    groups = [(pivot_mask, lead, {})] + [
+        (sum(1 << j for j, _ in rest[i:i + 3]), rest[i:i + 3], {})
+        for i in range(0, cut, 3)]
+    rest = rest[cut:]
     base = offset
-    precount: dict[int, list[int]] = {}
     for block in range(1 << len(high)):
         if block:
             # gray(block * 2^m + t) = gray(block) * 2^m + (gray(t) ^ (block
             # & 1) * 2^(m-1)): odd blocks also carry low row m - 1
             base ^= high[(block & -block).bit_length() - 1] ^ rows[m - 1]
-        key = base & pivot_mask
-        if key not in precount:
-            precount[key] = count_planes(x ^ full if base >> j & 1 else x
-                                         for j, x in lead)
-        count = count_planes((x ^ full if base >> j & 1 else x for j, x in rest),
-                             precount[key])
+        counts = []
+        for mask, columns, cache in groups:
+            key = base & mask
+            if key not in cache:
+                cache[key] = count_planes(x ^ full if base >> j & 1 else x
+                                          for j, x in columns)
+            counts.append(cache[key])
+        count = count_planes((x ^ full if base >> j & 1 else x for j, x in rest), counts)
         yield base, split_by_count(count, full, (base & fixed).bit_count())
 
 

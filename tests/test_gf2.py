@@ -2,8 +2,10 @@ import inspect
 import random
 import re
 from collections.abc import Iterator
+from functools import reduce
 from itertools import combinations, islice
 from math import comb
+from operator import xor
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -20,9 +22,11 @@ from typeii.gf2 import (
     _rref,
     _set_bits,
     _transpose,
+    _weight_classes,
     count_planes,
     parse_generator_text,
     parse_word,
+    split_by_count,
 )
 
 E8_ROWS = ["11111111", "01010101", "00110011", "00001111"]
@@ -440,7 +444,7 @@ def _count_at(planes: list[int], t: int) -> int:
     ([(1 << 70) - 1] * 255, [1, 0, 0, 0, 0, 0, 0, 0]),
 ])
 def test_count_planes_edge_cases(columns, start):
-    planes = count_planes(iter(columns), start)
+    planes = count_planes(iter(columns), [start])
     assert planes == _stripped(ripple_count_reference(columns, start))
     assert not planes or planes[-1]
 
@@ -449,11 +453,23 @@ def test_count_planes_edge_cases(columns, start):
 @given(st.lists(st.integers(0, (1 << 70) - 1), max_size=60),
        st.lists(st.integers(0, (1 << 70) - 1), max_size=7))
 def test_count_planes_matches_ripple_carry(columns, start):
-    planes = count_planes(iter(columns), start)
+    planes = count_planes(iter(columns), [start])
     assert planes == _stripped(ripple_count_reference(columns, start))
     for t in range(70):
         assert _count_at(planes, t) \
             == sum(x >> t & 1 for x in columns) + _count_at(start, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 70) - 1), max_size=30),
+       st.lists(st.lists(st.integers(0, (1 << 70) - 1), max_size=8), max_size=6),
+       st.integers(0, 3))
+def test_count_planes_adds_several_start_counts(columns, groups, zeros):
+    # each start count is the unstripped ripple count of its own columns (all
+    # zero columns give zero planes), plus an empty and an all-zero count
+    starts = [ripple_count_reference(g) for g in groups] + [[], [0] * zeros]
+    planes = count_planes(iter(columns), starts)
+    assert planes == _stripped(ripple_count_reference(columns + sum(groups, [])))
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
@@ -482,6 +498,49 @@ def test_bit_patterns_match_division_formula(m):
     assert _bit_patterns(m) == [
         full // ((1 << (2 << r)) - 1) * (((1 << (1 << r)) - 1) << (1 << r))
         for r in range(m)]
+
+
+@pytest.mark.parametrize("walk_rows", [21, 22, 23])
+@pytest.mark.parametrize("ones", [False, True])
+def test_grouped_block_counts_match_plain_count(walk_rows, ones):
+    """_weight_classes on walks of 32 to 128 blocks, which add the pivot
+    count, the cached counts of the other planes' triples and the one or two
+    planes left over (these six random codes leave 0, 1 and 2), against the plain
+    count of each block: count_planes of every sliced plane onto nothing.
+    Offset 0 keeps the pivot bits of base 0 or p_15; the second offset also
+    sets other low pivots, so the other pivot patterns occur.  Some triple
+    takes all 8 patterns."""
+    rng = random.Random(100 * walk_rows + ones)
+    n = rng.randint(walk_rows + 4, 48)
+    rows = [(1 << n) - 1] if ones else []
+    while Code(n, rows).k < walk_rows + ones:
+        rows.append(rng.getrandbits(n))
+    rows = Code(n, rows).rref_rows
+    walk = rows[:-1] if ones else rows      # the walk Code.sweep takes
+    assert (reduce(xor, rows) == (1 << n) - 1) == ones
+    full = (1 << (1 << 16)) - 1
+    lows = _bit_patterns(16) + [0]
+    planes = [0] * n
+    for r in range(16):
+        for j in range(n):
+            if walk[r] >> j & 1:
+                planes[j] ^= lows[r] ^ lows[r + 1]
+    sliced = [(j, x) for j, x in enumerate(planes) if x]
+    fixed = sum(1 << j for j, x in enumerate(planes) if not x)
+    pivots = [r & -r for r in walk[:16]]
+    rest = [j for j, _ in sliced if 1 << j not in pivots]
+    triples = [sum(1 << j for j in rest[i:i + 3]) for i in range(0, len(rest) - 2, 3)]
+    for offset in (0, rng.getrandbits(n) | sum(rng.sample(pivots, 3))):
+        blocks, lead_keys, triple_keys = 0, set(), [set() for _ in triples]
+        for base, classes in _weight_classes(walk, n, offset):
+            count = count_planes(x ^ full if base >> j & 1 else x for j, x in sliced)
+            assert classes == split_by_count(count, full, (base & fixed).bit_count())
+            blocks += 1
+            lead_keys.add(base & sum(pivots))
+            for keys, mask in zip(triple_keys, triples):
+                keys.add(base & mask)
+        assert blocks == 1 << walk_rows - 16
+        assert len(lead_keys) == 2 and max(map(len, triple_keys)) == 8
 
 
 def test_set_bits_edge_cases():

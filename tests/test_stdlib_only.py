@@ -6,7 +6,8 @@ importing and running `typeii` pulls in.
 The same interpreter, started with -S as well so that no site hook preloads
 anything, also shows the import cost a CLI launch pays: `typeii.cli` must load
 no `dataclasses` (which brings `inspect`, `ast`, `dis` and `tokenize`) and no
-`typing`.
+`typing`, and its text command `verify --n 8` must load no `json`, which
+only a command that emits JSON imports.
 """
 
 import json
@@ -38,7 +39,8 @@ foreign = sorted(
 print(json.dumps({"code": code, "foreign": foreign, "cli": sorted(added)}))
 """
 
-SLOW_TO_IMPORT = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+SLOW_TO_IMPORT = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+                  "json"}
 
 
 def _run(*flags: str) -> dict:

@@ -73,6 +73,15 @@ MUTANTS = (
      "out[i ^ i >> 1] = sub.sweep(LOWEST, offset=offset)[1]",
      "out[i] = sub.sweep(LOWEST, offset=offset)[1]",
      ["tests/test_gf2.py::test_coset_leaders_match_residue_classes"]),
+    # the sweep caches each triple's count by base's bits on the triple's
+    # columns, and every non-pivot sliced plane but the last one or two is
+    # in a triple
+    ("triple-key-mask", "gf2.py",
+     "key = base & mask", "key = base & pivot_mask",
+     ["tests/test_gf2.py::test_grouped_block_counts_match_plain_count"]),
+    ("triple-stride-drop", "gf2.py",
+     "for i in range(0, cut, 3)]", "for i in range(0, cut, 4)]",
+     ["tests/test_gf2.py::test_grouped_block_counts_match_plain_count"]),
     ("design-duplicates", "gf2.py",
      "if len(set(words)) != len(words):", "if False:",
      ["tests/test_gf2.py::test_design_set_validation"]),
