@@ -27,13 +27,7 @@ from .configuration import (
     minimal_sweep,
     verify_on_code,
 )
-from .designs import (
-    check_pair_bound,
-    check_predesign_bound,
-    design_counts,
-    killed_degrees,
-    predesign_count,
-)
+from .designs import check_predesign_bound, design_counts, killed_degrees, predesign_count
 from .exact import factor_numerator, format_poly
 from .gf2 import MAX_LENGTH, EnumerationCapError
 from .gleason import extremal_weight_enumerator
@@ -112,20 +106,16 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     """build_parser().parse_args(argv), building only the parser of the
     subcommand argv[0] names.  The full parser hands the rest of argv to an
     identical parser under the same prog, so when that parser alone accepts
-    the rest and leaves nothing over, the result is the same.  Usage errors
-    and leftovers go to the full parser, which reports them."""
+    the rest, the result is the same.  Its usage errors, leftovers included,
+    go to the full parser, which reports them."""
     if argv and argv[0] in _COMMANDS:
         name = argv[0]
         parser = _SubcommandParser(prog=f"typeii {name}")
         _COMMANDS[name][1](parser)
         try:
-            args, extra = parser.parse_known_args(argv[1:])
+            return parser.parse_args(argv[1:], argparse.Namespace(command=name))
         except argparse.ArgumentError:
             pass
-        else:
-            if not extra:
-                args.command = name
-                return args
     return build_parser().parse_args(argv)
 
 
@@ -232,8 +222,6 @@ def _cmd_design_check(args) -> int:
     for t in range(1, args.t + 1):
         check_predesign_bound(code.n, t)
     shell = code.shell(args.w)
-    if args.half:
-        check_pair_bound(len(shell))
     if not shell:
         # every tally of an empty set is the constant 0, a vacuous design
         print(f"empty shell: {args.code} has no words of weight {args.w}",
@@ -241,15 +229,14 @@ def _cmd_design_check(args) -> int:
         return 1
     deg = args.t + 2
     if args.half:
-        # exact (see designs): one certificate gives every N_t and the half verdict
+        # exact (see designs): one certificate gives every N_t and the half
+        # verdict, and it refuses a shell past PAIR_BOUND before any pair work
         killed = killed_degrees(shell, deg)
         counts = design_counts(shell, killed, args.t)
     else:
         counts = {t: predesign_count(shell, t) for t in range(1, args.t + 1)}
     verdict = all(c is not None for c in counts.values())
-    # above min(w, n - w) no nonzero harmonic lives on B_w
-    half_verdict = (verdict and (deg > min(shell.w, code.n - shell.w) or deg in killed)
-                    if args.half else None)
+    half_verdict = verdict and deg in killed if args.half else None
     payload = {
         "code": args.code,
         "w": args.w,

@@ -76,50 +76,31 @@ def kept_degree_set(n: int) -> list[int]:
     return available[:need]
 
 
-class ConfigRow(namedtuple("ConfigRow", "tag degree coefficients rhs denominator")):
-    """One equation of the lambda-system: (coefficients . lambda = rhs) with
-    every entry a numerator over the row's one denominator.  `tag` is "sum"
-    or "zonal" and `degree` the zonal degree, None for the sum row;
-    `coefficients` is a tuple of Polynomials and `rhs` a Polynomial;
-    `denominator` is the tuple of integer roots r of the denominator
-    prod (s - r), () for 1."""
-
-    __slots__ = ()
-
-
-class ConfigSystem(namedtuple("ConfigSystem", "n scenario variables rows kept_degrees")):
-    """The lambda-system of length n: `variables` names the unknowns
-    (lambda_0, lambda_2, ...), `rows` holds one ConfigRow per equation and
-    `kept_degrees` the zonal degrees of its rows."""
-
-    __slots__ = ()
-
-
-def build_system(n: int) -> ConfigSystem:
-    """The sum row plus one symbolic zonal row per kept degree, in the
-    unknowns lambda_{2j'} for 0 <= j' <= d(n)/4.  The sum row has every
-    coefficient 1 and right-hand side A_d, over 1; the degree-d zonal row has
-    the coefficients P_d(n, d(n), a, d) at the kept weights a and right-hand
-    side 0, over s(s-1)...(s-d+1), whose roots are 0..d-1."""
+def build_system(n: int) -> tuple[list[tuple[Polynomial, ...]], list[tuple[int, ...]]]:
+    """The lambda-system of length n as the two arguments of det_ratfun: its
+    extended rows (coefficients . lambda = rhs, the coefficients then the
+    right-hand side) and, per row, the integer roots r of the row's one
+    denominator prod (s - r), () for 1.  The unknowns are lambda_{2j'} for
+    0 <= j' <= d(n)/4.  The sum row comes first, with every coefficient 1 and
+    right-hand side A_d, over 1; then one symbolic zonal row per kept degree d
+    (`kept_degree_set`), with the coefficients P_d(n, d(n), a, d) at the kept
+    weights a and right-hand side 0, over s(s-1)...(s-d+1), whose roots are
+    0..d-1."""
     _check_supported(n)
     d_min = extremal_min_weight(n)
-    weights = list(range(0, d_min // 2 + 1, 2))
-    variables = tuple(f"lambda_{j}" for j in weights)
+    weights = range(0, d_min // 2 + 1, 2)
     a_d = extremal_weight_enumerator(n)[d_min]
-    rows = [ConfigRow("sum", None, (ONE,) * len(weights), Polynomial([a_d]), ())]
-    degrees = kept_degree_set(n)
-    for d in degrees:
-        coeffs = tuple(zonal_numerator(n, d_min, a, d) for a in weights)
-        rows.append(ConfigRow("zonal", d, coeffs, ZERO, tuple(range(d))))
-    return ConfigSystem(n, scenario_for(n), variables, tuple(rows), tuple(degrees))
+    rows, roots = [(ONE,) * len(weights) + (Polynomial([a_d]),)], [()]
+    for d in kept_degree_set(n):
+        rows.append(tuple(zonal_numerator(n, d_min, a, d) for a in weights) + (ZERO,))
+        roots.append(tuple(range(d)))
+    return rows, roots
 
 
 def extended_determinant(n: int) -> RationalFunction:
     """Determinant of the square extended matrix (coefficients plus the
     right-hand-side column); must vanish at any s admitting a solution."""
-    rows = build_system(n).rows
-    return det_ratfun([row.coefficients + (row.rhs,) for row in rows],
-                      [row.denominator for row in rows])
+    return det_ratfun(*build_system(n))
 
 
 class Verdict(namedtuple("Verdict", "n scenario determinant factors integer_roots "

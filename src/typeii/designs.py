@@ -12,17 +12,18 @@ is a fixed positive multiple of the squared norm of the projection of the
 indicator of D onto that module, and it vanishes exactly when D kills the
 degree-d harmonics.  The double sum is one `zonal_sum` over the inner
 distribution of D (`inner_distribution`), and `killed_degrees` lists the
-degrees where it vanishes.  D is a t-design iff it kills every degree
-1..min(t, w, n - w); then N_t = |D| C(w, t) / C(n, t).  A t-half-design is a
-t-design that also kills degree t + 2.
+degrees where it vanishes and every degree above min(w, n - w), where no
+nonzero harmonic lives on B_w.  D is a t-design iff it kills every degree
+1..t; then N_t = |D| C(w, t) / C(n, t).  A t-half-design is a t-design that
+also kills degree t + 2.
 
-`design-check --half` reads N_t (`design_counts`) and both verdicts from the
-certificate: degree t + 2 is killed, or lies above min(w, n - w), where no
-nonzero harmonic lives on B_w.  It counts all |D|^2 pairs, so
-`check_pair_bound` refuses more than PAIR_BOUND words first.  Plain runs
-count N_t with the tally (`predesign_count`) alone, which reaches shells far
-too large for pair work and takes milliseconds where the certificate takes
-half a second (qr48 or rm32 weight 12).
+`design-check --half` reads N_t (`design_counts`) and both verdicts from one
+`killed_degrees(D, t + 2)`.  It counts all |D|^2 pairs, so
+`inner_distribution` refuses more than PAIR_BOUND words before any
+(`check_pair_bound`).  Plain runs count N_t with the tally
+(`predesign_count`) alone, which reaches shells far too large for pair work
+and takes milliseconds where the certificate takes half a second (qr48 or
+rm32 weight 12).
 
 Every computation runs on one bit-sliced engine (Biham, FSE 1997), the
 transpose of the codeword sweep in `gf2`: the column bitmaps of a set
@@ -169,21 +170,22 @@ def inner_distribution(dset: DesignSet) -> dict[int, int]:
 
 
 def killed_degrees(dset: DesignSet, top: int) -> set[int]:
-    """The degrees d in 1..min(top, w, n - w) whose harmonics dset kills:
-    those where the double zonal sum over dset vanishes (see the module
-    docstring).  Above min(w, n - w) no nonzero harmonic lives on B_w."""
+    """The degrees d in 1..top whose harmonics dset kills: every d above
+    min(w, n - w), where no nonzero harmonic lives on B_w, and each lower d
+    where the double zonal sum over dset vanishes (see the module
+    docstring)."""
     n, w = dset.n, dset.w
     inner = inner_distribution(dset)
-    return {d for d in range(1, min(top, w, n - w) + 1)
-            if zonal_sum(n, w, w, inner, d) == 0}
+    return {d for d in range(1, top + 1)
+            if d > min(w, n - w) or zonal_sum(n, w, w, inner, d) == 0}
 
 
 def design_counts(dset: DesignSet, killed: set[int], top: int) -> dict[int, int | None]:
     """N_t for t in 1..top from the degrees dset kills (`killed_degrees` to top
-    or beyond): |D| C(w, t) / C(n, t) while every degree 1..min(t, w, n - w)
-    is killed, and None from the first t where one is not."""
+    or beyond): |D| C(w, t) / C(n, t) while every degree 1..t is killed, and
+    None from the first t where one is not."""
     n, w = dset.n, dset.w
-    strength = next((d - 1 for d in range(1, min(w, n - w) + 1) if d not in killed), top)
+    strength = next((d - 1 for d in range(1, top + 1) if d not in killed), top)
     return {t: len(dset) * comb(w, t) // comb(n, t) if t <= strength else None
             for t in range(1, top + 1)}
 

@@ -45,6 +45,7 @@ from operator import xor
 
 MAX_LENGTH = 128
 ENUM_CAP = 26  # refuse exhaustive sweeps beyond 2^26 codewords
+QUOTIENT_CAP = 20  # refuse coset walks beyond 2^20 cosets, one sweep each
 LOW_BITS = 16  # message bits sliced into the 2^16 bit positions of one plane
 LOWEST = -1    # Code.sweep target: the words of the lowest weight present
 MAX_FILE_BYTES = 1 << 20  # refuse longer matrix files; 128 rows take 17 KB
@@ -485,8 +486,8 @@ class Code:
         # XORs of residues mod sub stay residues: their RREF spans the quotient
         ext = _rref([sub.reduce(row) for row in self.rref_rows], self.n)[0]
         q = len(ext)
-        if q > 20:
-            raise EnumerationCapError(f"quotient dimension {q} exceeds 20")
+        if q > QUOTIENT_CAP:
+            raise EnumerationCapError(f"quotient dimension {q} exceeds {QUOTIENT_CAP}")
         sub._check_cap()
         out, offset = [DesignSet(self.n, 0, (0,))] * (1 << q), 0
         for i in range(1, 1 << q):

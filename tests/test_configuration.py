@@ -21,10 +21,12 @@ from typeii.configuration import (
     kept_degree_set,
     minimal_sweep,
     reference_ratio,
+    scenario_for,
     verify_on_code,
 )
 from typeii.designs import intersection_profile
 from typeii.exact import (
+    ONE,
     ZERO,
     Polynomial,
     RationalFunction,
@@ -52,24 +54,27 @@ def test_kept_degrees():
 
 
 def test_system_shapes():
+    # d(n)/4 + 1 unknowns and their right-hand side per row; the sum row over
+    # 1, then one zonal row per kept degree d over s(s-1)...(s-d+1)
     for n in SUPPORTED_LENGTHS:
-        sys_ = build_system(n)
+        rows, roots = build_system(n)
         d = extremal_min_weight(n)
-        assert len(sys_.rows) == d // 4 + 2
-        assert all(len(r.coefficients) == d // 4 + 1 for r in sys_.rows)
-        assert sys_.rows[0].tag == "sum"
-        assert [r.degree for r in sys_.rows[1:]] == list(sys_.kept_degrees)
+        assert len(rows) == len(roots) == d // 4 + 2
+        assert all(len(r) == d // 4 + 2 for r in rows)
+        assert rows[0][:-1] == (ONE,) * (d // 4 + 1)
+        assert roots == [()] + [tuple(range(deg)) for deg in kept_degree_set(n)]
 
 
 def test_system_examples():
-    s8 = build_system(8)
-    assert len(s8.rows) == 3 and len(s8.variables) == 2
-    assert lift(build_system(24).rows[0].rhs)(1) == 759
-    s56 = build_system(56)
-    assert s56.scenario == DUAL_OF_SPAN
-    assert len(s56.rows) == 5
-    assert s56.variables == ("lambda_0", "lambda_2", "lambda_4", "lambda_6")
-    assert build_system(48).scenario == QUOTIENT_OF_CODE
+    rows8, _ = build_system(8)
+    assert len(rows8) == 3 and len(rows8[0]) - 1 == 2
+    assert lift(build_system(24)[0][0][-1])(1) == 759
+    rows56, _ = build_system(56)
+    assert scenario_for(56) == DUAL_OF_SPAN
+    assert len(rows56) == 5
+    # the unknowns lambda_0, lambda_2, lambda_4, lambda_6
+    assert len(rows56[0]) - 1 == 4
+    assert scenario_for(48) == QUOTIENT_OF_CODE
 
 
 @pytest.mark.parametrize("n", SUPPORTED_LENGTHS)
@@ -77,17 +82,17 @@ def test_zonal_rows_match_zonal_eval(n):
     """Each zonal row, numerators over its one denominator, is Z_d at the
     kept intersection weights: the polynomial rows agree with the one
     evaluator."""
-    sys_ = build_system(n)
+    rows, roots = build_system(n)
     d_min = extremal_min_weight(n)
     weights = range(0, d_min // 2 + 1, 2)
-    assert sys_.rows[0].denominator == ()
-    for row in sys_.rows[1:]:
-        d = row.degree
-        assert row.rhs == ZERO
-        assert row.denominator == tuple(range(d))
+    assert roots[0] == ()
+    for (*coefficients, rhs), den, d in zip(rows[1:], roots[1:], kept_degree_set(n),
+                                            strict=True):
+        assert rhs == ZERO
+        assert den == tuple(range(d))
         # Z_d needs s >= d, and every kept weight a <= d(n)/2 needs s >= a
         for s in (max(d, d_min // 2), d_min + 1):
-            for coeff, a in zip(row.coefficients, weights, strict=True):
+            for coeff, a in zip(coefficients, weights, strict=True):
                 expected = ratfun_value(zonal_eval(n, None, d_min, a, d), s)
                 assert lift(coeff)(s) / perm(s, d) == expected, (n, d, s, a)
                 # the numeric Z_d exists where a weight-s word can meet a
@@ -234,8 +239,7 @@ def test_catalog_samples_are_first_words_of_full_gray_walk(name):
     (lambda: analyze(8), "conclusion"),
     (lambda: verify_on_code(resolve("e8")), "generated_by_minimal"),
     (lambda: resolve("e8").shell(4), "words"),
-    (lambda: build_system(8).rows[1], "rhs"),
-], ids=["Verdict", "CodeReport", "DesignSet", "ConfigRow"])
+], ids=["Verdict", "CodeReport", "DesignSet"])
 def test_records_are_immutable(make, field):
     record = make()
     value = getattr(record, field)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from typeii.catalog import resolve
 from typeii.gf2 import (
     LOWEST,
+    QUOTIENT_CAP,
     Code,
     CodeFileError,
     DesignSet,
@@ -223,6 +224,29 @@ def test_coset_requires_subcode():
     other = Code(8, [parse_word("10000000")])
     with pytest.raises(ValueError):
         c.coset_leaders(other)
+
+
+class _FirstSweep(Exception):
+    pass
+
+
+def test_coset_quotient_cap(monkeypatch):
+    # one sweep per coset: a quotient of dimension QUOTIENT_CAP + 1 is refused
+    # before the first, and one of dimension QUOTIENT_CAP reaches it
+    def first_sweep(*args, **kwargs):
+        raise _FirstSweep
+
+    monkeypatch.setattr(Code, "sweep", first_sweep)
+    sub = Code(24, [1 << 23])
+
+    def over_sub(q: int) -> Code:
+        return Code(24, [1 << i for i in range(q)] + [1 << 23])
+
+    with pytest.raises(EnumerationCapError,
+                       match=f"^quotient dimension {QUOTIENT_CAP + 1} exceeds {QUOTIENT_CAP}$"):
+        over_sub(QUOTIENT_CAP + 1).coset_leaders(sub)
+    with pytest.raises(_FirstSweep):
+        over_sub(QUOTIENT_CAP).coset_leaders(sub)
 
 
 def _gray_walk_oracle(code: Code, offset: int, target: int, per_weight: int = 3):

@@ -25,6 +25,10 @@ for _name in ("e8", "e8e8", "d16plus", "golay24", "rm32"):
     CASES[f"verify-code-{_name}.json"] = ["verify-code", "--code", _name, "--json"]
 CASES["design-check-golay24-half.json"] = [
     "design-check", "--code", "golay24", "--w", "8", "--t", "5", "--half", "--json"]
+# plain runs: N_t from the tally alone
+for _name, _w, _t in (("golay24", 8, 5), ("rm32", 8, 3), ("qr48", 12, 4)):
+    CASES[f"design-check-{_name}.json"] = [
+        "design-check", "--code", _name, "--w", str(_w), "--t", str(_t), "--json"]
 for _n in range(8, 129, 8):
     CASES[f"enumerator-{_n}.json"] = ["enumerator", "--n", str(_n), "--json"]
 CASES["verify-code-qr48.json"] = ["verify-code", "--code", "qr48", "--json"]

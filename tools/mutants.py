@@ -65,6 +65,10 @@ MUTANTS = (
      "for b in first.get(w, [])[:per_weight])",
      ["tests/test_gf2.py::test_half_sweep_matches_gray_walk",
       "tests/test_gf2.py::test_half_sweep_across_blocks_matches_gray_walk"]),
+    # one sweep per coset: the cap refuses a quotient past 2^QUOTIENT_CAP cosets
+    ("quotient-cap-boundary", "gf2.py",
+     "if q > QUOTIENT_CAP:", "if q >= QUOTIENT_CAP:",
+     ["tests/test_gf2.py::test_coset_quotient_cap"]),
     ("design-bits-bound", "gf2.py",
      "if words and (min(words) < 0 or max(words) >> n):", "if words and min(words) < 0:",
      ["tests/test_gf2.py::test_design_set_validation"]),
@@ -183,6 +187,12 @@ MUTANTS = (
      "return range(max(0, w - (n - s)), min(s, w) + 1)",
      "return range(max(0, w - (n - s) - 1), min(s, w) + 1)",
      ["tests/test_harmonic.py"]),
+    # the sum row's right-hand side is the enumerator coefficient A_d
+    ("sum-row-rhs", "configuration.py",
+     "rows, roots = [(ONE,) * len(weights) + (Polynomial([a_d]),)], [()]",
+     "rows, roots = [(ONE,) * len(weights) + (Polynomial([a_d + 1]),)], [()]",
+     ["tests/test_configuration.py::test_system_examples",
+      "tests/test_configuration.py::test_determinant_equals_published"]),
     # one ladder over the relevant roots, s > d(n) or s > 0 by scenario, sets
     # every verdict field
     ("quotient-root-boundary", "configuration.py",
@@ -207,6 +217,12 @@ MUTANTS = (
      "bound_ok = max(summed_profile(shell, reps), default=0) <= d_min // 2",
      "bound_ok = max(summed_profile(shell, reps), default=0) < d_min // 2",
      ["tests/test_configuration.py"]),
+    # every degree above min(w, n - w) is killed, and degree min(w, n - w) is
+    # not always: the e8 weight-4 words kill {1, 2, 3} but not 4
+    ("vacuous-degree-boundary", "designs.py",
+     "if d > min(w, n - w) or zonal_sum(n, w, w, inner, d) == 0}",
+     "if d >= min(w, n - w) or zonal_sum(n, w, w, inner, d) == 0}",
+     ["tests/test_designs.py::test_catalog_shell_kill_sets"]),
     # N_t holds through the strength, the last t whose degrees are all killed
     ("design-counts-strength-cut", "designs.py",
      "return {t: len(dset) * comb(w, t) // comb(n, t) if t <= strength else None",
@@ -222,7 +238,8 @@ MUTANTS = (
     # a launch naming a subcommand parses with that subcommand's parser alone,
     # which must leave nothing over and carry the full parser's prog for it
     ("one-parser-leftovers", "cli.py",
-     "if not extra:", "if True:",
+     "return parser.parse_args(argv[1:], argparse.Namespace(command=name))",
+     "return parser.parse_known_args(argv[1:], argparse.Namespace(command=name))[0]",
      ["tests/test_cli.py::test_one_parser_route_matches_full_parser"]),
     ("one-parser-prog", "cli.py",
      'parser = _SubcommandParser(prog=f"typeii {name}")',
