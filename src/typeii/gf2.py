@@ -18,9 +18,10 @@ patterns, and each triple's sum and carry are made once per pattern.  A block
 adds the pivot count, the triples' counts and the one or two planes left over
 in one carry-save pass.
 The low planes' Gray patterns are bytes repeated and read as one int.  A word
-is decoded from its position t in the block by two XOR tables over the Gray
-basis rows[i] ^ rows[i - 1], indexed by t itself; the positions are the set
-bits of the weight mask, read through a byte table.
+is decoded from its position t = 8 i + j (j < 8) in the block by three XOR
+tables over the Gray basis rows[r] ^ rows[r - 1], for bits 0-2, 3-7 and 8-15
+of t: a regex finds the nonzero bytes i of the weight mask, each costs two
+table reads, and each set bit j of a byte, read through a byte table, one.
 
 A code holding the all-ones word 1 is swept over half its words: its walk is
 the Gray walk over all rows but the last, then those words plus 1 in the same
@@ -176,6 +177,7 @@ def _xor_table(rows: Sequence[int]) -> list[int]:
 
 
 _NONZERO = b"\x00" + b"\x01" * 255  # bytes.translate table: flag nonzero bytes
+_FLAG = re.compile(b"\x01")
 # _BYTE_BITS[b]: the set bits of byte b, ascending; bytes with bit j set
 # are those below 2^j with j added
 _BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j,) for bits in table),
@@ -184,18 +186,12 @@ _BYTE_BITS = reduce(lambda table, j: table + tuple(bits + (j,) for bits in table
 
 def _set_bits(mask: int) -> Iterator[int]:
     """Positions of the set bits of mask, ascending, found byte by byte: a
-    table lists the bits of each byte.  A word of a code (at most
-    MAX_LENGTH // 8 bytes) walks all its bytes; in a wider mask a regex
-    finds the nonzero bytes."""
+    table lists the bits of each byte.  Its callers pass words of a code, at
+    most MAX_LENGTH // 8 bytes, so every byte is walked; the sweep finds the
+    nonzero bytes of its 2^16-bit masks itself."""
     data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    if len(data) <= MAX_LENGTH // 8:
-        for i, byte in enumerate(data):
-            for j in _BYTE_BITS[byte]:
-                yield 8 * i + j
-        return
-    for m in re.finditer(b"\x01", data.translate(_NONZERO)):
-        i = m.start()
-        for j in _BYTE_BITS[data[i]]:
+    for i, byte in enumerate(data):
+        for j in _BYTE_BITS[byte]:
             yield 8 * i + j
 
 
@@ -426,9 +422,11 @@ class Code:
         order, and only its first half is swept: each class of weight w in a
         block also gives the class of weight n - w of the block plus 1.
 
-        Only the returned words are decoded, each as base ^ lo[t & 255] ^
-        hi[t >> 8] from its block position t, with lo and hi the XOR tables
-        of the Gray basis rows[i] ^ rows[i - 1] over positions 0-7 and 8-15."""
+        Only the returned words are decoded, from their block positions
+        t = 8 i + j, j < 8: lo, mid and hi are the XOR tables of rows 0-2, 3-7
+        and 8-15 of the Gray basis rows[r] ^ rows[r - 1], each nonzero byte i
+        of a weight mask costs h = base ^ hi[i >> 5] ^ mid[i & 31] once, and
+        each set bit j of it gives the word h ^ lo[j]."""
         self._check_cap()
         if offset < 0 or offset >> self.n:
             raise ValueError("offset bits beyond the code length")
@@ -437,17 +435,31 @@ class Code:
         half = reduce(xor, rows, 0) == ones
         walk = rows[:-1] if half else rows
         basis = [r ^ s for r, s in zip(walk[:LOW_BITS], (0, *walk))]
-        lo, hi = _xor_table(basis[:8]), _xor_table(basis[8:])
+        lo, mid, hi = _xor_table(basis[:3]), _xor_table(basis[3:8]), _xor_table(basis[8:])
+        size = 1 << min(len(walk), LOW_BITS)
         dist, hits, first, mirror = [0] * (n + 1), [], {}, {}
         lowest = target == LOWEST
 
         def decode(base: int, mask: int, limit: int | None = None) -> list[int]:
-            return [base ^ lo[t & 255] ^ hi[t >> 8]
-                    for t in islice(_set_bits(mask), limit)]
+            # each nonzero byte i yields at least one word
+            data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+            words = []
+            for m in islice(_FLAG.finditer(data.translate(_NONZERO)), limit):
+                i = m.start()
+                h = base ^ hi[i >> 5] ^ mid[i & 31]
+                for j in _BYTE_BITS[data[i]]:
+                    words.append(h ^ lo[j])
+            return words[:limit]
 
         for base, classes in _weight_classes(walk, n, offset):
-            for w, mask in classes.items():
-                dist[w] += mask.bit_count()
+            # the classes partition the block's positions: the first class
+            # holds those the others leave
+            first_w, *others = classes
+            dist[first_w] += size
+            for w in others:
+                count = classes[w].bit_count()
+                dist[w] += count
+                dist[first_w] -= count
             sides = [(base, classes, first)]
             if half:
                 sides.append((base ^ ones, {n - w: x for w, x in classes.items()}, mirror))

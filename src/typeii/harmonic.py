@@ -85,15 +85,16 @@ For an integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact
 Fraction.  The lambda-systems take P_d as it is, one numerator row over one
 denominator, given by its integer roots 0..d-1, and a RationalFunction, P_d
 over the roots range(d), is built only where a formal Z_d or sphere sum
-leaves the module.  Sums over intersection profiles read one cached integer
-row per (n, s, w, d), the integer numerators d! P_d evaluated by Horner at s
-for every feasible a, over the one denominator d! s(s-1)...(s-d+1), so a sum
-is one integer dot product and one Fraction; `sphere_sum` builds the same row
-uncached, since it reads each row once, and weights it by the sphere counts
-C(s, a) C(n-s, w-a).  The symbolic sphere sum is one readback of the packed
-terms above.  The feasible intersection weights are stated once, in
-`_weights`; `zonal_eval`, `zonal_sum` and the sphere sums all take them from
-there.
+leaves the module.  A sum over an intersection profile evaluates the cached
+integer numerators d! P_d by Horner at s at the profile's own weights only,
+over the one denominator d! s(s-1)...(s-d+1), so it is one integer sum and
+one Fraction, and no numerator is built at a weight no profile holds (the
+profiles of a doubly-even code hold no odd weight).  `sphere_sum` evaluates
+them at every feasible a, as one row (`_integer_row`), and weights the row
+by the sphere counts C(s, a) C(n-s, w-a).  The symbolic sphere sum is one
+readback of the packed terms above.  The feasible intersection weights are
+stated once, in `_weights`; `zonal_eval`, `zonal_sum` and the sphere sums
+all take them from there.
 """
 
 from __future__ import annotations
@@ -160,28 +161,24 @@ def _integer_row(n: int, s: int, w: int, d: int
     return weights, row, factorial(d) * perm(s, d)
 
 
-# zonal_sum reads few rows many times (one per profile); a sphere sum reads
-# each row once, so it calls _integer_row and keeps nothing
-_zonal_row = lru_cache(maxsize=None)(_integer_row)
-
-
 def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fraction:
     """Sum of count * Z_d(n, s, w, a) over an intersection profile {a: count}
-    of weight-w words against a weight-s reference word: one integer dot
-    product with the cached row of _zonal_row.  An empty profile sums to 0.
+    of weight-w words against a weight-s reference word: the integer
+    numerators d! P_d at the profile's own weights, by Horner at s, over
+    d! * s(s-1)...(s-d+1).  An empty profile sums to 0.
 
     Raises ValueError for an a outside _weights(n, s, w) and
     ZeroDivisionError for s < d when d >= 1, as zonal_eval does."""
     if not counts:
         return Fraction(0)
-    weights, row, den = _zonal_row(n, s, w, d)
-    lo = weights.start
+    weights = _weights(n, s, w)
+    _check_degree(s, d)
     total = 0
     for a, count in counts.items():
         if a not in weights:
             raise _no_such_weight(n, s, w, a)
-        total += count * row[a - lo]
-    return Fraction(total, den)
+        total += count * _horner(_numerator_ints(n, w, a, d), s)
+    return Fraction(total, factorial(d) * perm(s, d))
 
 
 @lru_cache(maxsize=None)

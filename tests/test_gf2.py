@@ -24,6 +24,7 @@ from typeii.gf2 import (
     _set_bits,
     _transpose,
     _weight_classes,
+    _xor_table,
     count_planes,
     parse_generator_text,
     parse_word,
@@ -590,6 +591,82 @@ def test_set_bits_is_lazy():
     bits = _set_bits(dense)
     assert inspect.isgenerator(bits)
     assert list(islice(bits, 5)) == set_bits_reference(dense)[:5]
+
+
+def _per_bit_sweep(code: Code, target: int | None, per_weight: int, offset: int):
+    """Code.sweep with every class counted by bit_count and every word
+    decoded bit by bit, as base ^ lo[t & 255] ^ hi[t >> 8] at each set bit t
+    of a class mask, lo and hi the XOR tables of Gray basis rows 0-7 and
+    8-15: (distribution, shell words in sweep order, samples)."""
+    rows, n = code.rref_rows, code.n
+    ones = (1 << n) - 1
+    half = reduce(xor, rows, 0) == ones
+    walk = rows[:-1] if half else rows
+    basis = [r ^ s for r, s in zip(walk[:16], (0, *walk))]
+    lo, hi = _xor_table(basis[:8]), _xor_table(basis[8:])
+    dist, hits, first, mirror = [0] * (n + 1), [], {}, {}
+    lowest = target == LOWEST
+
+    def decode(base: int, mask: int, limit: int | None = None) -> list[int]:
+        return [base ^ lo[t & 255] ^ hi[t >> 8] for t in set_bits_reference(mask)[:limit]]
+
+    for base, classes in _weight_classes(walk, n, offset):
+        for w, mask in classes.items():
+            dist[w] += mask.bit_count()
+        sides = [(base, classes, first)]
+        if half:
+            sides.append((base ^ ones, {n - w: x for w, x in classes.items()}, mirror))
+        for side_base, side, picks in sides:
+            for w, mask in side.items():
+                if w and len(picks.setdefault(w, [])) < per_weight:
+                    picks[w] += decode(side_base, mask, per_weight - len(picks[w]))
+            if lowest and (target < 0 or min(side) < target):
+                target, hits = min(side), []
+            if target in side:
+                hits += decode(side_base, side[target])
+    if half:
+        dist = [a + b for a, b in zip(dist, reversed(dist))]
+    samples = [b for w in sorted(first.keys() | mirror.keys())
+               for b in (first.get(w, []) + mirror.get(w, []))[:per_weight]]
+    return dist, hits, samples
+
+
+def _assert_sweep_matches_per_bit(code: Code, target: int | None, per_weight: int,
+                                  offset: int):
+    dist, hits, samples = _per_bit_sweep(code, target, per_weight, offset)
+    got_dist, shell, got_samples = code.sweep(target, per_weight, offset)
+    assert got_dist == dist
+    assert (shell is None) == (target is None)
+    if shell is not None:
+        assert list(shell) == hits
+    assert list(got_samples) == samples
+
+
+# the byte decode splits the Gray basis at rows 3 and 8 and the blocks at row
+# 16: k = 0..18 walks codes below, across and beyond each split
+@pytest.mark.parametrize("k", range(19))
+@settings(max_examples=2, deadline=None)
+@given(data=st.data())
+def test_byte_decode_matches_per_bit_decode(k, data):
+    n = data.draw(st.integers(max(k, 1), 40))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    rows = [(1 << n) - 1] if k and data.draw(st.booleans()) else []
+    while Code(n, rows).k < k:
+        rows.append(rng.getrandbits(n))
+    code = Code(n, rows)
+    target = data.draw(st.sampled_from([None, LOWEST, rng.randint(0, n)]))
+    offset = data.draw(st.sampled_from([0, rng.getrandbits(n)]))
+    _assert_sweep_matches_per_bit(code, target, data.draw(st.integers(0, 3)), offset)
+
+
+@pytest.mark.parametrize("target", [None, LOWEST, 0, 3])
+@pytest.mark.parametrize("offset", [0, 0b10110])
+def test_zero_code_sweep_counts_its_single_class(target, offset):
+    # k = 0: one block of one position, whose class is counted as the block
+    # size minus no others
+    code = Code(5, [])
+    _assert_sweep_matches_per_bit(code, target, 3, offset)
+    assert code.sweep(target, 3, offset)[0] == [int(w == offset.bit_count()) for w in range(6)]
 
 
 # ---------------------------------------------------------------- file format

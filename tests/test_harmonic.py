@@ -16,7 +16,7 @@ from typeii.harmonic import (
     zonal_numerator,
     zonal_sum,
 )
-from typeii.harmonic import _zonal_row
+from typeii.harmonic import _integer_row
 
 from test_exact import ONE, S, ZERO, Poly, _product_sum, ratfun_value
 
@@ -300,12 +300,25 @@ def test_zonal_sum_contract():
             zonal_sum(8, 6, 4, {a: 1}, 2)
 
 
+def test_zonal_sum_builds_numerators_at_profile_weights_only():
+    # a weight-12 word meets a weight-8 word of length 24 in 0..8 positions;
+    # the profile holds three even weights, so three numerators are built
+    profile = {2: 3, 4: 10, 6: 5}
+    harmonic._numerator_ints.cache_clear()
+    total = zonal_sum(24, 8, 12, profile, 3)
+    info = harmonic._numerator_ints.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    assert total == sum(c * zonal_direct(24, 8, 12, a, 3) for a, c in profile.items())
+    zonal_sum(24, 8, 12, profile, 3)
+    assert harmonic._numerator_ints.cache_info().currsize == 3
+
+
 def test_zonal_row_matches_direct_formula():
     for n in (8, 16, 24):
         for d in range(8):
             for s in range(d, n + 1):
                 for w in range(n + 1):
-                    weights, row, den = _zonal_row(n, s, w, d)
+                    weights, row, den = _integer_row(n, s, w, d)
                     lo = max(0, w - (n - s))
                     assert weights == range(lo, min(s, w) + 1)
                     assert len(row) == len(weights)

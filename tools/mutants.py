@@ -86,6 +86,18 @@ MUTANTS = (
     ("triple-stride-drop", "gf2.py",
      "for i in range(0, cut, 3)]", "for i in range(0, cut, 4)]",
      ["tests/test_gf2.py::test_grouped_block_counts_match_plain_count"]),
+    # a nonzero byte i of a class mask holds positions 8 i..8 i + 7, whose
+    # bits 3-7 are i & 31 and bits 8-15 are i >> 5
+    ("decode-hi-shift", "gf2.py",
+     "h = base ^ hi[i >> 5] ^ mid[i & 31]", "h = base ^ hi[i >> 4] ^ mid[i & 31]",
+     ["tests/test_gf2.py::test_byte_decode_matches_per_bit_decode"]),
+    ("decode-mid-mask", "gf2.py",
+     "h = base ^ hi[i >> 5] ^ mid[i & 31]", "h = base ^ hi[i >> 5] ^ mid[i & 15]",
+     ["tests/test_gf2.py::test_byte_decode_matches_per_bit_decode"]),
+    # the first class of a block is counted as the block size minus the others
+    ("class-remainder-dropped", "gf2.py",
+     "dist[first_w] -= count", "pass",
+     ["tests/test_gf2.py::test_byte_decode_matches_per_bit_decode"]),
     ("design-duplicates", "gf2.py",
      "if len(set(words)) != len(words):", "if False:",
      ["tests/test_gf2.py::test_design_set_validation"]),
@@ -183,6 +195,11 @@ MUTANTS = (
     ("symbolic-sum-dropped", "harmonic.py",
      "num = _unpack(total, step, w + d + 1)", "num = [0] * (w + d + 1)",
      ["tests/test_harmonic.py"]),
+    # zonal_sum evaluates numerators at the profile's weights, and refuses a
+    # weight no pair of words has
+    ("zonal-sum-weight-check", "harmonic.py",
+     "if a not in weights:", "if False:",
+     ["tests/test_harmonic.py::test_zonal_sum_contract"]),
     ("weights-lower-end", "harmonic.py",
      "return range(max(0, w - (n - s)), min(s, w) + 1)",
      "return range(max(0, w - (n - s) - 1), min(s, w) + 1)",
