@@ -232,9 +232,13 @@ def _cmd_design_check(args) -> int:
         # exact (see designs): one certificate gives every N_t and the half
         # verdict, and it refuses a shell past PAIR_BOUND before any pair work
         killed = killed_degrees(shell, deg)
-        counts = design_counts(shell, killed, args.t)
     else:
-        counts = {t: predesign_count(shell, t) for t in range(1, args.t + 1)}
+        # a constant N_t forces N_{t-1} = N_t (n-t+1)/(w-t+1) for t <= w, so
+        # the tally runs down to the first constant level, the strength
+        strength = next((t for t in range(args.t, 0, -1)
+                         if predesign_count(shell, t) is not None), 0)
+        killed = range(1, strength + 1)
+    counts = design_counts(shell, killed, args.t)
     verdict = all(c is not None for c in counts.values())
     half_verdict = verdict and deg in killed if args.half else None
     payload = {

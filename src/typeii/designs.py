@@ -17,13 +17,17 @@ nonzero harmonic lives on B_w.  D is a t-design iff it kills every degree
 1..t; then N_t = |D| C(w, t) / C(n, t).  A t-half-design is a t-design that
 also kills degree t + 2.
 
-`design-check --half` reads N_t (`design_counts`) and both verdicts from one
-`killed_degrees(D, t + 2)`.  It counts all |D|^2 pairs, so
-`inner_distribution` refuses more than PAIR_BOUND words before any
-(`check_pair_bound`).  Plain runs count N_t with the tally
-(`predesign_count`) alone, which reaches shells far too large for pair work
-and takes milliseconds where the certificate takes half a second (qr48 or
-rm32 weight 12).
+Every N_t a command prints comes from that formula (`design_counts`); what
+differs is how the strength is found.  `design-check --half` reads it and
+both verdicts from one `killed_degrees(D, t + 2)`.  It counts all |D|^2
+pairs, so `inner_distribution` refuses more than PAIR_BOUND words before any
+(`check_pair_bound`).  Plain runs find it with the tally (`predesign_count`),
+which reaches shells far too large for pair work and takes milliseconds
+where the certificate takes half a second (qr48 or rm32 weight 12).  For
+t <= w a constant N_t forces N_{t-1} = N_t (n-t+1)/(w-t+1): for a
+(t-1)-subset A, count the pairs of a support through A and one of its w-t+1
+coordinates outside A.  So the tally runs from level t down and stops at
+the first constant level.
 
 Every computation runs on one bit-sliced engine (Biham, FSE 1997), the
 transpose of the codeword sweep in `gf2`: the column bitmaps of a set
@@ -50,7 +54,7 @@ once per set.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
@@ -180,10 +184,12 @@ def killed_degrees(dset: DesignSet, top: int) -> set[int]:
             if d > min(w, n - w) or zonal_sum(n, w, w, inner, d) == 0}
 
 
-def design_counts(dset: DesignSet, killed: set[int], top: int) -> dict[int, int | None]:
+def design_counts(dset: DesignSet, killed: Container[int], top: int
+                  ) -> dict[int, int | None]:
     """N_t for t in 1..top from the degrees dset kills (`killed_degrees` to top
-    or beyond): |D| C(w, t) / C(n, t) while every degree 1..t is killed, and
-    None from the first t where one is not."""
+    or beyond, or 1..s for a tally constant at level s): |D| C(w, t) / C(n, t)
+    while every degree 1..t is killed, and None from the first t where one
+    is not."""
     n, w = dset.n, dset.w
     strength = next((d - 1 for d in range(1, top + 1) if d not in killed), top)
     return {t: len(dset) * comb(w, t) // comb(n, t) if t <= strength else None

@@ -85,16 +85,16 @@ For an integer s >= d the value is P_d(s) / (s(s-1)...(s-d+1)), an exact
 Fraction.  The lambda-systems take P_d as it is, one numerator row over one
 denominator, given by its integer roots 0..d-1, and a RationalFunction, P_d
 over the roots range(d), is built only where a formal Z_d or sphere sum
-leaves the module.  A sum over an intersection profile evaluates the cached
-integer numerators d! P_d by Horner at s at the profile's own weights only,
-over the one denominator d! s(s-1)...(s-d+1), so it is one integer sum and
-one Fraction, and no numerator is built at a weight no profile holds (the
-profiles of a doubly-even code hold no odd weight).  `sphere_sum` evaluates
-them at every feasible a, as one row (`_integer_row`), and weights the row
-by the sphere counts C(s, a) C(n-s, w-a).  The symbolic sphere sum is one
-readback of the packed terms above.  The feasible intersection weights are
-stated once, in `_weights`; `zonal_eval`, `zonal_sum` and the sphere sums
-all take them from there.
+leaves the module.  Every numeric value is one `zonal_sum`: a sum over an
+intersection profile {a: count} evaluates the cached integer numerators
+d! P_d by Horner at s at the profile's own weights only, over the one
+denominator d! s(s-1)...(s-d+1), so it is one integer sum and one Fraction,
+and no numerator is built at a weight no profile holds (the profiles of a
+doubly-even code hold no odd weight).  `zonal_eval` is the profile {a: 1},
+and `sphere_sum` the profile of sphere counts C(s, a) C(n-s, w-a) at every
+feasible a.  The symbolic sphere sum is one readback of the packed terms
+above.  The feasible intersection weights are stated once, in `_weights`;
+`zonal_eval`, `zonal_sum` and the sphere sums all take them from there.
 """
 
 from __future__ import annotations
@@ -127,16 +127,17 @@ def _no_such_weight(n: int, s: int | None, w: int, a: int) -> ValueError:
 def zonal_eval(n: int, s: int | None, w: int, a: int, d: int
                ) -> Fraction | RationalFunction:
     """Z_d(n, s, w, a); exact Fraction for integer s (requires s >= d when
-    d >= 1), exact RationalFunction in s for the formal s=None.
+    d >= 1), the zonal_sum of the profile {a: 1}, and exact RationalFunction
+    in s for the formal s=None.
 
-    Raises ValueError for an a outside _weights(n, s, w), as zonal_sum does."""
+    Raises ValueError for an a outside _weights(n, s, w), as zonal_sum does,
+    before it checks the degree."""
     if a not in _weights(n, s, w):
         raise _no_such_weight(n, s, w, a)
     _check_degree(s, d)
     if s is None:
         return RationalFunction(zonal_numerator(n, w, a, d), range(d))
-    # perm(s, d) = s(s-1)...(s-d+1)
-    return Fraction(_horner(_numerator_ints(n, w, a, d), s), factorial(d) * perm(s, d))
+    return zonal_sum(n, s, w, {a: 1}, d)
 
 
 def _check_degree(s: int | None, d: int) -> None:
@@ -146,19 +147,6 @@ def _check_degree(s: int | None, d: int) -> None:
         raise ZeroDivisionError(
             f"zonal coefficient divides by s-l for l < {d}; s = {s} is too small"
         )
-
-
-def _integer_row(n: int, s: int, w: int, d: int
-                 ) -> tuple[range, tuple[int, ...], int]:
-    """(weights, row, D): weights = _weights(n, s, w), row[i] =
-    Z_d(n, s, w, a) * D at a = weights[i], and D = d! * s(s-1)...(s-d+1),
-    the denominator of the integer numerators d! P_d (a common denominator of
-    the row, not always the least one).  row[i] is d! P_d(s) at that a, by
-    Horner."""
-    weights = _weights(n, s, w)
-    _check_degree(s, d)
-    row = tuple(_horner(_numerator_ints(n, w, a, d), s) for a in weights)
-    return weights, row, factorial(d) * perm(s, d)
 
 
 def zonal_sum(n: int, s: int, w: int, counts: dict[int, int], d: int) -> Fraction:
@@ -258,9 +246,8 @@ def zonal_numerator(n: int, w: int, a: int, d: int) -> Polynomial:
 def sphere_sum(n: int, s: int, w: int, d: int) -> Fraction:
     """Sum of Z_d over the whole sphere B_w relative to a weight-s word: at
     intersection weight a it holds C(s, a) C(n-s, w-a) words."""
-    weights, row, den = _integer_row(n, s, w, d)
-    return Fraction(sum(comb(s, a) * comb(n - s, w - a) * z
-                        for a, z in zip(weights, row)), den)
+    return zonal_sum(n, s, w, {a: comb(s, a) * comb(n - s, w - a)
+                               for a in _weights(n, s, w)}, d)
 
 
 def sphere_sum_symbolic(n: int, w: int, d: int) -> RationalFunction:

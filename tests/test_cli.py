@@ -13,7 +13,7 @@ from test_golden import CASES, GOLDEN
 from typeii import cli
 from typeii.catalog import resolve
 from typeii.cli import build_parser, main
-from typeii.designs import PAIR_BOUND
+from typeii.designs import PAIR_BOUND, predesign_count
 from typeii.gf2 import MAX_FILE_BYTES, Code
 
 from test_gf2 import format_generator_text, format_word
@@ -106,6 +106,10 @@ def test_zonal_numeric_and_symbolic(capsys):
     assert run(capsys, "zonal", "--n", "8", "--s", "2", "--w", "4", "--a", "0",
                "--d", "3") == (2, "", "error: zonal coefficient divides by s-l for "
                                "l < 3; s = 2 is too small\n")
+    # an infeasible a is reported before s < d
+    assert run(capsys, "zonal", "--n", "8", "--s", "2", "--w", "4", "--a", "3",
+               "--d", "3") == (2, "", "error: no weight-4 word meets a weight-2 "
+                               "word in 3 of n = 8 positions\n")
 
 
 def test_verify_code_catalog_and_file(capsys, tmp_path):
@@ -143,10 +147,6 @@ def test_enumeration_cap_is_usage_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--code", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
-    # s < d past the --d bound: zonal_eval's ZeroDivisionError is a usage error
-    assert run(capsys, "zonal", "--n", "8", "--s", "2", "--w", "4", "--a", "0",
-               "--d", "3") == (2, "", "error: zonal coefficient divides by s-l for "
-                               "l < 3; s = 2 is too small\n")
     assert "exceed the enumeration cap 2^26" in err
 
 
@@ -290,6 +290,25 @@ def test_design_check_half_runs_no_tally(capsys, monkeypatch):
     name = "design-check-golay24-half.json"
     assert run(capsys, *CASES[name]) == (
         0, (GOLDEN / name).read_text(encoding="utf-8"), "")
+
+
+@pytest.mark.parametrize("name, w, t, levels", [
+    ("golay24", 8, 5, [5]),        # the octads are a 5-design
+    ("d16plus", 4, 3, [3, 2, 1]),  # a 1-design
+    ("rm32", 12, 5, [5, 4, 3]),    # a 3-design
+])
+def test_design_check_tallies_from_the_top(capsys, monkeypatch, name, w, t, levels):
+    # a constant N_t settles every lower level, so the tally stops at the
+    # first constant level counting down from t
+    tallied = []
+
+    def recorder(shell, level):
+        tallied.append(level)
+        return predesign_count(shell, level)
+
+    monkeypatch.setattr("typeii.cli.predesign_count", recorder)
+    run(capsys, "design-check", "--code", name, "--w", str(w), "--t", str(t))
+    assert tallied == levels
 
 
 def test_design_check_failing_t(capsys):

@@ -416,6 +416,11 @@ def test_killed_degrees_match_tally(dset):
         if certified:
             assert n_t * comb(n, t) == len(dset) * comb(w, t)
         assert counts[t] == n_t
+    # a constant N_t settles every lower level: the first constant level
+    # counting down from w gives every N_t by the formula
+    s = next((t for t in range(w, 0, -1) if predesign_count(dset, t) is not None), 0)
+    assert design_counts(dset, range(1, s + 1), w) \
+        == {t: predesign_count(dset, t) for t in range(1, w + 1)}
 
 
 @settings(max_examples=150, deadline=None)

@@ -200,6 +200,11 @@ MUTANTS = (
     ("zonal-sum-weight-check", "harmonic.py",
      "if a not in weights:", "if False:",
      ["tests/test_harmonic.py::test_zonal_sum_contract"]),
+    # a numeric zonal value is the zonal sum of the one-word profile
+    ("zonal-eval-profile-count", "harmonic.py",
+     "return zonal_sum(n, s, w, {a: 1}, d)", "return zonal_sum(n, s, w, {a: 2}, d)",
+     ["tests/test_harmonic.py::test_zonal_degree_zero_is_one",
+      "tests/test_cli.py::test_zonal_numeric_and_symbolic"]),
     ("weights-lower-end", "harmonic.py",
      "return range(max(0, w - (n - s)), min(s, w) + 1)",
      "return range(max(0, w - (n - s) - 1), min(s, w) + 1)",
@@ -249,6 +254,15 @@ MUTANTS = (
     ("half-degree-shift", "cli.py",
      "deg = args.t + 2", "deg = args.t + 1",
      ["tests/test_cli.py::test_design_check_half_kill_sets"]),
+    # plain runs tally from --t down to the first constant level, the
+    # strength, and read every N_t through it from design_counts
+    ("tally-top-skipped", "cli.py",
+     "strength = next((t for t in range(args.t, 0, -1)",
+     "strength = next((t for t in range(args.t - 1, 0, -1)",
+     ["tests/test_cli.py::test_design_check_tallies_from_the_top"]),
+    ("tally-strength-cut", "cli.py",
+     "killed = range(1, strength + 1)", "killed = range(1, strength)",
+     ["tests/test_cli.py::test_design_check_json"]),
     ("pair-bound-skip", "designs.py",
      "if size > PAIR_BOUND:", "if False:",
      ["tests/test_cli.py::test_design_check_pair_bound_precedes_tally_and_profiles"]),
