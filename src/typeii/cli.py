@@ -149,7 +149,7 @@ def _cmd_verify(args) -> int:
     else:
         print(f"n = {args.n}  scenario = {verdict.scenario}")
         print(f"determinant = {verdict.factors} / "
-              f"{verdict.determinant.den_factors()}")
+              f"{factor_numerator(verdict.determinant.den)}")
         print(f"integer roots = {sorted(verdict.integer_roots)}  "
               f"relevant = {sorted(verdict.relevant_roots)}")
         print(f"conclusion = {verdict.conclusion}"
@@ -187,7 +187,7 @@ def _cmd_determinant(args) -> int:
             "content": str(factors.content),
             "linear_factors": [list(f) for f in factors.linear],
             "residual": factors.residual.to_json(),
-            "factored": f"{factors} / {det.den_factors()}",
+            "factored": f"{factors} / {factor_numerator(det.den)}",
         }))
     elif args.format == "latex":
         print(f"\\frac{{{format_poly(det.num.primitive())}}}"
@@ -197,7 +197,7 @@ def _cmd_determinant(args) -> int:
         print(f"content:  {factors.content}")
         print(f"linear:   {factors.linear_str(' * ') or '1'}")
         print(f"residual: {format_poly(factors.residual)}")
-        print(f"denominator: {det.den_factors()}")
+        print(f"denominator: {factor_numerator(det.den)}")
     return 0
 
 
@@ -278,9 +278,6 @@ def _cmd_zonal(args) -> int:
 def _cmd_paper(args) -> int:
     checks: list[tuple[str, bool, str, float]] = []
 
-    def record(name: str, ok: bool, detail: str, elapsed: float):
-        checks.append((name, ok, detail, elapsed))
-
     for n in SUPPORTED_LENGTHS:
         t0 = time.perf_counter()
         verdict = analyze(n)
@@ -290,7 +287,7 @@ def _cmd_paper(args) -> int:
         exact = verdict.determinant == ref.published()
         detail = (f"{verdict.conclusion}, roots {sorted(verdict.relevant_roots)}, "
                   f"reference factor divides: {divisible}, exact constants: {exact}")
-        record(f"determinant n={n}", ok, detail, time.perf_counter() - t0)
+        checks.append((f"determinant n={n}", ok, detail, time.perf_counter() - t0))
 
     catalog_names = ["e8", "e8e8", "d16plus", "golay24", "rm32"]
     if args.deep:
@@ -308,7 +305,7 @@ def _cmd_paper(args) -> int:
             ok = ok and report.coset_min_weights == (0, 8)
         detail = (f"gen={report.generated_by_minimal}, "
                   f"cosets={list(report.coset_min_weights)}")
-        record(f"catalog {name}", ok, detail, time.perf_counter() - t0)
+        checks.append((f"catalog {name}", ok, detail, time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     octads = shells["golay24"]  # d(24) = 8: the minimal shell is the octads
@@ -318,15 +315,15 @@ def _cmd_paper(args) -> int:
     counts = design_counts(octads, killed, 6)
     fails_at_6 = counts.pop(6) is None
     ok = counts == {1: 253, 2: 77, 3: 21, 4: 5, 5: 1} and fails_at_6
-    record("golay octads 5-design", ok, f"N = {counts}, fails at 6: {fails_at_6}",
-           time.perf_counter() - t0)
+    checks.append(("golay octads 5-design", ok,
+                   f"N = {counts}, fails at 6: {fails_at_6}", time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     degrees_ok = {1, 2, 3, 4, 5, 7} <= killed
     degree6_breaks = 6 not in killed
-    record("golay octads 5.5-design residuals", degrees_ok and degree6_breaks,
-           f"degrees 1-5,7 vanish: {degrees_ok}; degree 6 nonzero: {degree6_breaks}",
-           time.perf_counter() - t0)
+    detail = f"degrees 1-5,7 vanish: {degrees_ok}; degree 6 nonzero: {degree6_breaks}"
+    checks.append(("golay octads 5.5-design residuals", degrees_ok and degree6_breaks,
+                   detail, time.perf_counter() - t0))
 
     all_ok = all(ok for _, ok, _, _ in checks)
     if args.json:

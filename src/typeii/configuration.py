@@ -29,7 +29,6 @@ from collections import namedtuple
 
 from .designs import intersection_profile, summed_profile
 from .exact import (
-    NumeratorFactors,
     ONE,
     Polynomial,
     RationalFunction,

@@ -69,19 +69,6 @@ PAIR_BOUND = 1 << 15  # every catalog shell up to qr48 w = 12
 SLOT_BOUND = 1 << 19  # bits per slot int of summed_profile, 64 KiB
 SEGMENT_BOUND = 1 << 13  # bits; a wider segment goes alone in its chunk
 
-__all__ = [
-    "DesignSet",
-    "check_pair_bound",
-    "check_predesign_bound",
-    "design_counts",
-    "inner_distribution",
-    "intersection_profile",
-    "killed_degrees",
-    "predesign_count",
-    "summed_profile",
-    "zonal_design_residual",
-]
-
 
 def check_predesign_bound(n: int, t: int):
     """Refuse a tally over more than PREDESIGN_BOUND t-subsets of n coordinates."""

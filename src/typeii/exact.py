@@ -331,12 +331,6 @@ class RationalFunction:
             return format_poly(self.num)
         return f"({format_poly(self.num)})/({format_poly(self.den)})"
 
-    def den_factors(self) -> "NumeratorFactors":
-        """The monic den split into its linear factors, read from `roots`
-        with no root search: content 1, residual 1."""
-        linear = tuple((r, len(list(run))) for r, run in groupby(self.roots))
-        return NumeratorFactors(Fraction(1), linear, ONE)
-
 
 def det_ratfun(rows: Sequence[Sequence[Polynomial]],
                roots: Sequence[Sequence[int]]) -> RationalFunction:
@@ -446,7 +440,9 @@ class NumeratorFactors(namedtuple("NumeratorFactors", "content linear residual")
     """p = content * prod (s - r)^m * residual over the integer roots r of p:
     `content` is the rational scale (a Fraction, sign included), `linear`
     the (integer root, multiplicity) pairs and `residual` the
-    integer-root-free cofactor, a Polynomial."""
+    integer-root-free cofactor, a Polynomial.  When every root of p is an
+    integer the residual is 1: it has no root left, and a primitive
+    constant with a positive sign is 1."""
 
     __slots__ = ()
 
@@ -461,16 +457,13 @@ class NumeratorFactors(namedtuple("NumeratorFactors", "content linear residual")
     def __str__(self) -> str:
         """Factored display, e.g. '(s-16)*(3*s^3-112*s^2+1368*s-5120)'."""
         factors = [self.linear_str()] if self.linear else []
-        content = self.content
         if self.residual.degree > 0:
             factors.append(f"({format_poly(self.residual).replace(' ', '')})")
-        else:
-            content = content * self.residual.coefficient(0)
         head: list[str] = []
-        if content == -1 and factors:
+        if self.content == -1 and factors:
             head.append("-")
-        elif content != 1 or not factors:
-            head.append(f"{content}*" if factors else str(content))
+        elif self.content != 1 or not factors:
+            head.append(f"{self.content}*" if factors else str(self.content))
         return "".join(head) + "*".join(factors)
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from typeii.exact import (
+    NumeratorFactors,
     Polynomial,
     RationalFunction,
     det_ratfun,
@@ -492,10 +493,12 @@ def test_ratfun_monic_denominator():
 
 
 @given(st.lists(st.integers(-6, 6), max_size=6), st.integers(1, 3))
-def test_ratfun_den_factors_match_root_search(roots, c):
-    # the display read from the roots is the one the divisor search finds
+def test_factor_numerator_splits_den_into_its_roots(roots, c):
+    # the monic den of integer roots factors as content 1, one (root,
+    # multiplicity) pair per distinct root and residual 1
     r = RationalFunction(Polynomial([c, 0, 1]), roots)
-    assert r.den_factors() == factor_numerator(r.den)
+    assert factor_numerator(r.den) == NumeratorFactors(
+        Fraction(1), tuple((x, r.roots.count(x)) for x in sorted(set(r.roots))), ONE)
 
 
 def test_ratfun_division_by_zero():
@@ -735,6 +738,26 @@ def test_integer_roots_multiplicative_union(rs, qs):
 
 
 # ---------------------------------------------------------- linear factors
+#
+# NumeratorFactors.__str__ once folded a constant residual into the content.
+# factor_numerator only returns the residual 1 as a constant, so the fold is
+# a no-op; the display with it is kept here as the oracle of the one without.
+
+def factored_str_oracle(f: NumeratorFactors) -> str:
+    """The factored display with a constant residual folded into the content."""
+    factors = [f.linear_str()] if f.linear else []
+    content = f.content
+    if f.residual.degree > 0:
+        factors.append(f"({format_poly(f.residual).replace(' ', '')})")
+    else:
+        content = content * f.residual.coefficient(0)
+    head: list[str] = []
+    if content == -1 and factors:
+        head.append("-")
+    elif content != 1 or not factors:
+        head.append(f"{content}*" if factors else str(content))
+    return "".join(head) + "*".join(factors)
+
 
 RESIDUALS = (ONE, Polynomial([-10, 3]), Polynomial([2, 0, 1]),
              Polynomial([-5120, 1368, -112, 3]), Polynomial([-10, 3]) * Polynomial([2, 0, 1]))
@@ -756,6 +779,7 @@ def test_factor_numerator_splits_planted_roots(mults, residual, c):
     for r, m in f.linear:
         rebuilt = rebuilt * (S - r) ** m
     assert rebuilt == p
+    assert str(f) == factored_str_oracle(f)
 
 
 # ------------------------------------------------------- the readback contract

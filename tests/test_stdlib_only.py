@@ -1,7 +1,7 @@
-"""The runtime depends on the standard library alone.  numpy, sympy and
-hypothesis may be installed next to it, so an accidental import would go
-unnoticed in-process; a fresh isolated interpreter shows every module that
-importing and running `typeii` pulls in.
+"""The runtime depends on the standard library alone, and imports nothing it
+does not use.  numpy, sympy and hypothesis may be installed next to it, so an
+accidental import would go unnoticed in-process; a fresh isolated interpreter
+shows every module that importing and running `typeii` pulls in.
 
 The same interpreter, started with -S as well so that no site hook preloads
 anything, also shows the import cost a CLI launch pays: `typeii.cli` must load
@@ -10,6 +10,7 @@ no `dataclasses` (which brings `inspect`, `ast`, `dis` and `tokenize`) and no
 only a command that emits JSON imports.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -60,3 +61,19 @@ def test_cli_import_skips_slow_stdlib_modules():
     result = _run("-I", "-S")
     assert result["code"] == 0
     assert sorted(SLOW_TO_IMPORT.intersection(result["cli"])) == []
+
+
+def test_no_unused_imports():
+    # a name bound by an import must be read somewhere in its module: a Name
+    # node covers both a bare use and the base of an attribute chain
+    unused = []
+    for path in sorted((SRC / "typeii").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name != "annotations" and name not in used:
+                        unused.append(f"{path.stem}.{name}")
+    assert unused == []

@@ -143,6 +143,15 @@ MUTANTS = (
      "den = _mul_into([0] * (len(den) + 1), den, (-r, 1))",
      "den = _mul_into([0] * (len(den) + 1), den, (r, 1))",
      ["tests/test_exact.py::test_ratfun_monic_denominator"]),
+    # the factored display: a residual of degree 0 is always 1 and is not
+    # shown, and both halves of a determinant are printed by factor_numerator
+    ("residual-one-shown", "exact.py",
+     "if self.residual.degree > 0:", "if self.residual.degree >= 0:",
+     ["tests/test_exact.py::test_format_and_factored", "tests/test_golden.py"]),
+    ("den-display-num", "cli.py",
+     'print(f"denominator: {factor_numerator(det.den)}")',
+     'print(f"denominator: {factor_numerator(det.num)}")',
+     ["tests/test_golden.py"]),
     ("readback-bias", "exact.py",
      "half = 1 << (8 * step - 1)", "half = 0",
      ["tests/test_exact.py"]),
