@@ -216,11 +216,13 @@ def _cmd_design_check(args) -> int:
     if not 1 <= args.t <= args.w:
         raise ValueError(f"--t must lie in 1..w, got t = {args.t} with w = {args.w}")
     code = resolve(args.code)
-    # --w bounds --t, and the tally is bounded before the sweep, --half or not
+    # --w bounds --t, and a plain run's tally is bounded before the sweep;
+    # --half enumerates no t-subset, so PAIR_BOUND alone bounds its work
     if not 0 <= args.w <= code.n:
         raise ValueError(f"shell weight {args.w} outside 0..{code.n}")
-    for t in range(1, args.t + 1):
-        check_predesign_bound(code.n, t)
+    if not args.half:
+        for t in range(1, args.t + 1):
+            check_predesign_bound(code.n, t)
     shell = code.shell(args.w)
     if not shell:
         # every tally of an empty set is the constant 0, a vacuous design

@@ -386,31 +386,15 @@ def _divisors(m: int) -> list[int]:
     divs = [1]
     for p, e in factors.items():
         divs = [x * p**i for x in divs for i in range(e + 1)]
-    return sorted(divs)
+    return divs
 
 
 def integer_roots(p: Polynomial) -> set[int]:
-    """Exactly the integers r with p(r) = 0.
-
-    Strips s^k factors (contributing the root 0), reduces to coprime integer
-    coefficients, and tests the divisors of the constant term by Horner; any
-    integer root of an integer polynomial must divide its constant term.
-    """
+    """Exactly the integers r with p(r) = 0: the roots of the linear factors
+    `factor_numerator` splits off."""
     if p.is_zero:
         raise ValueError("integer_roots of the zero polynomial")
-    roots: set[int] = set()
-    k = 0
-    while p._num[k] == 0:
-        k += 1
-    if k > 0:
-        roots.add(0)
-    q = _make(p._num[k:], 1).primitive()._num
-    for d in _divisors(q[0]):
-        if not _horner(q, d):
-            roots.add(d)
-        if not _horner(q, -d):
-            roots.add(-d)
-    return roots
+    return {r for r, _ in factor_numerator(p).linear}
 
 
 def format_poly(p: Polynomial) -> str:
@@ -470,13 +454,17 @@ class NumeratorFactors(namedtuple("NumeratorFactors", "content linear residual")
 def factor_numerator(p: Polynomial) -> NumeratorFactors:
     """Split off the rational content (sign included) and every linear factor
     s - r with an integer root r; the residual is primitive with a positive
-    leading term."""
+    leading term.  One pass: every integer root is 0 or plus or minus a
+    divisor of the lowest nonzero coefficient, and each such candidate, in
+    ascending order, is stripped by `_deflate` as often as it divides."""
     if p.is_zero:
         raise ValueError("zero numerator cannot be factored")
     num = p.primitive()._num
     content = p.content() if p.leading() > 0 else -p.content()
+    low = next(c for c in num if c)
     linear: list[tuple[int, int]] = []
-    for r in sorted(integer_roots(p)):
+    for r in sorted({0, *(x for d in _divisors(low) for x in (d, -d))}):
         num, mult = _deflate(num, r, len(num))
-        linear.append((r, mult))
+        if mult:
+            linear.append((r, mult))
     return NumeratorFactors(content, tuple(linear), _make(num, 1))

@@ -436,7 +436,6 @@ class Code:
         walk = rows[:-1] if half else rows
         basis = [r ^ s for r, s in zip(walk[:LOW_BITS], (0, *walk))]
         lo, mid, hi = _xor_table(basis[:3]), _xor_table(basis[3:8]), _xor_table(basis[8:])
-        size = 1 << min(len(walk), LOW_BITS)
         dist, hits, first, mirror = [0] * (n + 1), [], {}, {}
         lowest = target == LOWEST
 
@@ -452,14 +451,8 @@ class Code:
             return words[:limit]
 
         for base, classes in _weight_classes(walk, n, offset):
-            # the classes partition the block's positions: the first class
-            # holds those the others leave
-            first_w, *others = classes
-            dist[first_w] += size
-            for w in others:
-                count = classes[w].bit_count()
-                dist[w] += count
-                dist[first_w] -= count
+            for w, mask in classes.items():
+                dist[w] += mask.bit_count()
             sides = [(base, classes, first)]
             if half:
                 sides.append((base ^ ones, {n - w: x for w, x in classes.items()}, mirror))

@@ -161,6 +161,26 @@ def test_design_check_t_bound_precedes_sweep(capsys, monkeypatch):
     assert err == "error: C(48,6) = 12271512 exceeds the enumeration bound\n"
 
 
+def test_design_check_half_runs_past_the_tally_bound(capsys, monkeypatch):
+    # C(32,8) refuses the tally of a plain run, but --half enumerates no
+    # t-subset: PAIR_BOUND and the degrees <= min(w, n - w) bound its work
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("Code.sweep called before the --t bound")
+
+    argv = ["design-check", "--code", "rm32", "--w", "8", "--t", "8"]
+    monkeypatch.setattr(Code, "sweep", no_sweep)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: C(32,8) = 10518300 exceeds the enumeration bound\n"
+    monkeypatch.undo()
+    code, out, err = run(capsys, *argv, "--half")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[1:4] == ["  N_1 = 155", "  N_2 = 35", "  N_3 = 7"]
+    assert lines[4:9] == [f"  N_{t} = not constant" for t in range(4, 9)]
+    assert lines[9] == "is_8_design = False"
+
+
 @pytest.mark.parametrize("w", [9, 10**9])
 def test_design_check_w_bound_precedes_tallies(capsys, monkeypatch, w):
     # --t <= --w leaves --w unbounded, and the tally bounds are checked for

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from typeii.configuration import SUPPORTED_LENGTHS, extended_determinant
 from typeii.exact import (
     NumeratorFactors,
     Polynomial,
@@ -15,7 +16,9 @@ from typeii.exact import (
     format_poly,
     integer_roots,
 )
-from typeii.exact import _horner, _mul_into, _pack, _quotient, _unpack
+from typeii.exact import (
+    _deflate, _divisors, _horner, _make, _mul_into, _pack, _quotient, _unpack,
+)
 
 
 # ---------------------------------------------------------------- rationals
@@ -780,6 +783,50 @@ def test_factor_numerator_splits_planted_roots(mults, residual, c):
         rebuilt = rebuilt * (S - r) ** m
     assert rebuilt == p
     assert str(f) == factored_str_oracle(f)
+
+
+# factor_numerator once took two passes: the integer roots first, each
+# divisor d of the constant term left once s^k is stripped tested as d and -d
+# by Horner, then one `_deflate` per root for its multiplicity.  That routine
+# is kept here as the oracle of the one pass.
+
+def two_pass_factors(p: Polynomial) -> NumeratorFactors:
+    """factor_numerator(p) by the Horner root scan, then `_deflate` per root."""
+    k = 0
+    while p._num[k] == 0:
+        k += 1
+    roots = {0} if k else set()
+    q = _make(p._num[k:], 1).primitive()._num
+    for d in _divisors(q[0]):
+        roots |= {r for r in (d, -d) if not _horner(q, r)}
+    num = p.primitive()._num
+    content = p.content() if p.leading() > 0 else -p.content()
+    linear = []
+    for r in sorted(roots):
+        num, mult = _deflate(num, r, len(num))
+        linear.append((r, mult))
+    return NumeratorFactors(content, tuple(linear), _make(num, 1))
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.integers(-30, 30), st.integers(1, 4), max_size=5),
+       st.sampled_from(RESIDUALS),
+       st.fractions(max_denominator=50).filter(bool))
+@example({0: 3, -4: 2, 7: 1}, ONE, Fraction(-3, 2))  # root 0 with multiplicity
+@example({}, ONE, Fraction(5))                      # a nonzero constant
+@example({-1: 1, -30: 2}, Polynomial([2, 0, 1]), Fraction(1))  # no integer root left
+def test_factor_numerator_matches_two_pass_oracle(mults, residual, c):
+    p = residual * c
+    for r, m in mults.items():
+        p = p * (S - r) ** m
+    assert factor_numerator(p) == two_pass_factors(p)
+
+
+@pytest.mark.parametrize("n", SUPPORTED_LENGTHS)
+def test_factor_numerator_matches_two_pass_oracle_on_determinants(n):
+    det = extended_determinant(n)
+    for half in (det.num, det.den):
+        assert factor_numerator(half) == two_pass_factors(half)
 
 
 # ------------------------------------------------------- the readback contract

@@ -94,9 +94,9 @@ MUTANTS = (
     ("decode-mid-mask", "gf2.py",
      "h = base ^ hi[i >> 5] ^ mid[i & 31]", "h = base ^ hi[i >> 5] ^ mid[i & 15]",
      ["tests/test_gf2.py::test_byte_decode_matches_per_bit_decode"]),
-    # the first class of a block is counted as the block size minus the others
-    ("class-remainder-dropped", "gf2.py",
-     "dist[first_w] -= count", "pass",
+    # every weight class of a block is counted by its popcount
+    ("class-count-dropped", "gf2.py",
+     "dist[w] += mask.bit_count()", "dist[w] += 1",
      ["tests/test_gf2.py::test_byte_decode_matches_per_bit_decode"]),
     ("design-duplicates", "gf2.py",
      "if len(set(words)) != len(words):", "if False:",
@@ -108,8 +108,11 @@ MUTANTS = (
     ("split-empty-masks", "gf2.py",
      "if hi:", "if True:",
      ["tests/test_designs.py", "tests/test_gf2.py"]),
+    # one root pass tries 0 and both signs of every divisor of the lowest
+    # nonzero coefficient
     ("negative-roots", "exact.py",
-     "if not _horner(q, -d):", "if False:",
+     "for r in sorted({0, *(x for d in _divisors(low) for x in (d, -d))}):",
+     "for r in sorted({0, *(x for d in _divisors(low) for x in (d,))}):",
      ["tests/test_exact.py"]),
     ("bareiss-swap-sign", "exact.py",
      "sign = -sign", "sign = sign",
@@ -291,6 +294,10 @@ MUTANTS = (
      "raise argparse.ArgumentError(None, message)",
      "argparse.ArgumentParser.error(self, message)",
      ["tests/test_cli.py::test_one_parser_route_matches_full_parser"]),
+    # --half enumerates no t-subset, so only a plain run checks the tally bound
+    ("half-tally-bound", "cli.py",
+     "if not args.half:", "if True:",
+     ["tests/test_cli.py::test_design_check_half_runs_past_the_tally_bound"]),
     ("design-check-w-bound", "cli.py",
      "if not 0 <= args.w <= code.n:", "if False:",
      ["tests/test_cli.py::test_design_check_w_bound_precedes_tallies"]),
